@@ -1,10 +1,11 @@
 package zenspec
 
 // Micro-benchmarks for the per-cycle hot paths: the steady-state pipeline
-// step, the observability emit fast path, and a Flush+Reload probe sweep.
+// step, a NOP-sled run, the observability emit fast path, and a
+// Flush+Reload probe sweep.
 // Each reports allocations, and the paired tests pin the zero-allocation
 // invariants with testing.AllocsPerRun so a regression fails `go test`
-// itself, not just a benchstat comparison. verify.sh runs all three as its
+// itself, not just a benchstat comparison. verify.sh runs them as its
 // benchstat smoke.
 
 import (
@@ -22,37 +23,29 @@ import (
 	"zenspec/internal/sidechannel"
 )
 
-// stepEnv is a minimal single-core machine running a counted ALU loop: the
-// steady-state instruction stream with no stores, loads or faults, so every
-// fetch after the first Run hits the decoded-page cache and every record
-// comes from the run-state pool.
+// stepEnv is a minimal single-core machine that re-runs one program. One
+// warm-up Run fills the decoded-page cache, the run-state pool and the TLBs,
+// so every fetch after it hits the decoded-page cache and every record comes
+// from the run-state pool.
 type stepEnv struct {
-	core  *pipeline.Core
-	as    *mem.AddrSpace
-	entry uint64
-	insts uint64
+	core     *pipeline.Core
+	as       *mem.AddrSpace
+	entry    uint64
+	regs     [isa.NumRegs]uint64
+	maxInsts uint64
+	insts    uint64
 }
 
-func newStepEnv(tb testing.TB, iters int32) *stepEnv {
+// newRunEnv maps code at 0x400000 and one data page at 0x10000, and makes
+// the warm-up Run with regs. The Run stops at a HALT, or after maxInsts
+// instructions when that is not 0.
+func newRunEnv(tb testing.TB, code []byte, regs [isa.NumRegs]uint64, maxInsts uint64) *stepEnv {
 	tb.Helper()
 	phys := mem.NewPhysical()
 	ch := cache.New(cache.DefaultConfig())
 	unit := predict.NewUnit(predict.Config{Seed: 1})
 	core := pipeline.New(pipeline.DefaultConfig(), phys, ch, unit, &pmc.Counters{})
 	as := mem.NewAddrSpace()
-
-	code, err := asm.NewBuilder().
-		Movi(isa.RCX, iters).
-		Movi(isa.RDX, 1).
-		Label("loop").
-		Sub(isa.RCX, isa.RCX, isa.RDX).
-		Xor(isa.RBX, isa.RCX, isa.RDX).
-		Jnz(isa.RCX, "loop").
-		Halt().
-		Assemble(0x400000)
-	if err != nil {
-		tb.Fatalf("assemble: %v", err)
-	}
 	const base = 0x400000
 	for off := uint64(0); off < uint64(len(code))+mem.PageSize-1; off += mem.PageSize {
 		if _, ok := as.Lookup(base + off); !ok {
@@ -66,28 +59,84 @@ func newStepEnv(tb testing.TB, iters int32) *stepEnv {
 		}
 		phys.WriteBytes(pa, code[i:i+1])
 	}
-	e := &stepEnv{core: core, as: as, entry: base}
-	// One warm-up Run fills the decoded-page cache, the run-state pool and
-	// the TLBs; everything after is the steady state under measurement.
-	var regs [isa.NumRegs]uint64
-	res := e.core.Run(e.as, e.entry, &regs, 0)
-	if res.Stop != pipeline.StopHalt {
-		tb.Fatalf("warm-up stopped with %v, want halt", res.Stop)
+	as.Map(stepData, phys.AllocFrame(), mem.PermRW)
+	e := &stepEnv{core: core, as: as, entry: base, regs: regs, maxInsts: maxInsts}
+	res := e.run()
+	want := pipeline.StopHalt
+	if maxInsts != 0 {
+		want = pipeline.StopInstLimit
+	}
+	if res.Stop != want {
+		tb.Fatalf("warm-up stopped with %v, want %v", res.Stop, want)
 	}
 	e.insts = res.Insts
 	return e
+}
+
+// stepData is the data page of newRunEnv.
+const stepData = 0x10000
+
+// run makes one Run from the entry with the env's input registers.
+func (e *stepEnv) run() pipeline.RunResult {
+	regs := e.regs
+	return e.core.Run(e.as, e.entry, &regs, e.maxInsts)
+}
+
+// newStepEnv runs a counted ALU loop: the steady-state instruction stream
+// with no stores, loads or faults.
+func newStepEnv(tb testing.TB, iters int32) *stepEnv {
+	tb.Helper()
+	code, err := asm.NewBuilder().
+		Movi(isa.RCX, iters).
+		Movi(isa.RDX, 1).
+		Label("loop").
+		Sub(isa.RCX, isa.RCX, isa.RDX).
+		Xor(isa.RBX, isa.RCX, isa.RDX).
+		Jnz(isa.RCX, "loop").
+		Halt().
+		Assemble(0x400000)
+	if err != nil {
+		tb.Fatalf("assemble: %v", err)
+	}
+	return newRunEnv(tb, code, [isa.NumRegs]uint64{}, 0)
+}
+
+// newNOPSledEnv runs the stld microbenchmark laid out as
+// revng.PlaceStldHash places it: 488 NOPs of padding so that the STORE ends
+// the first page and the load starts the next. The Run covers the first
+// page and stops before the load: the load's speculation record would be
+// copied out of Run, the one allocation a full stld Run makes.
+func newNOPSledEnv(tb testing.TB) *stepEnv {
+	tb.Helper()
+	pad := (mem.PageSize - isa.InstBytes - asm.BuildStld(asm.StldOptions{}).StoreOff) / isa.InstBytes
+	var regs [isa.NumRegs]uint64
+	regs[isa.RDI] = stepData
+	regs[isa.RSI] = stepData + 0x800
+	regs[isa.R9] = 0xdd
+	return newRunEnv(tb, asm.BuildStld(asm.StldOptions{PadStart: pad}).Code, regs, mem.PageSize/isa.InstBytes)
 }
 
 // BenchmarkCoreStep measures the steady-state per-instruction cost of the
 // pipeline: decoded-page fetch hit, ALU execute, retire — no observers, no
 // memory traffic.
 func BenchmarkCoreStep(b *testing.B) {
-	e := newStepEnv(b, 256)
-	var regs [isa.NumRegs]uint64
+	benchRuns(b, newStepEnv(b, 256))
+}
+
+// BenchmarkCoreNOPSled measures one Run through the first page of the
+// hash-placed stld: 488 padding NOPs and the 24 instructions up to its
+// STORE. Such padding is most of what the fingerprinting experiments
+// simulate; ns/inst counts the NOPs, which retire a run at a time.
+func BenchmarkCoreNOPSled(b *testing.B) {
+	benchRuns(b, newNOPSledEnv(b))
+}
+
+// benchRuns times steady-state Runs of e's program.
+func benchRuns(b *testing.B, e *stepEnv) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.core.Run(e.as, e.entry, &regs, 0)
+		e.run()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(e.insts), "ns/inst")
 }
@@ -97,11 +146,15 @@ func BenchmarkCoreStep(b *testing.B) {
 // records, run state and decoded pages are all recycled.
 func TestCoreStepSteadyStateAllocFree(t *testing.T) {
 	e := newStepEnv(t, 64)
-	var regs [isa.NumRegs]uint64
-	allocs := testing.AllocsPerRun(20, func() {
-		e.core.Run(e.as, e.entry, &regs, 0)
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { e.run() }); allocs != 0 {
+		t.Fatalf("steady-state Run allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestCoreNOPSledAllocFree pins the same invariant for the hash-placed stld.
+func TestCoreNOPSledAllocFree(t *testing.T) {
+	e := newNOPSledEnv(t)
+	if allocs := testing.AllocsPerRun(20, func() { e.run() }); allocs != 0 {
 		t.Fatalf("steady-state Run allocates %.1f objects per run, want 0", allocs)
 	}
 }

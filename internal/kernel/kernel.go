@@ -184,8 +184,7 @@ func New(cfg Config) *Kernel {
 func (k *Kernel) Bus() *obs.Bus { return k.bus }
 
 // Observe subscribes o to the machine's event bus after boot and returns a
-// cancel function — the facade-level replacement for reaching into
-// CPU(i).Core.SetTracer.
+// cancel function. One subscription sees every core of the machine.
 func (k *Kernel) Observe(o obs.Observer, opts obs.Options) (cancel func()) {
 	return k.bus.Subscribe(o, opts)
 }

@@ -7,6 +7,7 @@ import (
 	"zenspec/internal/cache"
 	"zenspec/internal/isa"
 	"zenspec/internal/mem"
+	"zenspec/internal/obs"
 	"zenspec/internal/pmc"
 	"zenspec/internal/predict"
 )
@@ -347,28 +348,31 @@ func TestStopReasonStrings(t *testing.T) {
 	}
 }
 
-// TestTracerSeesTransientInstructions: the instruction tracer observes both
-// architectural and wrong-path execution, with the transient flag set.
+// TestTracerSeesTransient: an instruction tracer, i.e. a ClassInst observer
+// on the core's bus, sees both architectural and wrong-path execution, with
+// the transient flag set.
 func TestTracerSeesTransient(t *testing.T) {
 	se := newStldEnv(t, Config{})
+	bus := obs.NewBus()
+	se.core.AttachBus(bus, 0)
 	var arch, transient int
-	se.core.SetTracer(func(e TraceEntry) {
+	bus.Subscribe(obs.ObserverFunc(func(ev obs.Event) {
+		e := ev.(obs.InstEvent)
 		if e.Transient {
 			transient++
 		} else {
 			arch++
 		}
 		if e.PC == 0 || e.Inst.Op == 0 {
-			t.Error("empty trace entry")
+			t.Error("empty instruction event")
 		}
-	})
-	defer se.core.SetTracer(nil)
+	}), obs.Options{Classes: []obs.Class{obs.ClassInst}})
 	se.exec(true) // type G: opens a transient window
 	if arch == 0 {
-		t.Error("no architectural entries traced")
+		t.Error("no architectural instructions observed")
 	}
 	if transient == 0 {
-		t.Error("no transient entries traced")
+		t.Error("no transient instructions observed")
 	}
 }
 

@@ -183,6 +183,33 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 					in = isa.Decode(e.frame.Data[off : off+isa.InstBytes])
 					e.insts[off>>3] = in
 				}
+				if in.Op == isa.NOP && !instOn {
+					// Padding retires a run at a time (runState.retireNOPs).
+					// The run is the NOP slots that follow on this page, cut
+					// at maxInsts and at the next Stop poll so both land on
+					// the same instruction as they would one NOP at a time.
+					// Every fetch after the first hits the ITLB entry the
+					// first one just checked or filled.
+					n := uint64(1)
+					lim := min(maxInsts-st.insts, stopCheckInterval-st.insts%stopCheckInterval)
+					last := (mem.PageSize - isa.InstBytes - e.align) / isa.InstBytes
+					for i := off>>3 + 1; n < lim && i <= last; i++ {
+						if e.insts[i].Op == opUndecoded {
+							o := e.align + i*isa.InstBytes
+							e.insts[i] = isa.Decode(e.frame.Data[o : o+isa.InstBytes])
+						}
+						if e.insts[i].Op != isa.NOP {
+							break
+						}
+						n++
+					}
+					c.pmcs.Add(pmc.ITLBHit4K, n-1)
+					st.pc += n * isa.InstBytes
+					st.insts += n
+					st.retireNOPs(&c.cfg, int(n))
+					c.bus.StampCycle(st.lastRetire)
+					continue
+				}
 				hot = true
 			}
 		}

@@ -229,31 +229,6 @@ type RunResult struct {
 	Stlds   []StldEvent
 }
 
-// TraceEntry records one executed instruction for the instruction tracer.
-//
-// Deprecated: TraceEntry survives only as the payload of the SetTracer shim.
-// New code should subscribe an obs.Observer for obs.ClassInst events — via
-// zenspec.Config.Observer, zenspec.Observe, or Core.AttachBus — which carry
-// the same fields (obs.InstEvent) plus the hardware-thread index, alongside
-// every other event class (squashes, forwards, predictor trainings, ...).
-type TraceEntry struct {
-	PC   uint64
-	IPA  uint64
-	Inst isa.Inst
-	// RetiredBy is the in-order retirement frontier after this instruction
-	// (absolute cycles).
-	RetiredBy int64
-	// Transient marks wrong-path execution inside a speculation window;
-	// transient entries never become architectural.
-	Transient bool
-}
-
-// Tracer receives one entry per executed instruction, including transient
-// ones. Tracing is for debugging gadgets; it does not perturb timing.
-//
-// Deprecated: use an obs.Observer subscribed to obs.ClassInst instead.
-type Tracer func(TraceEntry)
-
 // Core is one simulated hardware thread's execution resources. Caches and
 // physical memory may be shared between cores; the predictor unit is
 // per-thread (the paper found PSFP/SSBP duplicated across SMT threads).
@@ -269,9 +244,8 @@ type Core struct {
 	cycle  int64 // monotonic cycle counter across runs (what RDPRU reads)
 	jitter *rand.Rand
 
-	bus          *obs.Bus
-	cpuID        int
-	tracerCancel func()
+	bus   *obs.Bus
+	cpuID int
 
 	// Hot-loop reuse. All of it is semantics-preserving: the pooled state is
 	// fully re-initialized per use and the fetch cache revalidates against
@@ -367,33 +341,6 @@ func (c *Core) AttachBus(b *obs.Bus, cpuID int) {
 
 // Bus returns the attached event bus (nil when unattached).
 func (c *Core) Bus() *obs.Bus { return c.bus }
-
-// SetTracer installs (or, with nil, removes) the instruction tracer.
-//
-// Deprecated: SetTracer is a compatibility shim over the event bus — it
-// subscribes an adapter that converts this core's obs.InstEvent stream back
-// into TraceEntry callbacks. Subscribe an obs.Observer for obs.ClassInst
-// instead (zenspec.Config.Observer or zenspec.Observe at the facade).
-func (c *Core) SetTracer(t Tracer) {
-	if c.tracerCancel != nil {
-		c.tracerCancel()
-		c.tracerCancel = nil
-	}
-	if t == nil {
-		return
-	}
-	if c.bus == nil {
-		c.bus = obs.NewBus()
-	}
-	cpu := c.cpuID
-	c.tracerCancel = c.bus.Subscribe(obs.ObserverFunc(func(e obs.Event) {
-		ie, ok := e.(obs.InstEvent)
-		if !ok || ie.CPU != cpu {
-			return
-		}
-		t(TraceEntry{PC: ie.PC, IPA: ie.IPA, Inst: ie.Inst, RetiredBy: ie.RetiredBy, Transient: ie.Transient})
-	}), obs.Options{Classes: []obs.Class{obs.ClassInst}})
-}
 
 // New assembles a core. pmcs may be nil (a private counter set is created).
 func New(cfg Config, phys *mem.Physical, ch *cache.Hierarchy, dis predict.Disambiguator, pmcs *pmc.Counters) *Core {

@@ -244,19 +244,62 @@ func (st *runState) redirect(pc uint64, when int64) {
 // retire records an in-order retirement and returns its time.
 func (st *runState) retire(complete int64) int64 {
 	st.attr.complete = complete
-	t := complete
-	if st.lastRetire > t {
-		t = st.lastRetire
-	}
+	t := max(complete, st.lastRetire)
 	st.lastRetire = t
-	if st.retireLen < len(st.retireRing) {
-		st.retireRing[(st.retireIdx+st.retireLen)%len(st.retireRing)] = t
-		st.retireLen++
-	} else {
-		st.retireRing[st.retireIdx] = t
-		st.retireIdx = (st.retireIdx + 1) % len(st.retireRing)
-	}
+	ringPush(st.retireRing, &st.retireIdx, &st.retireLen, t)
 	return t
+}
+
+// retireNOPs leaves exactly the state n rounds of dispatchSlot+retire(d)
+// would. NOPs step one at a time while an older instruction still retires at
+// or after the next dispatch cycle. From then on each NOP retires in the
+// cycle it dispatches, FetchWidth to a cycle, and a ROB at least FetchWidth
+// wide never stalls them: the entry it waits on is one of these NOPs from an
+// earlier cycle, or older and retired before the first. So fetch, retire and
+// the last min(n, ROBSize) ring entries follow in closed form. A narrower
+// ROB stalls inside the run; there every NOP steps.
+func (st *runState) retireNOPs(cfg *Config, n int) {
+	w := cfg.FetchWidth
+	for ; n > 0; n-- {
+		next := st.fetchCycle
+		if st.fetchedInCy >= w {
+			next++
+		}
+		if st.lastRetire < next && cfg.ROBSize >= w {
+			break
+		}
+		st.retire(st.dispatchSlot(cfg))
+	}
+	if n == 0 {
+		return
+	}
+	// NOP j takes fetch slot fetchedInCy+j counted from the start of
+	// fetchCycle; NOPs older than the last size are overwritten in the ring.
+	size := len(st.retireRing)
+	first := max(0, n-size)
+	pos := (st.retireIdx + st.retireLen + first) % size
+	cyc := st.fetchCycle + int64((st.fetchedInCy+first)/w)
+	slot := (st.fetchedInCy + first) % w
+	for j := first; j < n; j++ {
+		st.retireRing[pos] = cyc
+		if pos++; pos == size {
+			pos = 0
+		}
+		if slot++; slot == w {
+			slot, cyc = 0, cyc+1
+		}
+	}
+	last := st.fetchedInCy + n - 1
+	d := st.fetchCycle + int64(last/w)
+	st.fetchCycle, st.fetchedInCy = d, last%w+1
+	st.lastRetire = d
+	st.attr = instAttr{dispatch: d, issue: d, complete: d}
+	if total := st.retireLen + n; total <= size {
+		st.retireLen = total
+	} else {
+		st.retireIdx = (st.retireIdx + total - size) % size
+		st.retireLen = size
+	}
 }
 
 // sqSlot models store-queue occupancy: a new store cannot dispatch before
@@ -282,23 +325,28 @@ func (st *runState) lqSlot(d int64) int64 {
 }
 
 func (st *runState) lqPush(done int64) {
-	if st.lqLen < len(st.lqRing) {
-		st.lqRing[(st.lqIdx+st.lqLen)%len(st.lqRing)] = done
-		st.lqLen++
-		return
-	}
-	st.lqRing[st.lqIdx] = done
-	st.lqIdx = (st.lqIdx + 1) % len(st.lqRing)
+	ringPush(st.lqRing, &st.lqIdx, &st.lqLen, done)
 }
 
 func (st *runState) sqPush(drain int64) {
-	if st.sqLen < len(st.sqRing) {
-		st.sqRing[(st.sqIdx+st.sqLen)%len(st.sqRing)] = drain
-		st.sqLen++
-		return
+	ringPush(st.sqRing, &st.sqIdx, &st.sqLen, drain)
+}
+
+// ringPush appends v to the ring whose oldest entry is ring[*idx] and whose
+// live entries number *n, evicting the oldest once the ring is full. The
+// wrap is a compare rather than a modulo, since every instruction pays it,
+// and the function stays cheap enough to inline into retire.
+func ringPush(ring []int64, idx, n *int, v int64) {
+	i := *idx + *n
+	if i >= len(ring) {
+		i -= len(ring)
 	}
-	st.sqRing[st.sqIdx] = drain
-	st.sqIdx = (st.sqIdx + 1) % len(st.sqRing)
+	ring[i] = v
+	if *n < len(ring) {
+		*n++
+	} else if *idx = i + 1; *idx == len(ring) {
+		*idx = 0
+	}
 }
 
 // youngestUnresolved returns the youngest older store whose address is not

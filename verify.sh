@@ -31,26 +31,37 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module (vet + tests) =="
+# perfbench is its own module, so the root ./... above skips it; its unit
+# tests pin the benchmark's own arithmetic.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== speccheck summary-equivalence fuzz smoke =="
 # Ten seconds of coverage-guided search for any divergence between the
 # incremental summary engine and the whole-program analyzer.
 go test -run=FuzzSummaryEquivalence -fuzz=FuzzSummaryEquivalence \
     -fuzztime 10s ./internal/speccheck
 
+echo "== pipeline NOP-run fuzz smoke =="
+# Ten seconds of search for a program, placement or core shape on which
+# retiring a run of NOPs in one step leaves any state different from
+# stepping the NOPs one at a time.
+go test -run=FuzzNOPRuns -fuzz=FuzzNOPRuns -fuzztime 10s ./internal/pipeline
+
 echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the
 # zero-allocation invariants at the benchmark level too (the dedicated
 # AllocsPerRun tests already ran under -race above): the steady-state
-# pipeline step, both emit paths, and the Flush+Reload sweep must all report
-# 0 allocs/op. benchstat renders the table when installed (CI installs it),
-# with a visible skip locally.
+# pipeline step, the NOP-sled run, both emit paths, and the Flush+Reload
+# sweep must all report 0 allocs/op. benchstat renders the table when
+# installed (CI installs it), with a visible skip locally.
 bench_out=$(mktemp)
 go test -run '^$' \
-    -bench 'BenchmarkCoreStep|BenchmarkObsEmitFast|BenchmarkObsEmitDisabled|BenchmarkFlushReloadSweep' \
+    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkObsEmitFast|BenchmarkObsEmitDisabled|BenchmarkFlushReloadSweep' \
     -benchtime 100x -count 1 . | tee "$bench_out"
 benches=$(grep -c '^Benchmark' "$bench_out")
 zeroalloc=$(grep -c '	 *0 allocs/op' "$bench_out") || true
-if [ "$benches" -ne 4 ] || [ "$zeroalloc" -ne 4 ]; then
+if [ "$benches" -ne 5 ] || [ "$zeroalloc" -ne 5 ]; then
     echo "core benchmarks must all report 0 allocs/op ($zeroalloc of $benches did)" >&2
     exit 1
 fi

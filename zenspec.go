@@ -328,10 +328,9 @@ type TraceRecorder = obs.Recorder
 func NewTraceRecorder() *TraceRecorder { return obs.NewRecorder() }
 
 // Observe subscribes o to a booted Machine's event bus and returns a cancel
-// function. It is the post-boot equivalent of Config.Observer and replaces
-// the deprecated Machine.CPU(i).Core.SetTracer deep-reach: one subscription
-// sees all hardware threads, predictors, caches, the OS model and the fault
-// injector, filtered by opts.Classes (empty means all).
+// function. It is the post-boot equivalent of Config.Observer: one
+// subscription sees all hardware threads, predictors, caches, the OS model
+// and the fault injector, filtered by opts.Classes (empty means all).
 func Observe(m *Machine, o Observer, opts ObserverOptions) (cancel func()) {
 	return m.Observe(o, opts)
 }
