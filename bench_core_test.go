@@ -1,8 +1,9 @@
 package zenspec
 
 // Micro-benchmarks for the per-cycle hot paths: the steady-state pipeline
-// step, a NOP-sled run, the observability emit fast path, and a
-// Flush+Reload probe sweep.
+// step, a NOP-sled run, the observability emit fast path bare and into the
+// metrics registry and profile an observed run attaches, and a Flush+Reload
+// probe sweep.
 // Each reports allocations, and the paired tests pin the zero-allocation
 // invariants with testing.AllocsPerRun so a regression fails `go test`
 // itself, not just a benchstat comparison. verify.sh runs them as its
@@ -20,6 +21,7 @@ import (
 	"zenspec/internal/pipeline"
 	"zenspec/internal/pmc"
 	"zenspec/internal/predict"
+	"zenspec/internal/prof"
 	"zenspec/internal/sidechannel"
 )
 
@@ -182,6 +184,45 @@ func BenchmarkObsEmitFast(b *testing.B) {
 	}
 	if o.n != b.N {
 		b.Fatalf("observer saw %d events, want %d", o.n, b.N)
+	}
+}
+
+// observedBus is a bus with obs.Multi(obs.NewMetrics(), prof.New())
+// subscribed to every class, as the harness attaches them for -metrics
+// -profile, and an instruction event whose profile site already exists.
+func observedBus() (*obs.Bus, *obs.InstEvent) {
+	bus := obs.NewBus()
+	bus.Subscribe(obs.Multi(obs.NewMetrics(), prof.New()), obs.Options{})
+	ev := &obs.InstEvent{CPU: 0, PC: 0x400000, Inst: isa.Inst{Op: isa.LOAD},
+		Dispatch: 1, Issue: 2, Complete: 5, RetiredBy: 6}
+	bus.EmitInst(ev)
+	return bus, ev
+}
+
+// BenchmarkObsEmitObserved measures EmitInst into the metrics registry and
+// the profile at steady state: the per-instruction cost an observed run
+// pays.
+func BenchmarkObsEmitObserved(b *testing.B) {
+	bus, ev := observedBus()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Dispatch = int64(i)
+		bus.EmitInst(ev)
+	}
+}
+
+// TestObsEmitObservedAllocFree pins the observed emit path allocation-free:
+// the composed observer takes the pointer path, and neither the metrics
+// registry nor the profile allocates for an instruction of a known site.
+func TestObsEmitObservedAllocFree(t *testing.T) {
+	bus, ev := observedBus()
+	allocs := testing.AllocsPerRun(100, func() {
+		ev.Dispatch++
+		bus.EmitInst(ev)
+	})
+	if allocs != 0 {
+		t.Fatalf("observed EmitInst allocates %.1f objects per run, want 0", allocs)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"zenspec"
+	"zenspec/internal/obs"
 	"zenspec/internal/service"
 )
 
@@ -134,8 +135,13 @@ func run() int {
 		// One recorder across all trials: serialize them so the event stream
 		// interleaves deterministically in trial order.
 		rec = zenspec.NewTraceRecorder()
-		cfg.Observer = rec
-		cfg.ObserverClasses = classes
+		if cfg.Observer == nil {
+			cfg.Observer, cfg.ObserverClasses = rec, classes
+		} else {
+			// -serve's live observers keep every class; the recorder
+			// alone is filtered to the traced ones.
+			cfg.Observer = zenspec.Observers(cfg.Observer, obs.Filter(rec, classes))
+		}
 		cfg.Parallelism = 1
 	}
 	var ids []string

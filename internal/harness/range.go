@@ -114,17 +114,7 @@ func (r *Registry) RunTrialRange(ctx Ctx, id string, lo, hi int) (PartialReport,
 	}
 	runtime.GC() // keep range timing debt-free, like runOne
 	start := time.Now()
-	ectx := ctx
-	var mc *obs.Metrics
-	if ctx.Metrics {
-		mc = obs.NewMetrics()
-		ectx.Config.Observer = obs.Multi(ectx.Config.Observer, mc)
-	}
-	var pp *prof.Profile
-	if ctx.Profile {
-		pp = prof.New()
-		ectx.Config.Observer = obs.Multi(ectx.Config.Observer, pp)
-	}
+	ectx, mc, pp := attachObservers(ctx)
 	frag, err := runRangeIsolated(e, ectx, lo, hi)
 	if err != nil {
 		return PartialReport{}, err

@@ -212,20 +212,7 @@ func runOne(e Experiment, ctx Ctx) Report {
 	// stable report).
 	runtime.GC()
 	start := time.Now()
-	ectx := ctx
-	var mc *obs.Metrics
-	if ctx.Metrics {
-		// A fresh registry per experiment, composed with any caller
-		// observer; the experiment's machines subscribe it at boot.
-		mc = obs.NewMetrics()
-		ectx.Config.Observer = obs.Multi(ectx.Config.Observer, mc)
-	}
-	var pp *prof.Profile
-	if ctx.Profile {
-		// Likewise one profile per experiment, shared by all its trials.
-		pp = prof.New()
-		ectx.Config.Observer = obs.Multi(ectx.Config.Observer, pp)
-	}
+	ectx, mc, pp := attachObservers(ctx)
 	rep := runIsolated(e, ectx)
 	rep.ID = e.ID
 	rep.Title = e.Title
@@ -245,6 +232,33 @@ func runOne(e Experiment, ctx Ctx) Report {
 		ctx.Completed(rep)
 	}
 	return rep
+}
+
+// attachObservers gives one experiment (or one trial range of it) the fresh
+// metrics registry and profile ctx asks for, shared by all its trials, and
+// returns ctx with them composed into Config.Observer; the experiment's
+// machines subscribe the composition at boot. A registry not asked for is
+// nil. The caller's observer keeps its ObserverClasses through obs.Filter and
+// the composition subscribes to every class, so each member sees exactly its
+// own classes: a caller tracing squashes alone does not starve the registries.
+func attachObservers(ctx Ctx) (Ctx, *obs.Metrics, *prof.Profile) {
+	if !ctx.Metrics && !ctx.Profile {
+		return ctx, nil, nil
+	}
+	members := []obs.Observer{obs.Filter(ctx.Config.Observer, ctx.Config.ObserverClasses)}
+	var mc *obs.Metrics
+	if ctx.Metrics {
+		mc = obs.NewMetrics()
+		members = append(members, mc)
+	}
+	var pp *prof.Profile
+	if ctx.Profile {
+		pp = prof.New()
+		members = append(members, pp)
+	}
+	ctx.Config.Observer = obs.Multi(members...)
+	ctx.Config.ObserverClasses = nil
+	return ctx, mc, pp
 }
 
 // RunShard executes exactly one experiment and returns its finished report —

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"zenspec/internal/pmc"
 )
@@ -18,11 +19,63 @@ type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]uint64
 	hists    map[string]*Histogram
+	// retired and transient count instruction events outside the mutex and
+	// the map: every simulated instruction lands here. Snapshot and Counter
+	// report them as inst.retired and inst.transient.
+	retired, transient atomic.Uint64
+}
+
+// Counter names of the values the simulator emits, built once by the first
+// NewMetrics, so that folding an event concatenates no string and a process
+// that never observes pays nothing at start-up.
+var (
+	namesOnce sync.Once
+	pmcNames  [pmc.NumEvents]string // pmcNames[e] is the counter of pmc event e
+	squashNames, trainNames, evictNames, flushNames,
+	cacheFillNames, cacheEvictNames, faultNames *nameTable
+)
+
+func buildNames() {
+	for i := range pmcNames {
+		pmcNames[i] = "pmc." + pmc.Event(i).Key()
+	}
+	squashNames = newNameTable("squash.", "", SquashBranch.String(), SquashBypass.String(), SquashPSF.String(), SquashFault.String())
+	trainNames = newNameTable("predict.train_type_", "", "A", "B", "C", "D", "E", "F", "G", "H")
+	evictNames = newNameTable("predict.", "_evict", "psfp", "ssbp")
+	flushNames = newNameTable("predict.", "_flush", "psfp", "ssbp")
+	cacheFillNames = newNameTable("cache.fill.", "", "L1", "L2", "L3")
+	cacheEvictNames = newNameTable("cache.evict.", "", "L1", "L2", "L3")
+	faultNames = newNameTable("fault.", "", "psfp-evict", "ssbp-flip", "spurious-train", "cache-evict", "trial-error", "trial-panic", "trial-overrun")
+}
+
+// nameTable maps a value v to its counter name prefix+v+suffix.
+type nameTable struct {
+	prefix, suffix string
+	values, names  []string
+}
+
+func newNameTable(prefix, suffix string, values ...string) *nameTable {
+	t := &nameTable{prefix: prefix, suffix: suffix, values: values, names: make([]string, len(values))}
+	for i, v := range values {
+		t.names[i] = prefix + v + suffix
+	}
+	return t
+}
+
+// name returns v's counter name, prebuilt unless v is outside the table.
+func (t *nameTable) name(v string) string {
+	for i, known := range t.values {
+		if known == v {
+			return t.names[i]
+		}
+	}
+	return t.prefix + v + t.suffix
 }
 
 // NewMetrics returns an empty registry subscribed to nothing; attach it with
 // Bus.Subscribe or a Config.Observer field.
 func NewMetrics() *Metrics {
+	namesOnce.Do(buildNames)
 	return &Metrics{
 		counters: make(map[string]uint64),
 		hists:    make(map[string]*Histogram),
@@ -39,100 +92,110 @@ func (m *Metrics) Inc(name string, n uint64) {
 // Observe records v in the named histogram.
 func (m *Metrics) Observe(name string, v uint64) {
 	m.mu.Lock()
+	m.observe(name, v)
+	m.mu.Unlock()
+}
+
+// observe is Observe with m.mu held.
+func (m *Metrics) observe(name string, v uint64) {
 	h := m.hists[name]
 	if h == nil {
 		h = &Histogram{}
 		m.hists[name] = h
 	}
 	h.add(v)
-	m.mu.Unlock()
 }
 
 // HandleInst implements InstObserver: the boxing-free delivery of the
 // per-instruction event. Must stay equivalent to HandleEvent on the value.
 func (m *Metrics) HandleInst(e *InstEvent) {
 	if e.Transient {
-		m.Inc("inst.transient", 1)
+		m.transient.Add(1)
 	} else {
-		m.Inc("inst.retired", 1)
+		m.retired.Add(1)
 	}
 }
 
 // HandleEvent implements Observer.
 func (m *Metrics) HandleEvent(e Event) {
-	switch ev := e.(type) {
-	case InstEvent:
+	if ev, ok := e.(InstEvent); ok {
 		m.HandleInst(&ev)
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c := m.counters
+	switch ev := e.(type) {
 	case SquashEvent:
-		m.Inc("squash.total", 1)
-		m.Inc("squash."+ev.Kind.String(), 1)
-		m.Observe("squash.window_insts", uint64(ev.Insts))
+		c["squash.total"]++
+		c[squashNames.name(ev.Kind.String())]++
+		m.observe("squash.window_insts", uint64(ev.Insts))
 		if ev.Verify > ev.Start {
-			m.Observe("squash.window_cycles", uint64(ev.Verify-ev.Start))
+			m.observe("squash.window_cycles", uint64(ev.Verify-ev.Start))
 		}
 	case ForwardEvent:
 		if ev.PSF {
-			m.Inc("forward.psf", 1)
+			c["forward.psf"]++
 		} else {
-			m.Inc("forward.stlf", 1)
+			c["forward.stlf"]++
 		}
 	case PredictEvent:
-		m.Inc("predict.queries", 1)
+		c["predict.queries"]++
 		if ev.PSFPHit {
-			m.Inc("predict.psfp_hit", 1)
+			c["predict.psfp_hit"]++
 		}
 		if ev.Aliasing {
-			m.Inc("predict.aliasing", 1)
+			c["predict.aliasing"]++
 		}
 		if ev.PSF {
-			m.Inc("predict.psf", 1)
+			c["predict.psf"]++
 		}
 	case PSFPTrainEvent:
-		m.Inc("predict.psfp_train", 1)
-		m.Inc("predict.train_type_"+ev.Type, 1)
+		c["predict.psfp_train"]++
+		c[trainNames.name(ev.Type)]++
 		if ev.Allocated {
-			m.Inc("predict.psfp_alloc", 1)
+			c["predict.psfp_alloc"]++
 		}
 	case SSBPTransitionEvent:
-		m.Inc("predict.ssbp_transition", 1)
+		c["predict.ssbp_transition"]++
 		if ev.StateBefore != ev.StateAfter {
-			m.Inc("predict.ssbp_state_change", 1)
+			c["predict.ssbp_state_change"]++
 		}
 	case PredictorEvictEvent:
-		m.Inc("predict."+ev.Predictor+"_evict", 1)
+		c[evictNames.name(ev.Predictor)]++
 	case PredictorFlushEvent:
-		m.Inc("predict."+ev.Predictor+"_flush", 1)
+		c[flushNames.name(ev.Predictor)]++
 	case CacheEvent:
 		switch ev.Kind {
 		case "fill":
-			m.Inc("cache.fill."+ev.Level, 1)
+			c[cacheFillNames.name(ev.Level)]++
 		case "evict":
-			m.Inc("cache.evict."+ev.Level, 1)
+			c[cacheEvictNames.name(ev.Level)]++
 		case "flush":
-			m.Inc("cache.flush", 1)
+			c["cache.flush"]++
 		}
 	case ProbeEvent:
 		if ev.Hit {
-			m.Inc("probe.hit", 1)
+			c["probe.hit"]++
 		} else {
-			m.Inc("probe.miss", 1)
+			c["probe.miss"]++
 		}
-		m.Observe("probe.cycles", ev.Cycles)
+		m.observe("probe.cycles", ev.Cycles)
 	case ContextSwitchEvent:
-		m.Inc("kernel.context_switch", 1)
+		c["kernel.context_switch"]++
 		if ev.FromDomain != ev.ToDomain {
-			m.Inc("kernel.domain_change", 1)
+			c["kernel.domain_change"]++
 		}
 	case FaultEvent:
-		m.Inc("fault.injected", 1)
-		m.Inc("fault."+ev.Kind, 1)
+		c["fault.injected"]++
+		c[faultNames.name(ev.Kind)]++
 	case PMCEvent:
 		// Bridge the Fig 2 PMC namespace into the registry: one monotonic
 		// counter per pmc event key, summed over runs (commutative, so the
 		// snapshot stays deterministic at any worker count).
-		for _, pe := range pmc.Events() {
-			if n := ev.Counts.Get(pe); n != 0 {
-				m.Inc("pmc."+pe.Key(), n)
+		for i, name := range pmcNames {
+			if n := ev.Counts.Get(pmc.Event(i)); n != 0 {
+				c[name] += n
 			}
 		}
 	}
@@ -184,10 +247,17 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := &MetricsSnapshot{}
-	if len(m.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(m.counters))
+	retired, transient := m.retired.Load(), m.transient.Load()
+	if len(m.counters) > 0 || retired != 0 || transient != 0 {
+		s.Counters = make(map[string]uint64, len(m.counters)+2)
 		for k, v := range m.counters {
 			s.Counters[k] = v
+		}
+		if retired != 0 {
+			s.Counters["inst.retired"] += retired
+		}
+		if transient != 0 {
+			s.Counters["inst.transient"] += transient
 		}
 	}
 	if len(m.hists) > 0 {
@@ -255,8 +325,15 @@ func (s *MetricsSnapshot) Merge(other *MetricsSnapshot) {
 // Counter returns the named counter's value (0 when absent).
 func (m *Metrics) Counter(name string) uint64 {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
+	n := m.counters[name]
+	m.mu.Unlock()
+	switch name {
+	case "inst.retired":
+		n += m.retired.Load()
+	case "inst.transient":
+		n += m.transient.Load()
+	}
+	return n
 }
 
 // Text renders the snapshot as sorted "name value" lines for terminal output.

@@ -273,25 +273,71 @@ func (b *Bus) Now() int64 {
 	return b.now
 }
 
-// Multi composes observers into one that fans events out in order, skipping
-// nils. It returns nil when every argument is nil, so callers can assign the
-// result directly to an optional Observer field.
+// Multi composes observers into one that fans events out in argument order,
+// skipping nils. It returns nil when every argument is nil, so callers can
+// assign the result directly to an optional Observer field.
+//
+// The composition implements InstObserver: an instruction event reaches
+// members that implement it by pointer, and is boxed at most once for the
+// others, so composing observers keeps the bus's boxing-free fast path.
 func Multi(obs ...Observer) Observer {
-	var live []Observer
+	var live fanout
 	for _, o := range obs {
 		if o != nil {
-			live = append(live, o)
+			inst, _ := o.(InstObserver)
+			live = append(live, subscriber{obs: o, inst: inst, mask: Options{}.mask()})
 		}
 	}
 	switch len(live) {
 	case 0:
 		return nil
 	case 1:
-		return live[0]
+		return live[0].obs
 	}
-	return ObserverFunc(func(e Event) {
-		for _, o := range live {
-			o.HandleEvent(e)
+	return live
+}
+
+// Filter restricts o to the given classes, as a subscription's Options would.
+// It lets an observer that shares one subscription with others (a Multi) keep
+// its own classes. Empty classes mean every class and return o unchanged; so
+// does a nil o. Like Multi's, the result keeps the InstObserver fast path.
+func Filter(o Observer, classes []Class) Observer {
+	if o == nil || len(classes) == 0 {
+		return o
+	}
+	inst, _ := o.(InstObserver)
+	return fanout{{obs: o, inst: inst, mask: Options{Classes: classes}.mask()}}
+}
+
+// fanout delivers each event to the subscribers whose mask includes its
+// class, in order, as a Bus does: it is what Multi and Filter return.
+type fanout []subscriber
+
+// HandleEvent implements Observer.
+func (f fanout) HandleEvent(e Event) {
+	m := uint32(1) << e.EventClass()
+	for _, s := range f {
+		if s.mask&m != 0 {
+			s.obs.HandleEvent(e)
 		}
-	})
+	}
+}
+
+// HandleInst implements InstObserver.
+func (f fanout) HandleInst(e *InstEvent) {
+	const m = uint32(1) << ClassInst
+	var boxed Event
+	for i := range f {
+		s := &f[i]
+		switch {
+		case s.mask&m == 0:
+		case s.inst != nil:
+			s.inst.HandleInst(e)
+		default:
+			if boxed == nil {
+				boxed = *e
+			}
+			s.obs.HandleEvent(boxed)
+		}
+	}
 }

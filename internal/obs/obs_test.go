@@ -2,9 +2,12 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 
 	"zenspec/internal/isa"
+	"zenspec/internal/pmc"
 )
 
 func TestNilBusIsDisabled(t *testing.T) {
@@ -91,6 +94,28 @@ func TestStampCycleMonotonic(t *testing.T) {
 	}
 }
 
+// logObs records, in one shared log, which member got which event and how:
+// "name:inst" for a HandleInst pointer, "name:event" for a HandleEvent value.
+type logObs struct {
+	name string
+	log  *[]string
+	ptrs *[]*InstEvent // pointers received through HandleInst
+	vals *[]Event      // values received through HandleEvent
+}
+
+func (o logObs) HandleEvent(e Event) {
+	*o.log = append(*o.log, o.name+":event")
+	*o.vals = append(*o.vals, e)
+}
+
+// instLogObs is a logObs that also implements InstObserver.
+type instLogObs struct{ logObs }
+
+func (o instLogObs) HandleInst(e *InstEvent) {
+	*o.log = append(*o.log, o.name+":inst")
+	*o.ptrs = append(*o.ptrs, e)
+}
+
 func TestMulti(t *testing.T) {
 	if Multi() != nil || Multi(nil, nil) != nil {
 		t.Fatal("Multi of nils should be nil")
@@ -102,6 +127,76 @@ func TestMulti(t *testing.T) {
 	m.HandleEvent(InstEvent{})
 	if a != 1 || c != 1 {
 		t.Fatalf("Multi fan-out a=%d c=%d, want 1/1", a, c)
+	}
+
+	var log []string
+	var ptrs []*InstEvent
+	var vals []Event
+	mk := func(name string) logObs { return logObs{name, &log, &ptrs, &vals} }
+	// Members run in argument order; a Multi nested in a Multi keeps the
+	// pointer path for its own InstObserver members.
+	m = Multi(instLogObs{mk("a")}, mk("b"), Multi(mk("c"), instLogObs{mk("d")}))
+	b := NewBus()
+	b.Subscribe(m, Options{})
+	ev := InstEvent{CPU: 1, PC: 0x400000, Dispatch: 7, Transient: true}
+	b.EmitInst(&ev)
+	want := []string{"a:inst", "b:event", "c:event", "d:inst"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("EmitInst through Multi called %v, want %v", log, want)
+	}
+	for i, p := range ptrs {
+		if p != &ev {
+			t.Errorf("InstObserver member %d got pointer %p, want the emitted event's %p", i, p, &ev)
+		}
+	}
+	for i, v := range vals {
+		if got, ok := v.(InstEvent); !ok || got != ev {
+			t.Errorf("plain member %d got %#v, want %#v", i, v, ev)
+		}
+	}
+
+	// Other classes fan out through HandleEvent, in the same order.
+	log = log[:0]
+	b.Emit(SquashEvent{Kind: SquashPSF})
+	want = []string{"a:event", "b:event", "c:event", "d:event"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("Emit through Multi called %v, want %v", log, want)
+	}
+
+	// Plain members share one boxed copy of an instruction event.
+	var n int
+	plain := ObserverFunc(func(Event) { n++ })
+	fan := Multi(plain, plain, plain).(InstObserver)
+	if allocs := testing.AllocsPerRun(100, func() { fan.HandleInst(&ev) }); allocs != 1 {
+		t.Fatalf("HandleInst to three plain members allocates %.1f objects, want 1", allocs)
+	}
+}
+
+func TestFilter(t *testing.T) {
+	var log []string
+	var ptrs []*InstEvent
+	var vals []Event
+	inst := instLogObs{logObs{"i", &log, &ptrs, &vals}}
+	if Filter(inst, nil) != Observer(inst) || Filter(nil, []Class{ClassInst}) != nil {
+		t.Fatal("Filter with no classes or no observer must return its observer")
+	}
+	ev := InstEvent{PC: 0x1000}
+	// The filter keeps the pointer path when its classes include ClassInst.
+	f := Filter(inst, []Class{ClassInst, ClassSquash})
+	f.(InstObserver).HandleInst(&ev)
+	f.HandleEvent(SquashEvent{})
+	f.HandleEvent(CacheEvent{Kind: "fill"}) // filtered out
+	if want := "[i:inst i:event]"; fmt.Sprint(log) != want || len(ptrs) != 1 || ptrs[0] != &ev {
+		t.Fatalf("filtered InstObserver log %v ptrs %v, want %s with the event's pointer", log, ptrs, want)
+	}
+	// A plain observer gets the instruction by value; without ClassInst it
+	// gets nothing.
+	log, vals = log[:0], vals[:0]
+	Filter(logObs{"p", &log, &ptrs, &vals}, []Class{ClassInst}).(InstObserver).HandleInst(&ev)
+	Filter(logObs{"q", &log, &ptrs, &vals}, []Class{ClassSquash}).(InstObserver).HandleInst(&ev)
+	Filter(inst, []Class{ClassSquash}).(InstObserver).HandleInst(&ev)
+	if fmt.Sprint(log) != "[p:event]" || len(vals) != 1 || vals[0] != Event(ev) {
+		t.Fatalf("filtered plain observers log %v vals %v, want [p:event] with the event", log, vals)
 	}
 }
 
@@ -146,22 +241,56 @@ func TestMetricsFold(t *testing.T) {
 	m.HandleEvent(ProbeEvent{Hit: true, Cycles: 40})
 	m.HandleEvent(ProbeEvent{Cycles: 300})
 	m.HandleEvent(FaultEvent{Kind: "cache-evict"})
+	for _, level := range []string{"L1", "L2", "L3", "L4"} {
+		m.HandleEvent(CacheEvent{Kind: "fill", Level: level})
+		m.HandleEvent(CacheEvent{Kind: "evict", Level: level})
+	}
+	m.HandleEvent(CacheEvent{Kind: "fill", Level: "L2"})
+	m.HandleEvent(CacheEvent{Kind: "flush"})
+	var pc pmc.Counters
+	pc.Add(pmc.SQStallCycles, 7)
+	pc.Add(pmc.RetiredOps, 30)
+	pc.Add(pmc.Bypasses, 2)
+	m.HandleEvent(PMCEvent{Counts: pc})
+	m.HandleEvent(PMCEvent{Counts: pc})
+	m.HandleEvent(PSFPTrainEvent{Type: "D"})
+	m.HandleEvent(PredictorEvictEvent{Predictor: "psfp"})
+	m.HandleEvent(PredictorEvictEvent{Predictor: "btb"}) // outside the name table
+	// Counts stored with Inc under an instruction counter's name add to
+	// the instruction events.
+	m.Inc("inst.retired", 10)
+	m.HandleInst(&InstEvent{})
 
 	want := map[string]uint64{
-		"inst.retired":         1,
+		"inst.retired":         12,
 		"inst.transient":       1,
 		"squash.total":         1,
 		"squash.stl-bypass":    1,
 		"predict.queries":      2,
 		"predict.psfp_hit":     1,
 		"predict.aliasing":     1,
-		"predict.psfp_train":   1,
+		"predict.psfp_train":   2,
 		"predict.train_type_G": 1,
+		"predict.train_type_D": 1,
 		"predict.psfp_alloc":   1,
 		"probe.hit":            1,
 		"probe.miss":           1,
 		"fault.injected":       1,
 		"fault.cache-evict":    1,
+		"cache.fill.L1":        1,
+		"cache.fill.L2":        2,
+		"cache.fill.L3":        1,
+		"cache.fill.L4":        1,
+		"cache.evict.L1":       1,
+		"cache.evict.L2":       1,
+		"cache.evict.L3":       1,
+		"cache.evict.L4":       1,
+		"cache.flush":          1,
+		"predict.psfp_evict":   1,
+		"predict.btb_evict":    1,
+		"pmc.sq_stall_cycles":  14,
+		"pmc.retired_ops":      60,
+		"pmc.bypasses":         4,
 	}
 	for k, v := range want {
 		if got := m.Counter(k); got != v {
@@ -170,6 +299,14 @@ func TestMetricsFold(t *testing.T) {
 	}
 
 	s := m.Snapshot()
+	if len(s.Counters) != len(want) {
+		t.Errorf("snapshot has %d counters, want %d: %v", len(s.Counters), len(want), s.Counters)
+	}
+	for k, v := range want {
+		if s.Counters[k] != v {
+			t.Errorf("snapshot counter %q = %d, want %d", k, s.Counters[k], v)
+		}
+	}
 	h := s.Histograms["squash.window_cycles"]
 	if h == nil || h.Count != 1 || h.Sum != 32 || h.Max != 32 {
 		t.Fatalf("squash.window_cycles snapshot = %+v", h)
@@ -180,6 +317,95 @@ func TestMetricsFold(t *testing.T) {
 	}
 	if s.Text() == "" {
 		t.Fatal("Text() empty")
+	}
+}
+
+// TestMetricsFoldAllocFree pins that folding an event builds no counter
+// name: every value the simulator emits has its name prebuilt.
+func TestMetricsFoldAllocFree(t *testing.T) {
+	m := NewMetrics()
+	var pc pmc.Counters
+	pc.Add(pmc.RetiredOps, 3)
+	pc.Add(pmc.Rollbacks, 1)
+	for _, e := range []Event{
+		InstEvent{}, CacheEvent{Kind: "fill", Level: "L2"}, CacheEvent{Kind: "evict", Level: "L3"},
+		PSFPTrainEvent{Type: "G"}, PredictorEvictEvent{Predictor: "ssbp"},
+		PredictorFlushEvent{Predictor: "psfp"}, SquashEvent{Kind: SquashPSF},
+		PMCEvent{Counts: pc}, ProbeEvent{Cycles: 3}, FaultEvent{Kind: "ssbp-flip"},
+	} {
+		m.HandleEvent(e) // first sight creates the map entry
+		if n := testing.AllocsPerRun(100, func() { m.HandleEvent(e) }); n != 0 {
+			t.Errorf("folding %T allocates %.1f objects, want 0", e, n)
+		}
+	}
+}
+
+// TestMetricsConcurrentFold emits one event mix from several goroutines into
+// one registry while another goroutine reads it, and requires the final
+// snapshot to equal a serial fold of the same events. Under -race it also
+// checks that the instruction counters outside the mutex are race-free.
+func TestMetricsConcurrentFold(t *testing.T) {
+	var pc pmc.Counters
+	pc.Add(pmc.LdDispatch, 3)
+	pc.Add(pmc.Rollbacks, 1)
+	mix := []Event{
+		InstEvent{}, InstEvent{Transient: true}, InstEvent{},
+		SquashEvent{Kind: SquashBranch, Start: 1, Verify: 20, Insts: 4},
+		CacheEvent{Kind: "fill", Level: "L1"}, CacheEvent{Kind: "evict", Level: "L3"},
+		PSFPTrainEvent{Type: "B"}, PMCEvent{Counts: pc},
+		ProbeEvent{Hit: true, Cycles: 35}, PredictorFlushEvent{Predictor: "ssbp"},
+	}
+	const workers, rounds = 4, 500
+	emit := func(m *Metrics) {
+		for r := 0; r < rounds; r++ {
+			for _, e := range mix {
+				if ie, ok := e.(InstEvent); ok && r%2 == 0 {
+					m.HandleInst(&ie)
+				} else {
+					m.HandleEvent(e)
+				}
+			}
+		}
+	}
+	serial := NewMetrics()
+	for w := 0; w < workers; w++ {
+		emit(serial)
+	}
+
+	shared := NewMetrics()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			emit(shared)
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			shared.Snapshot()
+			shared.Counter("inst.retired")
+			shared.Counter("cache.fill.L1")
+		}
+	}()
+	wg.Wait()
+	<-done
+
+	want, err := json.Marshal(serial.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(shared.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("concurrent fold differs from serial:\n got %s\nwant %s", got, want)
+	}
+	if n := shared.Counter("inst.retired"); n != workers*rounds*2 {
+		t.Fatalf("inst.retired = %d, want %d", n, workers*rounds*2)
 	}
 }
 

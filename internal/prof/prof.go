@@ -13,7 +13,9 @@
 package prof
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -58,19 +60,69 @@ type squashSite struct {
 	insts   int64 // wrong-path instructions executed
 }
 
+// siteRef is a site's sort key in Snapshot: its PC, its opcode's rank in
+// name order, and its slot.
+type siteRef struct {
+	pc   uint64
+	rank uint8
+	slot int32
+}
+
+var (
+	opRankOnce sync.Once
+	opRank     [256]uint8
+)
+
+// opRanks maps every opcode to its position in the order of opcode names, so
+// sorting by rank sorts by Op.String(). It is built on first use.
+func opRanks() *[256]uint8 {
+	opRankOnce.Do(func() {
+		ops := make([]isa.Op, len(opRank))
+		for i := range ops {
+			ops[i] = isa.Op(i)
+		}
+		slices.SortFunc(ops, func(a, b isa.Op) int { return strings.Compare(a.String(), b.String()) })
+		for r, op := range ops {
+			opRank[op] = uint8(r)
+		}
+	})
+	return &opRank
+}
+
 // Profile is an obs.Observer accumulating cycle attribution. Safe for
 // concurrent HandleEvent calls; share one Profile across parallel trials.
 type Profile struct {
-	mu       sync.Mutex
-	sites    map[Key]*site
+	mu sync.Mutex
+	// Sites are stored by value: index maps a Key to its slot in the
+	// parallel keys and sites slices, so a profile of many sites holds no
+	// per-site heap object and nothing for the garbage collector to scan.
+	index map[Key]int32
+	keys  []Key
+	sites []site
+	// memo caches, per hash position of a Key, the slot last seen there
+	// plus one (0 is empty). A hit is confirmed against keys, so the memo is
+	// exact; it spares the map lookup for the loop bodies that dominate a
+	// run.
+	memo     [memoSize]int32
 	squashes map[SquashKey]*squashSite
+}
+
+const (
+	memoBits = 12
+	memoSize = 1 << memoBits // 16 KB of memo per Profile: it stays in L1
+)
+
+// memoPos is k's position in Profile.memo: a Fibonacci hash of the PC with
+// the opcode folded into the top byte.
+func memoPos(k Key) uint32 {
+	return uint32(((k.PC ^ uint64(k.Op)<<56) * 0x9e3779b97f4a7c15) >> (64 - memoBits))
 }
 
 // New returns an empty profile. Attach it with Bus.Subscribe (classes inst
 // and squash) or through the facade's Config.Profile.
 func New() *Profile {
 	return &Profile{
-		sites:    make(map[Key]*site),
+		index:    make(map[Key]int32),
 		squashes: make(map[SquashKey]*squashSite),
 	}
 }
@@ -93,12 +145,21 @@ func (p *Profile) HandleInst(ev *obs.InstEvent) {
 	if retire < 0 || ev.Transient {
 		retire = 0
 	}
+	k := Key{ev.PC, ev.Inst.Op}
+	pos := memoPos(k)
 	p.mu.Lock()
-	s := p.sites[Key{ev.PC, ev.Inst.Op}]
-	if s == nil {
-		s = &site{}
-		p.sites[Key{ev.PC, ev.Inst.Op}] = s
+	i := p.memo[pos] - 1
+	if i < 0 || p.keys[i] != k {
+		var ok bool
+		if i, ok = p.index[k]; !ok {
+			i = int32(len(p.keys))
+			p.index[k] = i
+			p.keys = append(p.keys, k)
+			p.sites = append(p.sites, site{})
+		}
+		p.memo[pos] = i + 1
 	}
+	s := &p.sites[i]
 	if ev.Transient {
 		s.transient++
 	} else {
@@ -180,23 +241,29 @@ func (p *Profile) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := &Snapshot{}
-	out.Samples = make([]Sample, 0, len(p.sites))
-	for k, s := range p.sites {
-		out.Samples = append(out.Samples, Sample{
+	// Order the sites by (PC, op name) without comparing strings: sort
+	// compact (PC, op rank) records, then build the samples in that order.
+	rank := opRanks()
+	order := make([]siteRef, len(p.keys))
+	for i, k := range p.keys {
+		order[i] = siteRef{pc: k.PC, rank: rank[k.Op], slot: int32(i)}
+	}
+	slices.SortFunc(order, func(a, b siteRef) int {
+		if a.pc != b.pc {
+			return cmp.Compare(a.pc, b.pc)
+		}
+		return cmp.Compare(a.rank, b.rank)
+	})
+	out.Samples = make([]Sample, len(order))
+	for j, r := range order {
+		k, s := p.keys[r.slot], &p.sites[r.slot]
+		out.Samples[j] = Sample{
 			PC: k.PC, Op: k.Op.String(),
 			Count: s.count, Transient: s.transient,
 			Issue: s.issue, Execute: s.execute,
 			SQStall: s.sqStall, Replay: s.replay, Retire: s.retire,
-		})
-	}
-	sort.Slice(out.Samples, func(i, j int) bool {
-		if out.Samples[i].PC != out.Samples[j].PC {
-			return out.Samples[i].PC < out.Samples[j].PC
 		}
-		return out.Samples[i].Op < out.Samples[j].Op
-	})
-	for _, s := range out.Samples {
-		out.TotalCycles += s.Cycles()
+		out.TotalCycles += out.Samples[j].Cycles()
 	}
 	out.Squashes = make([]SquashSample, 0, len(p.squashes))
 	for k, s := range p.squashes {

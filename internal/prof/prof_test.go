@@ -3,6 +3,7 @@ package prof
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,58 @@ func TestKeyIncludesOp(t *testing.T) {
 	p.HandleEvent(inst(0x400000, isa.STORE, 0, 0, 4, 0, 0, 4))
 	if s := p.Snapshot(); len(s.Samples) != 2 {
 		t.Fatalf("same-PC different-op must stay separate, got %d samples", len(s.Samples))
+	}
+}
+
+// TestSitesMatchNaiveFold folds a shuffled stream over more sites than the
+// memo has positions, with many sites sharing a position, and compares the
+// snapshot with a plain map fold sorted by (PC, op name).
+func TestSitesMatchNaiveFold(t *testing.T) {
+	ops := []isa.Op{isa.LOAD, isa.STORE, isa.ADD, isa.NOP, isa.JNZ, isa.IMUL}
+	r := rand.New(rand.NewSource(1))
+	var evs []obs.InstEvent
+	for i := 0; i < 6*memoSize; i++ {
+		pc := 0x400000 + uint64(r.Intn(2*memoSize))*4
+		d := int64(r.Intn(50))
+		// No span is negative, so the partition needs no clamping: issue
+		// wait 0-2, SQ stall 0-1, execute the rest of 9, retire 3.
+		ev := inst(pc, ops[r.Intn(len(ops))], d, d+int64(r.Intn(3)), d+9, int64(r.Intn(2)), 0, d+12)
+		ev.Transient = r.Intn(5) == 0
+		evs = append(evs, ev, ev) // a repeat right away hits the memo
+	}
+	p := New()
+	want := map[Key]Sample{}
+	for _, ev := range evs {
+		p.HandleInst(&ev)
+		k := Key{ev.PC, ev.Inst.Op}
+		w := want[k]
+		w.PC, w.Op = ev.PC, ev.Inst.Op.String()
+		if ev.Transient {
+			w.Transient++
+		} else {
+			w.Count++
+			w.Retire += ev.RetiredBy - ev.Complete
+		}
+		w.Issue += ev.Issue - ev.Dispatch
+		w.Execute += ev.Complete - ev.Issue - ev.SQStall
+		w.SQStall += ev.SQStall
+		want[k] = w
+	}
+	ref := &Snapshot{}
+	for _, x := range want {
+		ref.Samples = append(ref.Samples, x)
+	}
+	ref.sortAndTotal()
+	got, err := json.Marshal(p.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, exp) {
+		t.Fatalf("profile of %d sites differs from the naive fold", len(want))
 	}
 }
 
@@ -104,8 +157,10 @@ func TestMergeCommutes(t *testing.T) {
 	}
 }
 
-// TestConcurrentHandleEvent hammers one Profile from many goroutines and
-// checks the totals; run with -race this also proves the locking.
+// TestConcurrentHandleEvent hammers one Profile from many goroutines, over
+// sites shared by all of them and sites of their own (so the site table grows
+// while others fold and snapshot), and checks the totals; run with -race this
+// also proves the locking.
 func TestConcurrentHandleEvent(t *testing.T) {
 	p := New()
 	var wg sync.WaitGroup
@@ -116,13 +171,18 @@ func TestConcurrentHandleEvent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				p.HandleEvent(inst(0x400000, isa.NOP, 0, 0, 1, 0, 0, 1))
+				own := inst(0x500000+uint64(w*per+i)*4, isa.LOAD, 0, 0, 1, 0, 0, 1)
+				p.HandleInst(&own)
+				if i%20 == 0 {
+					p.Snapshot()
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	s := p.Snapshot()
-	if len(s.Samples) != 1 || s.Samples[0].Count != workers*per {
-		t.Errorf("count = %+v, want %d", s.Samples, workers*per)
+	if len(s.Samples) != 1+workers*per || s.Samples[0].Count != workers*per {
+		t.Errorf("%d samples, first %+v; want %d, the first counted %d times", len(s.Samples), s.Samples[0], 1+workers*per, workers*per)
 	}
 }
 

@@ -197,11 +197,14 @@ func TestObserverStableJSONAcrossWorkers(t *testing.T) {
 // TestMetricsSnapshotDeterministicAcrossWorkers asserts the Metrics fold is
 // worker-count independent: the same suite with cfg.Metrics produces
 // byte-identical StableJSON (which embeds the micro snapshots) at 1, 2 and
-// 8 workers.
+// 8 workers. A caller observer subscribed to squash events alone must not
+// change the micro snapshots either: its class filter is its own, not the
+// per-experiment registry's.
 func TestMetricsSnapshotDeterministicAcrossWorkers(t *testing.T) {
 	ids := []string{"table1", "fig4"}
-	stable := func(workers int) []byte {
-		suite, err := RunExperiments(Config{Seed: 42, Parallelism: workers, Metrics: true}, true, ids)
+	stable := func(workers int, o Observer, classes []EventClass) []byte {
+		cfg := Config{Seed: 42, Parallelism: workers, Metrics: true, Observer: o, ObserverClasses: classes}
+		suite, err := RunExperiments(cfg, true, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +219,27 @@ func TestMetricsSnapshotDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return b
 	}
-	baseline := stable(1)
+	baseline := stable(1, nil, nil)
 	for _, workers := range []int{2, 8} {
-		if got := stable(workers); !bytes.Equal(got, baseline) {
+		if got := stable(workers, nil, nil); !bytes.Equal(got, baseline) {
 			t.Errorf("metrics StableJSON at %d workers differs from serial", workers)
 		}
+	}
+	var squashes, others atomic.Uint64
+	squashOnly := ObserverFunc(func(e Event) {
+		if e.EventClass() == ClassSquash {
+			squashes.Add(1)
+		} else {
+			others.Add(1)
+		}
+	})
+	for _, workers := range []int{1, 2, 8} {
+		if got := stable(workers, squashOnly, []EventClass{ClassSquash}); !bytes.Equal(got, baseline) {
+			t.Errorf("metrics StableJSON with a squash-only caller observer at %d workers differs from serial", workers)
+		}
+	}
+	if squashes.Load() == 0 || others.Load() != 0 {
+		t.Errorf("squash-only caller observer saw %d squash and %d other events, want some and none", squashes.Load(), others.Load())
 	}
 }
 

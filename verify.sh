@@ -52,16 +52,17 @@ echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the
 # zero-allocation invariants at the benchmark level too (the dedicated
 # AllocsPerRun tests already ran under -race above): the steady-state
-# pipeline step, the NOP-sled run, both emit paths, and the Flush+Reload
-# sweep must all report 0 allocs/op. benchstat renders the table when
-# installed (CI installs it), with a visible skip locally.
+# pipeline step, the NOP-sled run, the emit path bare, disabled and into the
+# metrics registry plus profile, and the Flush+Reload sweep must all report
+# 0 allocs/op. benchstat renders the table when installed (CI installs it),
+# with a visible skip locally.
 bench_out=$(mktemp)
 go test -run '^$' \
-    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkObsEmitFast|BenchmarkObsEmitDisabled|BenchmarkFlushReloadSweep' \
+    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkObsEmitFast|BenchmarkObsEmitObserved|BenchmarkObsEmitDisabled|BenchmarkFlushReloadSweep' \
     -benchtime 100x -count 1 . | tee "$bench_out"
 benches=$(grep -c '^Benchmark' "$bench_out")
 zeroalloc=$(grep -c '	 *0 allocs/op' "$bench_out") || true
-if [ "$benches" -ne 5 ] || [ "$zeroalloc" -ne 5 ]; then
+if [ "$benches" -ne 6 ] || [ "$zeroalloc" -ne 6 ]; then
     echo "core benchmarks must all report 0 allocs/op ($zeroalloc of $benches did)" >&2
     exit 1
 fi
@@ -96,11 +97,12 @@ go run ./cmd/experiments -validate-trace "$trace_json"
 
 echo "== profiler smoke (pprof export readable by go tool pprof) =="
 # The cycle-attribution profile must export as pprof protobuf that the stock
-# toolchain can open, plus non-empty folded flamegraph text.
+# toolchain can open, plus non-empty folded flamegraph text. Metrics ride
+# along, so the registry and the profile run composed through obs.Multi.
 prof_pb=$(mktemp)
 prof_flame=$(mktemp)
 trap 'rm -f "$suite_json" "$fault_json" "$trace_json" "$prof_pb" "$prof_flame"' EXIT
-go run ./cmd/experiments -quick -only spectre-stl -profile \
+go run ./cmd/experiments -quick -only spectre-stl -metrics -profile \
     -profile-out "$prof_pb" -flame "$prof_flame" > /dev/null
 go tool pprof -top -nodecount=5 "$prof_pb" > /dev/null
 test -s "$prof_flame"

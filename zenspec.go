@@ -119,7 +119,8 @@ type Config struct {
 	// (MetricsObserver and TraceRecorder both do).
 	Observer Observer
 	// ObserverClasses restricts which event classes reach Observer; empty
-	// means all classes.
+	// means all classes. It filters Observer alone, never the registries
+	// Metrics and Profile attach beside it.
 	ObserverClasses []EventClass
 	// Metrics attaches a fresh MetricsObserver to each harness experiment
 	// (composed with Observer, if any) and surfaces its snapshot as the
