@@ -36,7 +36,6 @@ func run() int {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all; see -list)")
 	faults := flag.String("faults", "", "fault-injection plan: none|mild|default|harsh or an inline JSON plan object")
 	parallel := flag.Int("parallel", 0, "trial-runner workers; 0 means GOMAXPROCS (results are identical at any value)")
-	benchJSON := flag.String("bench-json", "", "run serial then parallel, write a speedup report to this path, and exit")
 	validate := flag.String("validate", "", "validate a suite JSON file written by -json: well-formed, bands consistent, all pass")
 	metrics := flag.Bool("metrics", false, "collect per-experiment microarchitectural metrics into each report")
 	profile := flag.Bool("profile", false, "collect per-experiment cycle-attribution profiles into each report")
@@ -159,32 +158,6 @@ func run() int {
 			Metrics: *metrics, Profile: *profile, Split: *split,
 			Priority: *priority, Deadline: *deadline, Retries: *retries,
 		}, *stable, *jsonOut)
-	}
-
-	if *benchJSON != "" {
-		bench, err := zenspec.BenchExperiments(cfg, *quick, ids)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		b, err := bench.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		if err := os.WriteFile(*benchJSON, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		fmt.Printf("bench: %d experiments, %d cores, %d workers: serial %.2fs, parallel %.2fs, speedup %.2fx, deterministic %v -> %s\n",
-			len(bench.Experiments), bench.Cores, bench.Workers,
-			bench.TotalSerialMS/1000, bench.TotalParallelMS/1000, bench.Speedup,
-			bench.Deterministic, *benchJSON)
-		if !bench.Deterministic {
-			fmt.Fprintln(os.Stderr, "experiments: serial and parallel runs disagree")
-			return 1
-		}
-		return 0
 	}
 
 	// Trap SIGINT/SIGTERM: an interrupted suite still writes a partial report

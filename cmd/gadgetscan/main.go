@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	gadgetscan -bin prog.bin [-window 48]
+//	gadgetscan -bin prog.bin
 //	gadgetscan -asm prog.s
 //	cat prog.s | gadgetscan
 package main

@@ -14,7 +14,6 @@
 //	speccheck -asm prog.s -validate
 //	speccheck -bin prog.bin -cache .speccheck-cache
 //	cat prog.s | speccheck -json
-//	speccheck -bench BENCH_speccheck.json
 package main
 
 import (
@@ -24,11 +23,8 @@ import (
 	"io"
 	"log"
 	"os"
-	"reflect"
-	"time"
 
 	"zenspec"
-	"zenspec/internal/isa"
 	"zenspec/internal/speccheck"
 )
 
@@ -44,13 +40,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON instead of text")
 	dumpCFG := flag.Bool("cfg", false, "dump the reconstructed control-flow graph and exit")
 	cacheDir := flag.String("cache", "", "directory for the persistent incremental analysis cache")
-	bench := flag.String("bench", "", "run the cold/warm incremental-scan benchmark, write JSON to this file, and exit")
 	flag.Parse()
-
-	if *bench != "" {
-		runBench(*bench, *cacheDir)
-		return
-	}
 
 	code := readCode(*binFile, *asmFile, *base)
 
@@ -120,103 +110,6 @@ func analyze(code []byte, opts speccheck.Options, cacheDir string) speccheck.Res
 		log.Fatalf("speccheck: %v", err)
 	}
 	return c.Analyze(code, opts)
-}
-
-// benchReport is the JSON shape of the -bench output (BENCH_speccheck.json).
-type benchReport struct {
-	Insts    int `json:"insts"`
-	Seed     int `json:"seed"`
-	Sources  int `json:"sources"`
-	Findings int `json:"findings"`
-	// Identical confirms the incremental engine reproduced the whole-program
-	// engine's result exactly (the benchmark is void otherwise).
-	Identical bool    `json:"identical"`
-	BaseMS    float64 `json:"baseline_ms"`
-	ColdMS    float64 `json:"cold_ms"`
-	WarmMS    float64 `json:"warm_ms"`
-	// WarmSpeedup is ColdMS / WarmMS, the headline incremental win.
-	WarmSpeedup float64 `json:"warm_speedup"`
-	// Edit rescan: one instruction NOPed out, then a full warm re-scan.
-	EditMS         float64 `json:"edit_ms"`
-	EditRecomputed int     `json:"edit_recomputed_sources"`
-	WarmStates     int     `json:"warm_states_explored"`
-}
-
-// runBench measures the incremental cache on a generated large program: a
-// whole-program baseline, a cold cache scan, a fully warm re-scan, and a
-// re-scan after a one-instruction edit.
-func runBench(outFile, cacheDir string) {
-	const (
-		seed  = 42
-		insts = 100_000
-	)
-	code := speccheck.GenProgram(seed, insts)
-	opts := speccheck.Options{}
-
-	t0 := time.Now()
-	want := speccheck.AnalyzeAll(code, opts)
-	baseMS := msSince(t0)
-
-	c, err := openBenchCache(cacheDir)
-	if err != nil {
-		log.Fatalf("speccheck: %v", err)
-	}
-	t1 := time.Now()
-	cold := c.Analyze(code, opts)
-	coldMS := msSince(t1)
-	afterCold := c.Stats()
-
-	t2 := time.Now()
-	warm := c.Analyze(code, opts)
-	warmMS := msSince(t2)
-	afterWarm := c.Stats()
-
-	// NOP out one mid-program instruction and re-scan: only sources whose
-	// dependency closure covers the slot recompute.
-	edited := append([]byte(nil), code...)
-	isa.Inst{Op: isa.NOP}.Encode(edited[(insts/2)*isa.InstBytes:])
-	t3 := time.Now()
-	c.Analyze(edited, opts)
-	editMS := msSince(t3)
-	afterEdit := c.Stats()
-
-	rep := benchReport{
-		Insts:          insts,
-		Seed:           seed,
-		Sources:        afterCold.Sources,
-		Findings:       len(want.Findings),
-		Identical:      reflect.DeepEqual(want, cold) && reflect.DeepEqual(want, warm),
-		BaseMS:         baseMS,
-		ColdMS:         coldMS,
-		WarmMS:         warmMS,
-		WarmSpeedup:    coldMS / warmMS,
-		EditMS:         editMS,
-		EditRecomputed: afterEdit.SourceMisses - afterWarm.SourceMisses,
-		WarmStates:     afterWarm.StatesExplored - afterCold.StatesExplored,
-	}
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatalf("speccheck: %v", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(outFile, raw, 0o644); err != nil {
-		log.Fatalf("speccheck: %v", err)
-	}
-	fmt.Printf("wrote %s: cold %.1fms, warm %.1fms (%.1fx), edit rescan %.1fms (%d sources recomputed), identical=%v\n",
-		outFile, rep.ColdMS, rep.WarmMS, rep.WarmSpeedup, rep.EditMS, rep.EditRecomputed, rep.Identical)
-}
-
-// openBenchCache keeps the benchmark in memory unless a directory was asked
-// for explicitly (disk timings measure the filesystem, not the analyzer).
-func openBenchCache(dir string) (*speccheck.Cache, error) {
-	if dir == "" {
-		return speccheck.NewCache(), nil
-	}
-	return speccheck.OpenCache(dir)
-}
-
-func msSince(t time.Time) float64 {
-	return float64(time.Since(t).Microseconds()) / 1000.0
 }
 
 func readCode(binFile, asmFile string, base uint64) []byte {

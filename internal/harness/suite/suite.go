@@ -829,9 +829,9 @@ func build() *harness.Registry {
 		Paper: "the summary cache reproduces the whole-program scan exactly; a warm re-scan explores zero states and a one-instruction edit recomputes only its dependency closure",
 		Tags:  []string{"speccheck", "static"},
 		Run: func(ctx harness.Ctx) harness.Report {
-			// Wall-clock speedups live in BENCH_speccheck.json (cmd/speccheck
-			// -bench); here only deterministic counters are reported so the
-			// report is byte-identical across runs and parallelism.
+			// Wall clocks are perfbench's speccheck.cold_ms and warm_ms; here
+			// only deterministic counters are reported so the report is
+			// byte-identical across runs and parallelism.
 			insts := 100_000
 			if ctx.Quick {
 				insts = 20_000

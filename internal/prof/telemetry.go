@@ -76,24 +76,8 @@ func (t *Telemetry) RegisterGauge(name string, fn func() float64) {
 	if t.gauges == nil {
 		t.gauges = map[string]func() float64{}
 	}
-	t.gauges[gaugeKey(name)] = fn
+	t.gauges[name] = fn
 	t.mu.Unlock()
-}
-
-// gaugeKey canonicalizes a gauge registration name to the underscore form
-// promName exports. Early service builds registered dotted keys
-// ("service.queue_depth"); accepting both spellings as the same key keeps
-// those call sites one release of aliasing away from removal without ever
-// exporting two series for one gauge.
-func gaugeKey(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
 }
 
 // RegisterCollector publishes a raw Prometheus-text collector on /metrics:

@@ -319,7 +319,7 @@ func (d *Daemon) Obs() *svcobs.Hub { return d.obs }
 
 // TracePerfetto renders the job's stitched daemon+worker trace as Chrome
 // trace-event JSON (GET /v1/jobs/{id}/trace). Jobs without a trace — tracing
-// disabled, a legacy journal, or a trace already evicted — return an error.
+// disabled at submission or now, or a trace already evicted — return an error.
 func (d *Daemon) TracePerfetto(id string) ([]byte, error) {
 	d.mu.Lock()
 	j := d.tab.jobs[id]
@@ -900,7 +900,7 @@ func (d *Daemon) publishProgress() {
 	d.tel.Progress(done, total, current)
 }
 
-// Ready reports whether the daemon is accepting submissions (the /readyz
+// Ready reports whether the daemon is accepting submissions (the /v1/readyz
 // verdict).
 func (d *Daemon) Ready() bool {
 	d.mu.Lock()

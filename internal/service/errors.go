@@ -27,4 +27,8 @@ var (
 	// ErrAPIVersion is returned when the server's GET /v1/meta disagrees with
 	// the client's expected API version (or is absent entirely).
 	ErrAPIVersion = errors.New("service: api version mismatch")
+	// ErrJournalVersion is returned by Open for a state directory written in
+	// an older journal format: the single-file journal.wal, or segments
+	// holding pre-/v1 records. Nothing in the directory is changed.
+	ErrJournalVersion = errors.New("service: unsupported journal version")
 )

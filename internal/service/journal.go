@@ -36,9 +36,13 @@ import (
 //
 // A single exclusive flock on wal.lock guards the directory: two live
 // daemons can never interleave appends, while the lock dies with a kill -9'd
-// process so a crashed daemon never wedges its successor. A legacy
-// single-file journal.wal (the pre-segmentation layout) is adopted as the
-// oldest segment on first open.
+// process so a crashed daemon never wedges its successor.
+//
+// Older state directories are refused with ErrJournalVersion, never misread:
+// one holding the pre-segmentation single-file journal.wal, or a segment
+// holding a pre-/v1 record (a submit listing whole-experiment "shards", a
+// shard_done carrying a bare "report"). The refusal comes before any tail is
+// healed or segment created, so the directory is left as it was found.
 
 // Record types. A submit record carries the full spec plus the resolved
 // shard list (so replay does not depend on the live registry); shard records
@@ -62,19 +66,20 @@ type record struct {
 	Spec *JobSpec `json:"spec,omitempty"`
 	// Trace is the submit record's observability correlation ID: minted by
 	// the daemon at submission and journaled with the job, so a resumed job
-	// keeps its trace identity across restarts. Legacy journals without it
-	// replay fine — the job simply has no trace.
+	// keeps its trace identity across restarts. A job submitted with
+	// observability disabled has none.
 	Trace string `json:"trace,omitempty"`
-	// Defs is the submit record's shard list; Shards is its legacy pre-/v1
-	// form (whole-experiment IDs), still replayed.
-	Defs   []ShardRef `json:"defs,omitempty"`
-	Shards []string   `json:"shards,omitempty"`
-	Shard  string     `json:"shard,omitempty"`
-	// Partial is a shard-done record's fragment; Report is its legacy
-	// whole-shard form, still replayed.
+	// Defs is the submit record's shard list.
+	Defs  []ShardRef `json:"defs,omitempty"`
+	Shard string     `json:"shard,omitempty"`
+	// Partial is a shard-done record's fragment.
 	Partial *harness.PartialReport `json:"partial,omitempty"`
-	Report  *harness.Report        `json:"report,omitempty"`
 	Error   string                 `json:"error,omitempty"`
+	// Shards and Report are the pre-/v1 submit and shard_done payloads. They
+	// are decoded only so that a journal holding them is refused: skipping
+	// them would replay a submit as a job with no shards, done and empty.
+	Shards json.RawMessage `json:"shards,omitempty"`
+	Report json.RawMessage `json:"report,omitempty"`
 }
 
 var journalMagic = [4]byte{'Z', 'S', 'J', '1'}
@@ -91,8 +96,9 @@ const defaultSegmentBytes = 4 << 20
 const compactSegments = 4
 
 const (
-	lockName   = "wal.lock"
-	legacyName = "journal.wal"
+	lockName = "wal.lock"
+	// oldName is the pre-segmentation single-file journal.
+	oldName = "journal.wal"
 )
 
 func segName(seq int) string { return fmt.Sprintf("wal-%06d.seg", seq) }
@@ -115,10 +121,10 @@ type journal struct {
 	onCheckpoint func(recs int, dur time.Duration)    // after a successful compaction
 }
 
-// openJournal locks dir, adopts a legacy single-file journal if present,
-// replays every intact record across all segments in order (healing a corrupt
-// tail of the newest segment by truncation), and returns the handle
-// positioned for appends.
+// openJournal locks dir, replays every intact record across all segments in
+// order (healing a corrupt tail of the newest segment by truncation), and
+// returns the handle positioned for appends. A directory in an older journal
+// format is refused with ErrJournalVersion before anything in it changes.
 func openJournal(dir string, limit int64) (*journal, []record, error) {
 	if limit <= 0 {
 		limit = defaultSegmentBytes
@@ -135,20 +141,12 @@ func openJournal(dir string, limit int64) (*journal, []record, error) {
 		lock.Close()
 		return nil, nil, err
 	}
+	if _, err := os.Stat(filepath.Join(dir, oldName)); err == nil {
+		return fail(fmt.Errorf("%w: %s is the pre-segmentation layout", ErrJournalVersion, filepath.Join(dir, oldName)))
+	}
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return fail(fmt.Errorf("service: list journal segments: %w", err))
-	}
-	// Adopt the pre-segmentation single-file layout as the oldest segment.
-	if _, err := os.Stat(filepath.Join(dir, legacyName)); err == nil {
-		seq := 1
-		if len(seqs) > 0 {
-			seq = seqs[0] - 1 // older than everything segmented
-		}
-		if err := os.Rename(filepath.Join(dir, legacyName), filepath.Join(dir, segName(seq))); err != nil {
-			return fail(fmt.Errorf("service: adopt legacy journal: %w", err))
-		}
-		seqs = append([]int{seq}, seqs...)
 	}
 	if len(seqs) == 0 {
 		seqs = []int{1}
@@ -169,6 +167,12 @@ func openJournal(dir string, limit int64) (*journal, []record, error) {
 		if err != nil {
 			f.Close()
 			return fail(fmt.Errorf("service: scan journal segment %d: %w", seq, err))
+		}
+		for _, rec := range segRecs {
+			if rec.Shards != nil || rec.Report != nil {
+				f.Close()
+				return fail(fmt.Errorf("%w: %s holds a pre-/v1 %s record", ErrJournalVersion, f.Name(), rec.Type))
+			}
 		}
 		recs = append(recs, segRecs...)
 		if i < len(seqs)-1 {
@@ -222,6 +226,10 @@ func (j *journal) segments() int { return len(j.sealed) + 1 }
 // without error — the caller truncates there (or, for sealed segments,
 // simply moves on). Only real I/O errors are returned.
 func scanRecords(f *os.File) ([]record, int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, err
 	}
@@ -241,7 +249,9 @@ func scanRecords(f *os.File) ([]record, int64, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[4:8])
 		sum := binary.LittleEndian.Uint32(hdr[8:12])
-		if n > maxRecordSize {
+		// A length past the end of the file is a torn tail (or a corrupt
+		// length field): reject it before allocating the payload buffer.
+		if n > maxRecordSize || int64(n) > fi.Size()-off-int64(len(hdr)) {
 			return recs, off, nil
 		}
 		payload := make([]byte, n)

@@ -1,9 +1,15 @@
 package service
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"zenspec/internal/harness"
@@ -147,44 +153,184 @@ func TestJournalGarbageSegment(t *testing.T) {
 	}
 }
 
-// TestJournalLegacyMigration: a pre-segmentation journal.wal single file is
-// adopted as the oldest segment on open — same records, new layout, no data
-// loss.
-func TestJournalLegacyMigration(t *testing.T) {
+// TestJournalRefusesPreV1: a state directory in an older journal format —
+// the single-file journal.wal, or a segment holding a pre-/v1 submit or
+// shard_done, sealed or newest — is refused with ErrJournalVersion by
+// openJournal and by Open alike, and left exactly as it was: nothing
+// renamed, truncated or created beside the lock file.
+func TestJournalRefusesPreV1(t *testing.T) {
+	submitV0 := record{Type: recSubmit, Job: "job-1", Spec: &JobSpec{Seed: 1}, Shards: json.RawMessage(`["a","b"]`)}
+	doneV0 := record{Type: recShardDone, Job: "job-1", Shard: "a", Report: json.RawMessage(`{"id":"a","pass":true}`)}
+	frames := func(recs ...record) []byte {
+		var out []byte
+		for _, rec := range recs {
+			buf, err := frame(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, buf...)
+		}
+		return out
+	}
+	v1 := testRecords()
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+	}{
+		{"journal.wal", map[string][]byte{oldName: frames(v1...)}},
+		{"newest segment", map[string][]byte{segName(1): frames(submitV0)}},
+		{"sealed segment", map[string][]byte{
+			segName(1): frames(v1[0], doneV0),
+			segName(2): {},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if j, _, err := openJournal(dir, 0); !errors.Is(err, ErrJournalVersion) {
+				if j != nil {
+					j.close()
+				}
+				t.Fatalf("openJournal err = %v, want ErrJournalVersion", err)
+			}
+			if d, err := Open(Config{Dir: dir, Registry: fakeRegistry("a", "b"), Workers: 0}); !errors.Is(err, ErrJournalVersion) {
+				if d != nil {
+					d.Kill()
+				}
+				t.Fatalf("Open err = %v, want ErrJournalVersion", err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				want, ok := tc.files[e.Name()]
+				if !ok {
+					if e.Name() != lockName {
+						t.Errorf("refused open created %s", e.Name())
+					}
+					continue
+				}
+				got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("refused open changed %s: %d bytes, was %d", e.Name(), len(got), len(want))
+				}
+			}
+			if len(entries) != len(tc.files)+1 {
+				t.Errorf("directory holds %d entries after refusal, want %d plus the lock", len(entries), len(tc.files))
+			}
+		})
+	}
+}
+
+// TestJournalHugeLengthTail: a header whose length field claims far more
+// bytes than the segment holds is a torn tail, healed without allocating the
+// claimed size.
+func TestJournalHugeLengthTail(t *testing.T) {
 	dir := t.TempDir()
-	want := testRecords()
-	f, err := os.Create(filepath.Join(dir, legacyName))
-	if err != nil {
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, header(maxRecordSize, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range want {
-		buf, err := frame(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	j, got, err := openJournal(dir, 0)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.close()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated journal differs:\n%+v\nwant\n%+v", got, want)
+	if len(got) != 0 {
+		t.Fatalf("replayed %d records from a lone header", len(got))
 	}
-	if _, err := os.Stat(filepath.Join(dir, legacyName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy journal.wal still present after migration: %v", err)
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+		t.Fatalf("openJournal allocated %d bytes for a 12-byte segment", delta)
 	}
-	if paths := segPaths(t, dir); len(paths) != 1 {
-		t.Fatalf("migration produced %d segments, want 1", len(paths))
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("huge-length tail not healed: %v, %v", fi, err)
 	}
-	// The migrated journal is appendable like any other.
-	if err := j.append(record{Type: recJobDone, Job: "job-1"}); err != nil {
-		t.Fatal(err)
+}
+
+// header frames an n-byte payload whose CRC-32 is sum.
+func header(n, sum uint32) []byte {
+	hdr := make([]byte, 12)
+	copy(hdr, journalMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], n)
+	binary.LittleEndian.PutUint32(hdr[8:12], sum)
+	return hdr
+}
+
+// FuzzJournalOpen: a segment of CRC-valid frames around arbitrary payloads
+// (one per line of the first input; a fuzzer cannot forge CRC-32s, so raw
+// bytes alone would never reach decoding), followed by an arbitrary raw
+// tail. Opening it never panics and either refuses an older format or
+// replays records that fold into the job table and reopen unchanged.
+func FuzzJournalOpen(f *testing.F) {
+	var lines [][]byte
+	for _, rec := range testRecords() {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines = append(lines, b)
 	}
+	v1 := bytes.Join(lines, []byte{'\n'})
+	f.Add(v1, []byte(nil))
+	f.Add([]byte(`{"type":"submit","job":"job-1","spec":{"seed":1},"shards":["a","b"]}`), []byte(nil))
+	f.Add([]byte(`{"type":"shard_done","job":"job-1","shard":"a","report":{"id":"a","pass":true}}`), []byte(nil))
+	f.Add(v1, []byte("ZSJ1\x05"))
+	f.Add([]byte(nil), header(maxRecordSize, 0))
+	f.Fuzz(func(t *testing.T, payloads, tail []byte) {
+		var seg []byte
+		for _, p := range bytes.Split(payloads, []byte{'\n'}) {
+			if len(p) == 0 {
+				continue
+			}
+			seg = append(append(seg, header(uint32(len(p)), crc32.ChecksumIEEE(p))...), p...)
+		}
+		seg = append(seg, tail...)
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, err := openJournal(dir, 0)
+		if err != nil {
+			if !errors.Is(err, ErrJournalVersion) {
+				t.Fatalf("openJournal err = %v, want nil or ErrJournalVersion", err)
+			}
+			return
+		}
+		if err := j.close(); err != nil {
+			t.Fatal(err)
+		}
+		tab := newJobTable()
+		for _, rec := range recs {
+			tab.apply(rec)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, again, err := openJournal(dir, 0)
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		defer j.close()
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("second open replayed\n%+v\nfirst\n%+v", again, recs)
+		}
+		if fi2, err := os.Stat(path); err != nil || fi2.Size() != fi.Size() {
+			t.Fatalf("second open changed the segment size from %d: %v, %v", fi.Size(), fi2, err)
+		}
+	})
 }
 
 // TestJournalSegmentRotation: sustained appends past the size limit seal
@@ -342,28 +488,6 @@ func TestApplyDuplicateShardDone(t *testing.T) {
 	// Records referencing unknown jobs or shards are skipped, not fatal.
 	tab.apply(record{Type: recShardDone, Job: "ghost", Shard: "a", Partial: first})
 	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "ghost", Partial: first})
-}
-
-// TestApplyLegacyRecords: pre-/v1 journals carried whole-experiment shard ID
-// lists and bare Reports; they must still replay into the sharded table.
-func TestApplyLegacyRecords(t *testing.T) {
-	tab := newJobTable()
-	tab.apply(record{Type: recSubmit, Job: "job-1", Spec: &JobSpec{Seed: 1}, Shards: []string{"a", "b"}})
-	rep := &harness.Report{ID: "a", Detail: "legacy", Status: harness.StatusClean}
-	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "a", Report: rep})
-	j := tab.jobs["job-1"]
-	if j == nil || len(j.shards) != 2 {
-		t.Fatalf("legacy submit replayed %+v", j)
-	}
-	p := j.partials["a"]
-	if p == nil || !p.Whole() || p.Exp != "a" || p.Report.Detail != "legacy" {
-		t.Fatalf("legacy shard_done replayed %+v", p)
-	}
-	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "b",
-		Partial: &harness.PartialReport{Exp: "b", Report: &harness.Report{ID: "b"}}})
-	if j.state != JobDone {
-		t.Fatalf("mixed legacy/v1 job state %q, want done", j.state)
-	}
 }
 
 // TestApplyJobArchive: an archive record drops a terminal job from the table

@@ -231,7 +231,7 @@ func TestStableMetricsAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestReadyzDrainingObserved: the draining readiness response is itself an
-// observable event — a 503 from /readyz increments the (volatile) probe
+// observable event — a 503 from /v1/readyz increments the (volatile) probe
 // counter and the drain is logged.
 func TestReadyzDrainingObserved(t *testing.T) {
 	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"),
@@ -247,7 +247,7 @@ func TestReadyzDrainingObserved(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	base := "http://" + addr.String()
 
-	resp, err := http.Get(base + "/readyz")
+	resp, err := http.Get(base + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestReadyzDrainingObserved(t *testing.T) {
 	if err := d.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(base + "/readyz")
+	resp, err = http.Get(base + "/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestServerEndToEnd(t *testing.T) {
 	c := &Client{Base: base}
 
 	// Liveness and readiness.
-	for _, path := range []string{"/healthz", "/readyz"} {
+	for _, path := range []string{"/v1/healthz", "/v1/readyz"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watch, err := http.Get(base + "/jobs/" + id + "/watch")
+	watch, err := http.Get(base + "/v1/jobs/" + id + "/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if txt, err := c.TextReport(id); err != nil || !strings.Contains(txt, "boot") {
 		t.Fatalf("text report %q err %v", txt, err)
 	}
-	resp, err := http.Get(base + "/jobs/" + id + "/profile")
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/profile")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("version-mismatch error = %v", err)
 	}
 
-	// Every job route answers at both /v1 and its legacy alias.
+	// Every job route answers under /v1, and only there.
 	for _, path := range []string{
-		"/jobs", "/v1/jobs",
-		"/jobs/" + id, "/v1/jobs/" + id,
-		"/jobs/" + id + "/report", "/v1/jobs/" + id + "/report",
-		"/healthz", "/v1/healthz",
-		"/readyz", "/v1/readyz",
+		"/v1/jobs",
+		"/v1/jobs/" + id,
+		"/v1/jobs/" + id + "/report",
+		"/v1/healthz",
+		"/v1/readyz",
 	} {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -188,6 +188,14 @@ func TestServerEndToEnd(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Errorf("GET %s status %d", path, resp.StatusCode)
 		}
+	}
+	resp, err = http.Get(base + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("pre-/v1 GET /jobs status %d, want 404", resp.StatusCode)
 	}
 
 	if err := srv.Shutdown(context.Background()); err != nil {

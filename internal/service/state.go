@@ -123,7 +123,7 @@ type job struct {
 	id  string
 	seq int // submission order, the priority tiebreak
 	// trace is the job's observability correlation ID (journaled with the
-	// submit record; empty for jobs from legacy journals).
+	// submit record; empty when the job was submitted without observability).
 	trace  string
 	spec   JobSpec
 	plan   fault.Plan
@@ -297,31 +297,6 @@ func newJobTable() *jobTable {
 	return &jobTable{jobs: map[string]*job{}}
 }
 
-// submitDefs resolves a submit record's shard list: Defs when present, the
-// legacy pre-/v1 whole-experiment Shards list otherwise.
-func submitDefs(rec record) []ShardRef {
-	if len(rec.Defs) > 0 {
-		return rec.Defs
-	}
-	defs := make([]ShardRef, 0, len(rec.Shards))
-	for _, id := range rec.Shards {
-		defs = append(defs, ShardRef{Exp: id})
-	}
-	return defs
-}
-
-// donePartial resolves a shard-done record's fragment: Partial when present,
-// the legacy whole-shard Report otherwise.
-func donePartial(rec record) *harness.PartialReport {
-	if rec.Partial != nil {
-		return rec.Partial
-	}
-	if rec.Report != nil {
-		return &harness.PartialReport{Exp: rec.Shard, Report: rec.Report}
-	}
-	return nil
-}
-
 // apply folds one journal record into the table. Unknown job or shard
 // references (a journal from a newer layout, or records orphaned by manual
 // edits) are skipped rather than fatal: the journal heals forward.
@@ -343,7 +318,7 @@ func (t *jobTable) apply(rec record) {
 		}
 		now := time.Now() // volatile queue-wait origin, not replayed state
 		seenExp := map[string]bool{}
-		for _, def := range submitDefs(rec) {
+		for _, def := range rec.Defs {
 			id := def.ID()
 			if _, dup := j.shards[id]; dup {
 				continue
@@ -368,7 +343,7 @@ func (t *jobTable) apply(rec record) {
 		t.order = append(t.order, rec.Job)
 	case recShardDone:
 		j := t.jobs[rec.Job]
-		p := donePartial(rec)
+		p := rec.Partial
 		if j == nil || p == nil {
 			return
 		}

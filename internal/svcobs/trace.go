@@ -65,7 +65,7 @@ func NewTraceLog() *TraceLog {
 }
 
 // Add appends spans to their traces. Spans with an empty Trace are ignored
-// (a legacy journal's jobs have no correlation ID).
+// (a job submitted without observability has no correlation ID).
 func (t *TraceLog) Add(spans ...Span) {
 	if t == nil {
 		return

@@ -243,14 +243,11 @@ func TestMetricsSnapshotDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestErrUnknownExperiment asserts both registry entry points fail with the
+// TestErrUnknownExperiment asserts the registry entry point fails with the
 // typed sentinel for unknown IDs.
 func TestErrUnknownExperiment(t *testing.T) {
 	if _, err := RunExperiments(Config{}, true, []string{"no-such-experiment"}); !errors.Is(err, ErrUnknownExperiment) {
 		t.Errorf("RunExperiments err = %v, want ErrUnknownExperiment", err)
-	}
-	if _, err := BenchExperiments(Config{}, true, []string{"no-such-experiment"}); !errors.Is(err, ErrUnknownExperiment) {
-		t.Errorf("BenchExperiments err = %v, want ErrUnknownExperiment", err)
 	}
 	if _, err := RunExperiments(Config{}, true, []string{"table1"}); err != nil {
 		t.Errorf("RunExperiments with a known ID failed: %v", err)

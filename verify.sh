@@ -48,6 +48,12 @@ echo "== pipeline NOP-run fuzz smoke =="
 # stepping the NOPs one at a time.
 go test -run=FuzzNOPRuns -fuzz=FuzzNOPRuns -fuzztime 10s ./internal/pipeline
 
+echo "== service journal replay fuzz smoke =="
+# Ten seconds of search for segment bytes on which opening the journal
+# panics, fails other than by refusing an older format, or replays records
+# that do not fold into the job table or do not reopen unchanged.
+go test -run=FuzzJournalOpen -fuzz=FuzzJournalOpen -fuzztime 10s ./internal/service
+
 echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the
 # zero-allocation invariants at the benchmark level too (the dedicated
@@ -127,6 +133,25 @@ trap cleanup_svc EXIT
 go build -race -o "$svc_tmp/zenspecd" ./cmd/zenspecd
 go build -o "$svc_tmp/experiments" ./cmd/experiments
 go build -o "$svc_tmp/zenspec-worker" ./cmd/zenspec-worker
+
+echo "== zenspecd refuses an old state directory =="
+# A directory holding only the pre-segmentation journal.wal must be refused
+# loudly, never adopted or misread: zenspecd exits non-zero naming the
+# unsupported journal version, and the file is left as it was.
+mkdir "$svc_tmp/old-state"
+printf 'ZSJ1' > "$svc_tmp/old-state/journal.wal"
+cp "$svc_tmp/old-state/journal.wal" "$svc_tmp/old-journal"
+if timeout 60 "$svc_tmp/zenspecd" -dir "$svc_tmp/old-state" -addr 127.0.0.1:0 \
+    -workers 0 > "$svc_tmp/old-out" 2> "$svc_tmp/old-err"; then
+    echo "zenspecd started on a pre-segmentation state directory" >&2
+    exit 1
+fi
+grep -q "unsupported journal version" "$svc_tmp/old-err" || {
+    echo "zenspecd did not refuse the old journal by version:" >&2
+    cat "$svc_tmp/old-out" "$svc_tmp/old-err" >&2
+    exit 1
+}
+cmp "$svc_tmp/old-state/journal.wal" "$svc_tmp/old-journal"
 "$svc_tmp/zenspecd" -dir "$svc_tmp/state" -addr 127.0.0.1:0 -workers 2 \
     > "$svc_tmp/out" 2> "$svc_tmp/err" &
 svc_pid=$!

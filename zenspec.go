@@ -575,12 +575,9 @@ type ExperimentReport = harness.Report
 // itself as text, JSON, or worker-count-independent StableJSON.
 type ExperimentSuite = harness.SuiteReport
 
-// ExperimentBench is a serial-vs-parallel timing comparison of the suite.
-type ExperimentBench = harness.BenchReport
-
-// ErrUnknownExperiment is wrapped into the error RunExperiments and
-// BenchExperiments return when a selection names an experiment the registry
-// does not have; test with errors.Is.
+// ErrUnknownExperiment is wrapped into the error RunExperiments returns when
+// a selection names an experiment the registry does not have; test with
+// errors.Is.
 var ErrUnknownExperiment = harness.ErrUnknownExperiment
 
 // Experiments lists the registered experiments in report order — one per
@@ -614,13 +611,6 @@ func AssembleExperiments(cfg Config, quick bool, ids []string, reports map[strin
 		Metrics: cfg.Metrics,
 		Profile: cfg.Profile,
 	}, ids, reports)
-}
-
-// BenchExperiments runs the selected entries twice — serial, then at cfg's
-// parallelism — and reports per-experiment wall times, the speedup, and
-// whether both runs agreed byte for byte.
-func BenchExperiments(cfg Config, quick bool, ids []string) (ExperimentBench, error) {
-	return suite.Registry().Bench(harness.Ctx{Config: cfg.kernelConfig(), Quick: quick, Metrics: cfg.Metrics, Profile: cfg.Profile}, ids)
 }
 
 // --- Remote workers ---
