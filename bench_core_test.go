@@ -2,8 +2,8 @@ package zenspec
 
 // Micro-benchmarks for the per-cycle hot paths: the steady-state pipeline
 // step, a NOP-sled run, the observability emit fast path bare and into the
-// metrics registry and profile an observed run attaches, and a Flush+Reload
-// probe sweep.
+// metrics registry and profile an observed run attaches, the profile's fold,
+// and a Flush+Reload probe sweep.
 // Each reports allocations, and the paired tests pin the zero-allocation
 // invariants with testing.AllocsPerRun so a regression fails `go test`
 // itself, not just a benchstat comparison. verify.sh runs them as its
@@ -161,12 +161,12 @@ func TestCoreNOPSledAllocFree(t *testing.T) {
 	}
 }
 
-// countingInstObs counts instruction events through the boxing-free
+// countingInstObs counts instruction events through the batched
 // InstObserver fast path.
 type countingInstObs struct{ n int }
 
-func (c *countingInstObs) HandleEvent(e obs.Event)     { c.n++ }
-func (c *countingInstObs) HandleInst(e *obs.InstEvent) { c.n++ }
+func (c *countingInstObs) HandleEvent(e obs.Event)         { c.n++ }
+func (c *countingInstObs) HandleInsts(evs []obs.InstEvent) { c.n += len(evs) }
 
 // BenchmarkObsEmitFast measures EmitInst delivery to one InstObserver
 // subscriber: the hot emit path a metrics-collecting run pays per
@@ -176,53 +176,99 @@ func BenchmarkObsEmitFast(b *testing.B) {
 	o := &countingInstObs{}
 	bus.Subscribe(o, obs.Options{Classes: []obs.Class{obs.ClassInst}})
 	ev := obs.InstEvent{CPU: 0, PC: 0x400000}
+	bus.EmitInst(&ev) // allocates the staging buffer
+	bus.Flush()
+	o.n = 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.Dispatch = int64(i)
 		bus.EmitInst(&ev)
 	}
+	bus.Flush()
 	if o.n != b.N {
 		b.Fatalf("observer saw %d events, want %d", o.n, b.N)
 	}
 }
 
-// observedBus is a bus with obs.Multi(obs.NewMetrics(), prof.New())
-// subscribed to every class, as the harness attaches them for -metrics
-// -profile, and an instruction event whose profile site already exists.
-func observedBus() (*obs.Bus, *obs.InstEvent) {
-	bus := obs.NewBus()
-	bus.Subscribe(obs.Multi(obs.NewMetrics(), prof.New()), obs.Options{})
-	ev := &obs.InstEvent{CPU: 0, PC: 0x400000, Inst: isa.Inst{Op: isa.LOAD},
-		Dispatch: 1, Issue: 2, Complete: 5, RetiredBy: 6}
-	bus.EmitInst(ev)
-	return bus, ev
+// observedRun is a run's worth of instruction events: 28 events over two
+// code pages, the last PC of the first page holding two opcodes, as sliding
+// leaves it.
+func observedRun() []obs.InstEvent {
+	evs := make([]obs.InstEvent, 0, 28)
+	for i := 0; i < 28; i++ {
+		pc, op := uint64(0x400fa0+8*i), isa.LOAD
+		switch {
+		case i == 12:
+			pc = 0x400ff8 // the PC of event 11, under another opcode
+			op = isa.ADD
+		case i%3 == 0:
+			op = isa.IMUL
+		}
+		evs = append(evs, obs.InstEvent{CPU: 0, PC: pc, Inst: isa.Inst{Op: op},
+			Dispatch: int64(i), Issue: int64(i + 1), Complete: int64(i + 4), RetiredBy: int64(i + 5),
+			Transient: i%7 == 6})
+	}
+	return evs
 }
 
-// BenchmarkObsEmitObserved measures EmitInst into the metrics registry and
-// the profile at steady state: the per-instruction cost an observed run
-// pays.
+// observedBus is a bus with obs.NewMetrics() and a prof.New() filtered to
+// its classes, as the harness attaches them for -metrics -profile, and a
+// run of instruction events whose profile sites already exist.
+func observedBus() (*obs.Bus, []obs.InstEvent) {
+	bus := obs.NewBus()
+	bus.Subscribe(obs.Multi(obs.NewMetrics(), obs.Filter(prof.New(), prof.Classes())), obs.Options{})
+	run := observedRun()
+	emitRun(bus, run)
+	return bus, run
+}
+
+// emitRun emits run on bus and flushes it, as one Core.Run does.
+func emitRun(bus *obs.Bus, run []obs.InstEvent) {
+	for i := range run {
+		bus.EmitInst(&run[i])
+	}
+	bus.Flush()
+}
+
+// BenchmarkObsEmitObserved measures a run's instruction events emitted into
+// the metrics registry and the profile and flushed, at steady state: the
+// per-run cost an observed run pays.
 func BenchmarkObsEmitObserved(b *testing.B) {
-	bus, ev := observedBus()
+	bus, run := observedBus()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.Dispatch = int64(i)
-		bus.EmitInst(ev)
+		run[0].Dispatch = int64(i)
+		emitRun(bus, run)
 	}
 }
 
 // TestObsEmitObservedAllocFree pins the observed emit path allocation-free:
-// the composed observer takes the pointer path, and neither the metrics
-// registry nor the profile allocates for an instruction of a known site.
+// staging and delivering a batch allocates nothing, and neither the metrics
+// registry nor the profile allocates for instructions of known sites.
 func TestObsEmitObservedAllocFree(t *testing.T) {
-	bus, ev := observedBus()
+	bus, run := observedBus()
 	allocs := testing.AllocsPerRun(100, func() {
-		ev.Dispatch++
-		bus.EmitInst(ev)
+		run[0].Dispatch++
+		emitRun(bus, run)
 	})
 	if allocs != 0 {
-		t.Fatalf("observed EmitInst allocates %.1f objects per run, want 0", allocs)
+		t.Fatalf("observed emit allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkProfileFold measures the profile's fold of a run's instruction
+// events into sites it already holds: the page index's hit path, a page
+// change and a PC holding two opcodes.
+func BenchmarkProfileFold(b *testing.B) {
+	p := prof.New()
+	run := observedRun()
+	p.HandleInsts(run)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.HandleInsts(run)
 	}
 }
 
@@ -245,9 +291,9 @@ func BenchmarkObsEmitDisabled(b *testing.B) {
 
 // TestEmitNoObserverAllocFree pins the zero-alloc invariant for the
 // no-observer emit path at both guard levels: a nil bus (unobserved machine)
-// and a live bus whose subscribers don't want the class. Staging the event
-// and calling EmitInst must not allocate either — the event is delivered by
-// pointer, never boxed.
+// and a live bus whose subscribers don't want the class. Staging events in
+// the bus's buffer, as the pipeline does, and delivering them in batches must
+// not allocate either: they are never boxed.
 func TestEmitNoObserverAllocFree(t *testing.T) {
 	var nilBus *obs.Bus
 	allocs := testing.AllocsPerRun(100, func() {
@@ -272,13 +318,8 @@ func TestEmitNoObserverAllocFree(t *testing.T) {
 
 	o := &countingInstObs{}
 	bus.Subscribe(o, obs.Options{Classes: []obs.Class{obs.ClassInst}})
-	// Staged outside the closure, as the pipeline stages its event in a
-	// Core-owned buffer: the pointee's address escapes into the observer
-	// call, so a per-emit local would be a per-emit heap allocation.
-	var ev obs.InstEvent
-	allocs = testing.AllocsPerRun(100, func() {
-		ev = obs.InstEvent{CPU: 1, PC: 0x400000}
-		bus.EmitInst(&ev)
+	allocs = testing.AllocsPerRun(1000, func() {
+		*bus.NextInst() = obs.InstEvent{CPU: 1, PC: 0x400000}
 	})
 	if allocs != 0 {
 		t.Fatalf("EmitInst allocates %.1f objects per run, want 0", allocs)

@@ -109,13 +109,14 @@ func run() int {
 		// Live telemetry: a session-wide metrics registry and profiler feed
 		// the endpoint while the suite runs (both fold commutatively, so they
 		// do not perturb determinism), and the harness progress callback
-		// drives the gauges.
+		// drives the gauges. The profiler takes only its own classes, so
+		// the events it ignores do not cut its instruction batches.
 		tel := zenspec.NewTelemetry()
 		liveMetrics := zenspec.NewMetricsObserver()
 		liveProfile := zenspec.NewProfiler()
 		tel.SetMetrics(liveMetrics)
 		tel.SetProfile(liveProfile)
-		cfg.Observer = zenspec.Observers(cfg.Observer, liveMetrics, liveProfile)
+		cfg.Observer = zenspec.Observers(cfg.Observer, liveMetrics, obs.Filter(liveProfile, zenspec.ProfilerClasses()))
 		cfg.Progress = tel.Progress
 		addr, err := tel.Serve(*serve)
 		if err != nil {

@@ -254,7 +254,9 @@ func attachObservers(ctx Ctx) (Ctx, *obs.Metrics, *prof.Profile) {
 	var pp *prof.Profile
 	if ctx.Profile {
 		pp = prof.New()
-		members = append(members, pp)
+		// Filtered to its classes, so the cache and predictor events it
+		// ignores do not cut its instruction batches.
+		members = append(members, obs.Filter(pp, prof.Classes()))
 	}
 	ctx.Config.Observer = obs.Multi(members...)
 	ctx.Config.ObserverClasses = nil

@@ -15,6 +15,10 @@ import (
 // registry can be shared by all parallel trials of an experiment: counter sums
 // and histogram bucket sums commute, which keeps Snapshot deterministic at any
 // worker count.
+//
+// Bus.Subscribe gives each bus a shard of its own: a registry kept in this
+// one, which only that machine feeds, so parallel machines never wait on
+// each other's lock. Snapshot and Counter add the shards up.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]uint64
@@ -23,6 +27,8 @@ type Metrics struct {
 	// the map: every simulated instruction lands here. Snapshot and Counter
 	// report them as inst.retired and inst.transient.
 	retired, transient atomic.Uint64
+	// shards grows only, so a subscription cancelled keeps its counts.
+	shards []*Metrics
 }
 
 // Counter names of the values the simulator emits, built once by the first
@@ -82,6 +88,15 @@ func NewMetrics() *Metrics {
 	}
 }
 
+// shard returns an empty registry kept in m, for one bus to feed.
+func (m *Metrics) shard() *Metrics {
+	s := NewMetrics()
+	m.mu.Lock()
+	m.shards = append(m.shards, s)
+	m.mu.Unlock()
+	return s
+}
+
 // Inc adds n to the named counter.
 func (m *Metrics) Inc(name string, n uint64) {
 	m.mu.Lock()
@@ -106,20 +121,27 @@ func (m *Metrics) observe(name string, v uint64) {
 	h.add(v)
 }
 
-// HandleInst implements InstObserver: the boxing-free delivery of the
-// per-instruction event. Must stay equivalent to HandleEvent on the value.
-func (m *Metrics) HandleInst(e *InstEvent) {
-	if e.Transient {
-		m.transient.Add(1)
-	} else {
-		m.retired.Add(1)
+// HandleInsts implements InstObserver: a batch adds to each instruction
+// counter once.
+func (m *Metrics) HandleInsts(evs []InstEvent) {
+	var transient uint64
+	for i := range evs {
+		if evs[i].Transient {
+			transient++
+		}
+	}
+	if transient != 0 {
+		m.transient.Add(transient)
+	}
+	if retired := uint64(len(evs)) - transient; retired != 0 {
+		m.retired.Add(retired)
 	}
 }
 
 // HandleEvent implements Observer.
 func (m *Metrics) HandleEvent(e Event) {
 	if ev, ok := e.(InstEvent); ok {
-		m.HandleInst(&ev)
+		m.HandleInsts([]InstEvent{ev})
 		return
 	}
 	m.mu.Lock()
@@ -241,11 +263,21 @@ type MetricsSnapshot struct {
 	Histograms map[string]*HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot copies the registry. Derived rates (e.g. PSFP hit rate) are left to
-// consumers: predict.psfp_hit / predict.queries.
+// Snapshot copies the registry, its shards folded in. Derived rates (e.g.
+// PSFP hit rate) are left to consumers: predict.psfp_hit / predict.queries.
 func (m *Metrics) Snapshot() *MetricsSnapshot {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	s := m.snapshotLocked()
+	shards := m.shards
+	m.mu.Unlock()
+	for _, sh := range shards {
+		s.Merge(sh.Snapshot())
+	}
+	return s
+}
+
+// snapshotLocked copies m's own counts, without its shards. m.mu is held.
+func (m *Metrics) snapshotLocked() *MetricsSnapshot {
 	s := &MetricsSnapshot{}
 	retired, transient := m.retired.Load(), m.transient.Load()
 	if len(m.counters) > 0 || retired != 0 || transient != 0 {
@@ -322,16 +354,21 @@ func (s *MetricsSnapshot) Merge(other *MetricsSnapshot) {
 	}
 }
 
-// Counter returns the named counter's value (0 when absent).
+// Counter returns the named counter's value (0 when absent), its shards'
+// counts included.
 func (m *Metrics) Counter(name string) uint64 {
 	m.mu.Lock()
 	n := m.counters[name]
+	shards := m.shards
 	m.mu.Unlock()
 	switch name {
 	case "inst.retired":
 		n += m.retired.Load()
 	case "inst.transient":
 		n += m.transient.Load()
+	}
+	for _, sh := range shards {
+		n += sh.Counter(name)
 	}
 	return n
 }

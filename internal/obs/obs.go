@@ -119,16 +119,15 @@ func (f ObserverFunc) HandleEvent(e Event) { f(e) }
 
 // InstObserver is an optional fast-path extension of Observer for the
 // simulator's hottest event. A subscriber that also implements it receives
-// ClassInst events through HandleInst with a pointer to a caller-staged
-// struct, skipping the interface boxing (and its per-instruction heap
-// allocation) that Emit pays. The pointee is reused by the emitter and is
-// only valid for the duration of the call: implementations that retain the
-// event must copy it (*e).
+// ClassInst events through HandleInsts, a batch at a time and unboxed: evs
+// holds, in emission order, the instruction events emitted since its last
+// delivery. The slice belongs to the bus and is only valid for the duration
+// of the call: implementations that retain events must copy them.
 //
-// The delivered value is identical to the InstEvent that Emit would have
-// carried; HandleInst(e) must behave exactly like HandleEvent(*e).
+// HandleInsts(evs) must behave exactly like HandleEvent(evs[i]) for each i
+// in order.
 type InstObserver interface {
-	HandleInst(e *InstEvent)
+	HandleInsts(evs []InstEvent)
 }
 
 // Options filters a subscription.
@@ -151,18 +150,34 @@ func (o Options) mask() uint32 {
 	return m
 }
 
+const instMask = uint32(1) << ClassInst
+
 type subscriber struct {
 	obs  Observer
 	inst InstObserver // non-nil when obs also implements the fast path
 	mask uint32
 	id   uint64
+	// sent is how many of the bus's staged instruction events this
+	// subscriber has received.
+	sent int
 }
+
+// instBatch is the capacity of a bus's instruction-event staging buffer:
+// large enough that delivery costs one call per few hundred instructions,
+// small enough (22 KB) to stay in the host's L2.
+const instBatch = 256
 
 // Bus is one machine's event fan-out: a subscriber list with a cached OR of
 // all subscriber masks. A nil *Bus is a valid, permanently-disabled bus —
 // every component holds a *Bus field and guards emission with On, so an
 // unobserved machine pays one nil test per potential event and allocates
 // nothing.
+//
+// Instruction events are staged and delivered in batches. Each subscriber
+// still sees exactly the event sequence of one-at-a-time delivery: its
+// staged instruction events reach it before any later event of another
+// class does, when the staging buffer is full, and at Flush, which
+// pipeline.Core.Run defers.
 //
 // Bus is not internally synchronized: a machine emits from its own
 // (single-threaded) run loop, and subscriptions are expected to be installed
@@ -175,6 +190,9 @@ type Bus struct {
 	// have no cycle of their own (predictors, caches, the kernel) timestamp
 	// their events with it.
 	now int64
+	// staged holds the instruction events emitted since the last Flush; it
+	// is allocated by the first one.
+	staged []InstEvent
 }
 
 // NewBus returns an empty bus.
@@ -186,57 +204,122 @@ func (b *Bus) On(c Class) bool {
 	return b != nil && b.mask&(1<<c) != 0
 }
 
-// Emit delivers e to every subscriber whose mask includes its class. Callers
-// guard with On, so Emit may assume b is non-nil.
+// Emit delivers e to every subscriber whose mask includes its class, each
+// after the instruction events staged for it. Callers guard with On, so Emit
+// may assume b is non-nil.
 func (b *Bus) Emit(e Event) {
 	m := uint32(1) << e.EventClass()
-	for _, s := range b.subs {
+	for i := range b.subs {
+		s := &b.subs[i]
 		if s.mask&m != 0 {
+			if s.sent != len(b.staged) && s.mask&instMask != 0 {
+				b.catchUp(s)
+			}
 			s.obs.HandleEvent(e)
 		}
 	}
 }
 
-// EmitInst delivers an instruction event without boxing it: subscribers that
-// implement InstObserver get the pointer, everyone else gets the value
-// through the ordinary Observer interface. Callers guard with On(ClassInst),
-// so EmitInst may assume b is non-nil; e must not be retained past the call.
-func (b *Bus) EmitInst(e *InstEvent) {
-	const m = uint32(1) << ClassInst
-	for i := range b.subs {
-		s := &b.subs[i]
-		if s.mask&m == 0 {
-			continue
-		}
-		if s.inst != nil {
-			s.inst.HandleInst(e)
+// EmitInst stages a copy of an instruction event for delivery. Callers guard
+// with On(ClassInst), so EmitInst may assume b is non-nil.
+func (b *Bus) EmitInst(e *InstEvent) { *b.NextInst() = *e }
+
+// NextInst stages a new instruction event and returns it for the caller to
+// fill in place, sparing EmitInst's copy. The caller must finish writing it
+// before its next call on the bus. Callers guard with On(ClassInst), so
+// NextInst may assume b is non-nil.
+func (b *Bus) NextInst() *InstEvent {
+	n := len(b.staged)
+	if n == cap(b.staged) {
+		if b.staged == nil {
+			b.staged = make([]InstEvent, 0, instBatch)
 		} else {
-			s.obs.HandleEvent(*e)
+			b.Flush()
 		}
+		n = 0
+	}
+	b.staged = b.staged[:n+1]
+	return &b.staged[n]
+}
+
+// Flush delivers every subscriber's staged instruction events and empties
+// the staging buffer. Safe on a nil bus.
+func (b *Bus) Flush() {
+	if b == nil || len(b.staged) == 0 {
+		return
+	}
+	for i := range b.subs {
+		b.catchUp(&b.subs[i])
+		b.subs[i].sent = 0
+	}
+	b.staged = b.staged[:0]
+}
+
+// catchUp hands s the staged instruction events it has not received yet.
+func (b *Bus) catchUp(s *subscriber) {
+	if s.mask&instMask == 0 || s.sent == len(b.staged) {
+		return
+	}
+	evs := b.staged[s.sent:]
+	s.sent = len(b.staged)
+	if s.inst != nil {
+		s.inst.HandleInsts(evs)
+		return
+	}
+	for i := range evs {
+		s.obs.HandleEvent(evs[i])
 	}
 }
 
 // Subscribe attaches o with the given options and returns a cancel function
 // that detaches exactly this subscription. Subscribing the same observer
 // twice creates two independent subscriptions.
+//
+// A Multi or Filter composition is subscribed member by member, each with
+// its own classes, so a member is never handed events it filters out and
+// its instruction batches are not cut by classes only other members take.
+// A *Metrics is subscribed as a shard of its own (see Metrics), so machines
+// sharing one registry do not share its lock. The cancel function delivers
+// what is staged for the subscription, then removes every member.
 func (b *Bus) Subscribe(o Observer, opts Options) (cancel func()) {
 	if o == nil {
 		return func() {}
 	}
 	b.nextID++
 	id := b.nextID
-	inst, _ := o.(InstObserver)
-	b.subs = append(b.subs, subscriber{obs: o, inst: inst, mask: opts.mask(), id: id})
+	b.add(o, opts.mask(), id)
 	b.recomputeMask()
 	return func() {
+		kept := b.subs[:0]
 		for i := range b.subs {
-			if b.subs[i].id == id {
-				b.subs = append(b.subs[:i], b.subs[i+1:]...)
-				break
+			if s := &b.subs[i]; s.id == id {
+				b.catchUp(s)
+			} else {
+				kept = append(kept, *s)
 			}
 		}
+		clear(b.subs[len(kept):])
+		b.subs = kept
 		b.recomputeMask()
 	}
+}
+
+// add subscribes o under mask as subscription id, flattening compositions.
+func (b *Bus) add(o Observer, mask uint32, id uint64) {
+	if f, ok := o.(fanout); ok {
+		for _, s := range f {
+			b.add(s.obs, mask&s.mask, id)
+		}
+		return
+	}
+	if mask == 0 {
+		return
+	}
+	if m, ok := o.(*Metrics); ok {
+		o = m.shard()
+	}
+	inst, _ := o.(InstObserver)
+	b.subs = append(b.subs, subscriber{obs: o, inst: inst, mask: mask, id: id, sent: len(b.staged)})
 }
 
 func (b *Bus) recomputeMask() {
@@ -247,7 +330,8 @@ func (b *Bus) recomputeMask() {
 	b.mask = m
 }
 
-// Subscribers returns the number of live subscriptions.
+// Subscribers returns the number of live subscribers: one per subscription,
+// or per member of a subscribed composition.
 func (b *Bus) Subscribers() int {
 	if b == nil {
 		return 0
@@ -277,15 +361,13 @@ func (b *Bus) Now() int64 {
 // skipping nils. It returns nil when every argument is nil, so callers can
 // assign the result directly to an optional Observer field.
 //
-// The composition implements InstObserver: an instruction event reaches
-// members that implement it by pointer, and is boxed at most once for the
-// others, so composing observers keeps the bus's boxing-free fast path.
+// Bus.Subscribe takes the composition apart and subscribes each member on
+// its own, so members that implement InstObserver keep their batches.
 func Multi(obs ...Observer) Observer {
 	var live fanout
 	for _, o := range obs {
 		if o != nil {
-			inst, _ := o.(InstObserver)
-			live = append(live, subscriber{obs: o, inst: inst, mask: Options{}.mask()})
+			live = append(live, subscriber{obs: o, mask: Options{}.mask()})
 		}
 	}
 	switch len(live) {
@@ -300,13 +382,12 @@ func Multi(obs ...Observer) Observer {
 // Filter restricts o to the given classes, as a subscription's Options would.
 // It lets an observer that shares one subscription with others (a Multi) keep
 // its own classes. Empty classes mean every class and return o unchanged; so
-// does a nil o. Like Multi's, the result keeps the InstObserver fast path.
+// does a nil o.
 func Filter(o Observer, classes []Class) Observer {
 	if o == nil || len(classes) == 0 {
 		return o
 	}
-	inst, _ := o.(InstObserver)
-	return fanout{{obs: o, inst: inst, mask: Options{Classes: classes}.mask()}}
+	return fanout{{obs: o, mask: Options{Classes: classes}.mask()}}
 }
 
 // fanout delivers each event to the subscribers whose mask includes its
@@ -319,25 +400,6 @@ func (f fanout) HandleEvent(e Event) {
 	for _, s := range f {
 		if s.mask&m != 0 {
 			s.obs.HandleEvent(e)
-		}
-	}
-}
-
-// HandleInst implements InstObserver.
-func (f fanout) HandleInst(e *InstEvent) {
-	const m = uint32(1) << ClassInst
-	var boxed Event
-	for i := range f {
-		s := &f[i]
-		switch {
-		case s.mask&m == 0:
-		case s.inst != nil:
-			s.inst.HandleInst(e)
-		default:
-			if boxed == nil {
-				boxed = *e
-			}
-			s.obs.HandleEvent(boxed)
 		}
 	}
 }

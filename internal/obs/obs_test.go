@@ -95,12 +95,12 @@ func TestStampCycleMonotonic(t *testing.T) {
 }
 
 // logObs records, in one shared log, which member got which event and how:
-// "name:inst" for a HandleInst pointer, "name:event" for a HandleEvent value.
+// "name:insts" for a HandleInsts batch, "name:event" for a HandleEvent value.
 type logObs struct {
-	name string
-	log  *[]string
-	ptrs *[]*InstEvent // pointers received through HandleInst
-	vals *[]Event      // values received through HandleEvent
+	name    string
+	log     *[]string
+	batches *[][]InstEvent // copies of the batches received through HandleInsts
+	vals    *[]Event       // values received through HandleEvent
 }
 
 func (o logObs) HandleEvent(e Event) {
@@ -111,9 +111,9 @@ func (o logObs) HandleEvent(e Event) {
 // instLogObs is a logObs that also implements InstObserver.
 type instLogObs struct{ logObs }
 
-func (o instLogObs) HandleInst(e *InstEvent) {
-	*o.log = append(*o.log, o.name+":inst")
-	*o.ptrs = append(*o.ptrs, e)
+func (o instLogObs) HandleInsts(evs []InstEvent) {
+	*o.log = append(*o.log, o.name+":insts")
+	*o.batches = append(*o.batches, append([]InstEvent(nil), evs...))
 }
 
 func TestMulti(t *testing.T) {
@@ -130,23 +130,31 @@ func TestMulti(t *testing.T) {
 	}
 
 	var log []string
-	var ptrs []*InstEvent
+	var batches [][]InstEvent
 	var vals []Event
-	mk := func(name string) logObs { return logObs{name, &log, &ptrs, &vals} }
-	// Members run in argument order; a Multi nested in a Multi keeps the
-	// pointer path for its own InstObserver members.
+	mk := func(name string) logObs { return logObs{name, &log, &batches, &vals} }
+	// The bus subscribes the members one by one, in argument order, a Multi
+	// nested in a Multi included: InstObserver members get the staged batch,
+	// plain ones each event by value.
 	m = Multi(instLogObs{mk("a")}, mk("b"), Multi(mk("c"), instLogObs{mk("d")}))
 	b := NewBus()
-	b.Subscribe(m, Options{})
+	cancel := b.Subscribe(m, Options{})
+	if b.Subscribers() != 4 {
+		t.Fatalf("a composition of four adds %d subscribers, want 4", b.Subscribers())
+	}
 	ev := InstEvent{CPU: 1, PC: 0x400000, Dispatch: 7, Transient: true}
 	b.EmitInst(&ev)
-	want := []string{"a:inst", "b:event", "c:event", "d:inst"}
-	if fmt.Sprint(log) != fmt.Sprint(want) {
-		t.Fatalf("EmitInst through Multi called %v, want %v", log, want)
+	if len(log) != 0 {
+		t.Fatalf("EmitInst delivered %v before a flush", log)
 	}
-	for i, p := range ptrs {
-		if p != &ev {
-			t.Errorf("InstObserver member %d got pointer %p, want the emitted event's %p", i, p, &ev)
+	b.Flush()
+	want := []string{"a:insts", "b:event", "c:event", "d:insts"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("Flush through Multi called %v, want %v", log, want)
+	}
+	for i, batch := range batches {
+		if len(batch) != 1 || batch[0] != ev {
+			t.Errorf("InstObserver member %d got batch %v, want [%v]", i, batch, ev)
 		}
 	}
 	for i, v := range vals {
@@ -163,38 +171,55 @@ func TestMulti(t *testing.T) {
 		t.Fatalf("Emit through Multi called %v, want %v", log, want)
 	}
 
-	// Plain members share one boxed copy of an instruction event.
-	var n int
-	plain := ObserverFunc(func(Event) { n++ })
-	fan := Multi(plain, plain, plain).(InstObserver)
-	if allocs := testing.AllocsPerRun(100, func() { fan.HandleInst(&ev) }); allocs != 1 {
-		t.Fatalf("HandleInst to three plain members allocates %.1f objects, want 1", allocs)
+	// Cancelling delivers what is staged, then detaches every member.
+	log = log[:0]
+	b.EmitInst(&ev)
+	cancel()
+	want = []string{"a:insts", "b:event", "c:event", "d:insts"}
+	if fmt.Sprint(log) != fmt.Sprint(want) || b.Subscribers() != 0 || b.On(ClassSquash) {
+		t.Fatalf("cancel delivered %v and left %d subscriptions; want %v and none", log, b.Subscribers(), want)
 	}
 }
 
 func TestFilter(t *testing.T) {
 	var log []string
-	var ptrs []*InstEvent
+	var batches [][]InstEvent
 	var vals []Event
-	inst := instLogObs{logObs{"i", &log, &ptrs, &vals}}
+	inst := instLogObs{logObs{"i", &log, &batches, &vals}}
 	if Filter(inst, nil) != Observer(inst) || Filter(nil, []Class{ClassInst}) != nil {
 		t.Fatal("Filter with no classes or no observer must return its observer")
 	}
 	ev := InstEvent{PC: 0x1000}
-	// The filter keeps the pointer path when its classes include ClassInst.
-	f := Filter(inst, []Class{ClassInst, ClassSquash})
-	f.(InstObserver).HandleInst(&ev)
+	// A filtered member keeps its own classes on the bus: its staged
+	// instructions arrive before the next event of a class it takes, and an
+	// event of a class it does not take neither reaches it nor cuts its
+	// batch.
+	b := NewBus()
+	b.Subscribe(Filter(inst, []Class{ClassInst, ClassSquash}), Options{})
+	b.EmitInst(&ev)
+	b.Emit(CacheEvent{Kind: "fill"})
+	b.EmitInst(&ev)
+	b.Emit(SquashEvent{})
+	if want := "[i:insts i:event]"; fmt.Sprint(log) != want || len(batches) != 1 || len(batches[0]) != 2 {
+		t.Fatalf("filtered InstObserver log %v batches %v, want %s with one batch of 2", log, batches, want)
+	}
+	// Called directly, a filter drops the classes it does not take.
+	log = log[:0]
+	f := Filter(inst, []Class{ClassSquash})
+	f.HandleEvent(ev)
 	f.HandleEvent(SquashEvent{})
-	f.HandleEvent(CacheEvent{Kind: "fill"}) // filtered out
-	if want := "[i:inst i:event]"; fmt.Sprint(log) != want || len(ptrs) != 1 || ptrs[0] != &ev {
-		t.Fatalf("filtered InstObserver log %v ptrs %v, want %s with the event's pointer", log, ptrs, want)
+	if fmt.Sprint(log) != "[i:event]" {
+		t.Fatalf("direct filtered log %v, want [i:event]", log)
 	}
 	// A plain observer gets the instruction by value; without ClassInst it
-	// gets nothing.
+	// gets nothing, and a subscription's own classes narrow the filter.
 	log, vals = log[:0], vals[:0]
-	Filter(logObs{"p", &log, &ptrs, &vals}, []Class{ClassInst}).(InstObserver).HandleInst(&ev)
-	Filter(logObs{"q", &log, &ptrs, &vals}, []Class{ClassSquash}).(InstObserver).HandleInst(&ev)
-	Filter(inst, []Class{ClassSquash}).(InstObserver).HandleInst(&ev)
+	b = NewBus()
+	b.Subscribe(Filter(logObs{"p", &log, &batches, &vals}, []Class{ClassInst}), Options{})
+	b.Subscribe(Filter(logObs{"q", &log, &batches, &vals}, []Class{ClassSquash}), Options{})
+	b.Subscribe(Filter(inst, []Class{ClassInst}), Options{Classes: []Class{ClassSquash}})
+	b.EmitInst(&ev)
+	b.Flush()
 	if fmt.Sprint(log) != "[p:event]" || len(vals) != 1 || vals[0] != Event(ev) {
 		t.Fatalf("filtered plain observers log %v vals %v, want [p:event] with the event", log, vals)
 	}
@@ -259,7 +284,7 @@ func TestMetricsFold(t *testing.T) {
 	// Counts stored with Inc under an instruction counter's name add to
 	// the instruction events.
 	m.Inc("inst.retired", 10)
-	m.HandleInst(&InstEvent{})
+	m.HandleInsts([]InstEvent{{}})
 
 	want := map[string]uint64{
 		"inst.retired":         12,
@@ -360,7 +385,7 @@ func TestMetricsConcurrentFold(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			for _, e := range mix {
 				if ie, ok := e.(InstEvent); ok && r%2 == 0 {
-					m.HandleInst(&ie)
+					m.HandleInsts([]InstEvent{ie})
 				} else {
 					m.HandleEvent(e)
 				}
@@ -406,6 +431,98 @@ func TestMetricsConcurrentFold(t *testing.T) {
 	}
 	if n := shared.Counter("inst.retired"); n != workers*rounds*2 {
 		t.Fatalf("inst.retired = %d, want %d", n, workers*rounds*2)
+	}
+}
+
+// TestMetricsShardsFoldExactly subscribes one registry to several buses, fed
+// from their own goroutines while another goroutine reads the registry, and
+// requires the final snapshot to equal a serial fold. Half the subscriptions
+// are cancelled with instructions still staged: they keep every count they
+// were handed, and the cancel delivers the staged ones.
+func TestMetricsShardsFoldExactly(t *testing.T) {
+	var pc pmc.Counters
+	pc.Add(pmc.LdDispatch, 3)
+	pc.Add(pmc.Rollbacks, 1)
+	mix := []Event{
+		InstEvent{}, InstEvent{Transient: true}, InstEvent{},
+		SquashEvent{Kind: SquashBranch, Start: 1, Verify: 20, Insts: 4},
+		CacheEvent{Kind: "fill", Level: "L1"}, InstEvent{}, CacheEvent{Kind: "evict", Level: "L3"},
+		PSFPTrainEvent{Type: "B"}, PMCEvent{Counts: pc},
+		ProbeEvent{Hit: true, Cycles: 35}, PredictorFlushEvent{Predictor: "ssbp"},
+	}
+	// Enough rounds that the staging buffer fills many times over.
+	const buses, rounds = 4, 300
+	serial := NewMetrics()
+	for i := 0; i < buses*rounds; i++ {
+		for _, e := range mix {
+			serial.HandleEvent(e)
+		}
+	}
+	serial.HandleEvent(FaultEvent{Kind: "trial-error"})
+
+	shared := NewMetrics()
+	// Events handed to the registry itself, as the harness reports trial
+	// faults, add to the shards' counts.
+	shared.HandleEvent(FaultEvent{Kind: "trial-error"})
+	var wg sync.WaitGroup
+	for i := 0; i < buses; i++ {
+		b := NewBus()
+		cancel := b.Subscribe(shared, Options{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, e := range mix {
+					if ie, ok := e.(InstEvent); ok {
+						b.EmitInst(&ie)
+					} else {
+						b.Emit(e)
+					}
+				}
+			}
+			b.EmitInst(&InstEvent{})
+			if i%2 == 0 {
+				cancel()
+			} else {
+				b.Flush()
+			}
+			if i%2 == 0 && b.On(ClassInst) {
+				t.Error("cancelled bus still takes instructions")
+			}
+		}()
+	}
+	serial.HandleEvent(InstEvent{})
+	serial.HandleEvent(InstEvent{})
+	serial.HandleEvent(InstEvent{})
+	serial.HandleEvent(InstEvent{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			shared.Snapshot()
+			shared.Counter("inst.retired")
+			shared.Counter("cache.fill.L1")
+		}
+	}()
+	wg.Wait()
+	<-done
+
+	want, err := json.Marshal(serial.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(shared.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("sharded fold differs from serial:\n got %s\nwant %s", got, want)
+	}
+	if n, want := shared.Counter("inst.retired"), uint64(buses*(rounds*3+1)); n != want {
+		t.Fatalf("inst.retired = %d, want %d", n, want)
+	}
+	if n := shared.Counter("fault.trial-error"); n != 1 {
+		t.Fatalf("fault.trial-error = %d, want 1", n)
 	}
 }
 

@@ -68,16 +68,21 @@ func (r *Recorder) push(te traceEvent) {
 	r.mu.Unlock()
 }
 
-// HandleInst implements InstObserver: the boxing-free delivery of the
-// per-instruction event. The event is copied into the buffer, never retained.
-func (r *Recorder) HandleInst(e *InstEvent) {
-	name := e.Inst.Op.String()
+// HandleInsts implements InstObserver. The events are copied into the
+// buffer, never retained.
+func (r *Recorder) HandleInsts(evs []InstEvent) {
+	for i := range evs {
+		r.pushInst(&evs[i])
+	}
+}
+
+func (r *Recorder) pushInst(e *InstEvent) {
 	cat := "arch"
 	if e.Transient {
 		cat = "transient"
 	}
 	r.push(traceEvent{
-		Name: name, Phase: "X", TS: e.RetiredBy, Dur: 1,
+		Name: e.Inst.Op.String(), Phase: "X", TS: e.RetiredBy, Dur: 1,
 		PID: pidCores, TID: e.CPU, Cat: cat,
 		Args: map[string]any{
 			"pc":  hex(e.PC),
@@ -90,7 +95,7 @@ func (r *Recorder) HandleInst(e *InstEvent) {
 func (r *Recorder) HandleEvent(e Event) {
 	switch ev := e.(type) {
 	case InstEvent:
-		r.HandleInst(&ev)
+		r.pushInst(&ev)
 	case SquashEvent:
 		dur := ev.Verify - ev.Start
 		if dur < 1 {

@@ -144,8 +144,6 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 	var res RunResult
 	// The subscription mask is hoisted out of the loop: the Bus contract says
 	// subscriptions are installed between runs, never concurrently with one.
-	// The event struct is staged in the Core-owned buffer and delivered via
-	// the boxing-free EmitInst (see Core.instEv for why it is not a local).
 	instOn := c.bus.On(obs.ClassInst)
 	stop := c.cfg.Stop
 	for {
@@ -227,13 +225,7 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 		o := c.exec(mmu, st, in, pc, ipa, nil)
 		c.bus.StampCycle(st.lastRetire)
 		if instOn {
-			c.instEv = obs.InstEvent{
-				CPU: c.cpuID, PC: pc, IPA: ipa, Inst: in,
-				Dispatch: st.attr.dispatch, Issue: st.attr.issue, Complete: st.attr.complete,
-				SQStall: st.attr.sqStall, Replay: st.attr.replay,
-				RetiredBy: st.lastRetire,
-			}
-			c.bus.EmitInst(&c.instEv)
+			c.stageInst(st, pc, ipa, in, false)
 		}
 		if o.kind == oOK {
 			continue
@@ -313,13 +305,7 @@ func (c *Core) runEpisode(mmu MMU, st *runState, verifyTime int64) ([]StldEvent,
 		o := c.exec(mmu, st, in, pc, ipa, ep)
 		executed++
 		if instOn {
-			c.instEv = obs.InstEvent{
-				CPU: c.cpuID, PC: pc, IPA: ipa, Inst: in,
-				Dispatch: st.attr.dispatch, Issue: st.attr.issue, Complete: st.attr.complete,
-				SQStall: st.attr.sqStall, Replay: st.attr.replay,
-				RetiredBy: st.lastRetire, Transient: true,
-			}
-			c.bus.EmitInst(&c.instEv)
+			c.stageInst(st, pc, ipa, in, true)
 		}
 		if o.kind != oOK {
 			break
@@ -329,6 +315,18 @@ func (c *Core) runEpisode(mmu MMU, st *runState, verifyTime int64) ([]StldEvent,
 		st.stlds[i].Transient = true
 	}
 	return st.stlds, executed
+}
+
+// stageInst reports the instruction just executed on the bus. It writes the
+// event field by field into the bus's staging slot: a composite literal
+// would be built on the stack and copied. Every field is written, since the
+// slot holds an older event.
+func (c *Core) stageInst(st *runState, pc, ipa uint64, in isa.Inst, transient bool) {
+	ev := c.bus.NextInst()
+	ev.CPU, ev.PC, ev.IPA, ev.Inst = c.cpuID, pc, ipa, in
+	ev.Dispatch, ev.Issue, ev.Complete = st.attr.dispatch, st.attr.issue, st.attr.complete
+	ev.SQStall, ev.Replay = st.attr.sqStall, st.attr.replay
+	ev.RetiredBy, ev.Transient = st.lastRetire, transient
 }
 
 // emitSquash reports one completed transient episode on the bus; penalty is

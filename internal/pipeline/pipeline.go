@@ -271,14 +271,6 @@ type Core struct {
 	// translations (faults, COW write breaks) are never cached, so the
 	// fault behaviour is exactly the page table's.
 	xlat [2][xlatCacheSize]xlatEntry
-
-	// instEv is the staging buffer for the boxing-free EmitInst fast path.
-	// It lives on the Core rather than the loop frame because its address
-	// escapes into the observer call: a stack-declared event would be
-	// heap-allocated once per Run even when nothing is subscribed. The Bus
-	// contract (the pointee is only valid for the duration of the call)
-	// makes the reuse safe.
-	instEv obs.InstEvent
 }
 
 // fetchGenEntry associates one MMU with its current generation tag.
@@ -395,6 +387,11 @@ func (c *Core) SetTimerQuantum(q int64) { c.cfg.TimerQuantum = q }
 func (c *Core) Run(mmu MMU, entry uint64, regs *[isa.NumRegs]uint64, maxInsts uint64) RunResult {
 	if maxInsts == 0 {
 		maxInsts = 1 << 20
+	}
+	if c.bus.On(obs.ClassInst) {
+		// The bus hands instruction events over in batches: deliver the
+		// last one when the run ends, by ErrCancelled's panic too.
+		defer c.bus.Flush()
 	}
 	pmcOn := c.bus.On(obs.ClassPMC)
 	var pmcStart pmc.Counters

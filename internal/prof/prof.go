@@ -60,14 +60,6 @@ type squashSite struct {
 	insts   int64 // wrong-path instructions executed
 }
 
-// siteRef is a site's sort key in Snapshot: its PC, its opcode's rank in
-// name order, and its slot.
-type siteRef struct {
-	pc   uint64
-	rank uint8
-	slot int32
-}
-
 var (
 	opRankOnce sync.Once
 	opRank     [256]uint8
@@ -93,36 +85,38 @@ func opRanks() *[256]uint8 {
 // concurrent HandleEvent calls; share one Profile across parallel trials.
 type Profile struct {
 	mu sync.Mutex
-	// Sites are stored by value: index maps a Key to its slot in the
-	// parallel keys and sites slices, so a profile of many sites holds no
-	// per-site heap object and nothing for the garbage collector to scan.
-	index map[Key]int32
+	// Sites are stored by value in the parallel keys and sites slices, so a
+	// profile of many sites holds no per-site heap object and nothing for the
+	// garbage collector to scan. pages indexes them by code page: entry
+	// PC%pageSize of page PC/pageSize holds the slot, plus one, of the newest
+	// site at that PC (0 is none), and next[slot] the slot, plus one, of the
+	// site before it at the same PC, which has another opcode.
+	pages map[uint64]*sitePage
+	next  []int32
 	keys  []Key
 	sites []site
-	// memo caches, per hash position of a Key, the slot last seen there
-	// plus one (0 is empty). A hit is confirmed against keys, so the memo is
-	// exact; it spares the map lookup for the loop bodies that dominate a
-	// run.
-	memo     [memoSize]int32
+	// lastPN and lastPage cache the page of the previous fold, so code that
+	// stays on one page skips the map.
+	lastPN   uint64
+	lastPage *sitePage
 	squashes map[SquashKey]*squashSite
 }
 
 const (
-	memoBits = 12
-	memoSize = 1 << memoBits // 16 KB of memo per Profile: it stays in L1
+	pageBits = 12
+	pageSize = 1 << pageBits
 )
 
-// memoPos is k's position in Profile.memo: a Fibonacci hash of the PC with
-// the opcode folded into the top byte.
-func memoPos(k Key) uint32 {
-	return uint32(((k.PC ^ uint64(k.Op)<<56) * 0x9e3779b97f4a7c15) >> (64 - memoBits))
-}
+// sitePage indexes the sites of one code page by byte offset: code sliding
+// runs instructions at every byte.
+type sitePage [pageSize]int32
 
 // New returns an empty profile. Attach it with Bus.Subscribe (classes inst
 // and squash) or through the facade's Config.Profile.
 func New() *Profile {
 	return &Profile{
-		index:    make(map[Key]int32),
+		pages:    make(map[uint64]*sitePage),
+		lastPN:   ^uint64(0), // no page: page numbers are below 2^52
 		squashes: make(map[SquashKey]*squashSite),
 	}
 }
@@ -130,9 +124,24 @@ func New() *Profile {
 // Classes returns the event classes a Profile needs.
 func Classes() []obs.Class { return []obs.Class{obs.ClassInst, obs.ClassSquash} }
 
-// HandleInst implements obs.InstObserver: the boxing-free delivery of the
-// per-instruction event. Must stay equivalent to HandleEvent on the value.
+// HandleInsts implements obs.InstObserver: a batch folds under one lock.
+func (p *Profile) HandleInsts(evs []obs.InstEvent) {
+	p.mu.Lock()
+	for i := range evs {
+		p.fold(&evs[i])
+	}
+	p.mu.Unlock()
+}
+
+// HandleInst folds one instruction event, as HandleEvent would.
 func (p *Profile) HandleInst(ev *obs.InstEvent) {
+	p.mu.Lock()
+	p.fold(ev)
+	p.mu.Unlock()
+}
+
+// fold adds one instruction's cycle partition to its site. p.mu is held.
+func (p *Profile) fold(ev *obs.InstEvent) {
 	issue := ev.Issue - ev.Dispatch
 	exec := ev.Complete - ev.Issue - ev.SQStall - ev.Replay
 	retire := ev.RetiredBy - ev.Complete
@@ -145,21 +154,7 @@ func (p *Profile) HandleInst(ev *obs.InstEvent) {
 	if retire < 0 || ev.Transient {
 		retire = 0
 	}
-	k := Key{ev.PC, ev.Inst.Op}
-	pos := memoPos(k)
-	p.mu.Lock()
-	i := p.memo[pos] - 1
-	if i < 0 || p.keys[i] != k {
-		var ok bool
-		if i, ok = p.index[k]; !ok {
-			i = int32(len(p.keys))
-			p.index[k] = i
-			p.keys = append(p.keys, k)
-			p.sites = append(p.sites, site{})
-		}
-		p.memo[pos] = i + 1
-	}
-	s := &p.sites[i]
+	s := &p.sites[p.slot(ev.PC, ev.Inst.Op)]
 	if ev.Transient {
 		s.transient++
 	} else {
@@ -170,7 +165,31 @@ func (p *Profile) HandleInst(ev *obs.InstEvent) {
 	s.sqStall += ev.SQStall
 	s.replay += ev.Replay
 	s.retire += retire
-	p.mu.Unlock()
+}
+
+// slot returns the slot of site (pc, op), adding the site on first sight.
+// p.mu is held.
+func (p *Profile) slot(pc uint64, op isa.Op) int32 {
+	if pn := pc >> pageBits; pn != p.lastPN {
+		pg := p.pages[pn]
+		if pg == nil {
+			pg = new(sitePage)
+			p.pages[pn] = pg
+		}
+		p.lastPN, p.lastPage = pn, pg
+	}
+	head := &p.lastPage[pc&(pageSize-1)]
+	for i := *head - 1; i >= 0; i = p.next[i] - 1 {
+		if p.keys[i].Op == op {
+			return i
+		}
+	}
+	i := int32(len(p.keys))
+	p.keys = append(p.keys, Key{pc, op})
+	p.sites = append(p.sites, site{})
+	p.next = append(p.next, *head)
+	*head = i + 1
+	return i
 }
 
 // HandleEvent implements obs.Observer.
@@ -241,29 +260,38 @@ func (p *Profile) Snapshot() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := &Snapshot{}
-	// Order the sites by (PC, op name) without comparing strings: sort
-	// compact (PC, op rank) records, then build the samples in that order.
-	rank := opRanks()
-	order := make([]siteRef, len(p.keys))
-	for i, k := range p.keys {
-		order[i] = siteRef{pc: k.PC, rank: rank[k.Op], slot: int32(i)}
+	// Walk the sites in (PC, op name) order: pages in order, offsets in
+	// order, and the few sites at one PC by their opcode's rank.
+	pns := make([]uint64, 0, len(p.pages))
+	for pn := range p.pages {
+		pns = append(pns, pn)
 	}
-	slices.SortFunc(order, func(a, b siteRef) int {
-		if a.pc != b.pc {
-			return cmp.Compare(a.pc, b.pc)
+	slices.Sort(pns)
+	rank := opRanks()
+	byRank := func(a, b int32) int { return cmp.Compare(rank[p.keys[a].Op], rank[p.keys[b].Op]) }
+	out.Samples = make([]Sample, 0, len(p.keys))
+	var atPC []int32
+	for _, pn := range pns {
+		for _, head := range p.pages[pn] {
+			atPC = atPC[:0]
+			for i := head - 1; i >= 0; i = p.next[i] - 1 {
+				atPC = append(atPC, i)
+			}
+			if len(atPC) > 1 {
+				slices.SortFunc(atPC, byRank)
+			}
+			for _, i := range atPC {
+				k, s := p.keys[i], &p.sites[i]
+				x := Sample{
+					PC: k.PC, Op: k.Op.String(),
+					Count: s.count, Transient: s.transient,
+					Issue: s.issue, Execute: s.execute,
+					SQStall: s.sqStall, Replay: s.replay, Retire: s.retire,
+				}
+				out.Samples = append(out.Samples, x)
+				out.TotalCycles += x.Cycles()
+			}
 		}
-		return cmp.Compare(a.rank, b.rank)
-	})
-	out.Samples = make([]Sample, len(order))
-	for j, r := range order {
-		k, s := p.keys[r.slot], &p.sites[r.slot]
-		out.Samples[j] = Sample{
-			PC: k.PC, Op: k.Op.String(),
-			Count: s.count, Transient: s.transient,
-			Issue: s.issue, Execute: s.execute,
-			SQStall: s.sqStall, Replay: s.replay, Retire: s.retire,
-		}
-		out.TotalCycles += out.Samples[j].Cycles()
 	}
 	out.Squashes = make([]SquashSample, 0, len(p.squashes))
 	for k, s := range p.squashes {

@@ -50,40 +50,82 @@ func TestKeyIncludesOp(t *testing.T) {
 	}
 }
 
-// TestSitesMatchNaiveFold folds a shuffled stream over more sites than the
-// memo has positions, with many sites sharing a position, and compares the
-// snapshot with a plain map fold sorted by (PC, op name).
+// TestSitesMatchNaiveFold folds runs of instructions into one profile from
+// two goroutines, interleaving their batches, and compares the snapshot with
+// a plain map fold sorted by (PC, op name). The runs step through code at
+// byte granularity, as sliding does, put up to eight opcodes at one PC,
+// cross page boundaries and spread over far-apart pages, up to the last PC
+// below 2^64.
 func TestSitesMatchNaiveFold(t *testing.T) {
-	ops := []isa.Op{isa.LOAD, isa.STORE, isa.ADD, isa.NOP, isa.JNZ, isa.IMUL}
+	ops := []isa.Op{isa.LOAD, isa.STORE, isa.ADD, isa.NOP, isa.JNZ, isa.IMUL, isa.MOVI, isa.XOR}
+	starts := []uint64{0x400000, 0x400f80, 0x401ff9, 0x7ffffffff000 - 200, 1 << 63, ^uint64(0) - 7 - 900}
 	r := rand.New(rand.NewSource(1))
-	var evs []obs.InstEvent
-	for i := 0; i < 6*memoSize; i++ {
-		pc := 0x400000 + uint64(r.Intn(2*memoSize))*4
-		d := int64(r.Intn(50))
-		// No span is negative, so the partition needs no clamping: issue
-		// wait 0-2, SQ stall 0-1, execute the rest of 9, retire 3.
-		ev := inst(pc, ops[r.Intn(len(ops))], d, d+int64(r.Intn(3)), d+9, int64(r.Intn(2)), 0, d+12)
-		ev.Transient = r.Intn(5) == 0
-		evs = append(evs, ev, ev) // a repeat right away hits the memo
-	}
-	p := New()
-	want := map[Key]Sample{}
-	for _, ev := range evs {
-		p.HandleInst(&ev)
-		k := Key{ev.PC, ev.Inst.Op}
-		w := want[k]
-		w.PC, w.Op = ev.PC, ev.Inst.Op.String()
-		if ev.Transient {
-			w.Transient++
-		} else {
-			w.Count++
-			w.Retire += ev.RetiredBy - ev.Complete
+	var runs [][]obs.InstEvent
+	for i := 0; i < 400; i++ {
+		pc := starts[r.Intn(len(starts))] + uint64(r.Intn(900))
+		var run []obs.InstEvent
+		for n := 1 + r.Intn(300); n > 0; n-- {
+			d := int64(r.Intn(50))
+			// No span is negative, so the partition needs no clamping: issue
+			// wait 0-2, SQ stall 0-1, execute the rest of 9, retire 3.
+			ev := inst(pc, ops[r.Intn(len(ops))], d, d+int64(r.Intn(3)), d+9, int64(r.Intn(2)), 0, d+12)
+			ev.Transient = r.Intn(5) == 0
+			run = append(run, ev)
+			if r.Intn(4) > 0 {
+				step := uint64(1 + r.Intn(8))
+				if pc > ^uint64(0)-7-step {
+					break
+				}
+				pc += step
+			}
 		}
-		w.Issue += ev.Issue - ev.Dispatch
-		w.Execute += ev.Complete - ev.Issue - ev.SQStall
-		w.SQStall += ev.SQStall
-		want[k] = w
+		runs = append(runs, run)
 	}
+	// A probe slid one byte at a time, every opcode at every offset.
+	var slide []obs.InstEvent
+	for off := uint64(0); off < 8; off++ {
+		for _, op := range ops {
+			slide = append(slide, inst(0x402000+off, op, 0, 1, 9, 0, 0, 12))
+		}
+	}
+	runs = append(runs, slide, slide)
+
+	p := New()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(runs); i += 2 {
+				if i%3 == 0 {
+					for j := range runs[i] {
+						p.HandleInst(&runs[i][j])
+					}
+				} else {
+					p.HandleInsts(runs[i])
+				}
+			}
+		}()
+	}
+	want := map[Key]Sample{}
+	for _, run := range runs {
+		for _, ev := range run {
+			k := Key{ev.PC, ev.Inst.Op}
+			w := want[k]
+			w.PC, w.Op = ev.PC, ev.Inst.Op.String()
+			if ev.Transient {
+				w.Transient++
+			} else {
+				w.Count++
+				w.Retire += ev.RetiredBy - ev.Complete
+			}
+			w.Issue += ev.Issue - ev.Dispatch
+			w.Execute += ev.Complete - ev.Issue - ev.SQStall
+			w.SQStall += ev.SQStall
+			want[k] = w
+		}
+	}
+	wg.Wait()
 	ref := &Snapshot{}
 	for _, x := range want {
 		ref.Samples = append(ref.Samples, x)

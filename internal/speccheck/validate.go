@@ -227,8 +227,8 @@ func schedules(kind Kind, runs int) []schedule {
 // obs.InstObserver fast path.
 type dynTracer dynMachine
 
-// HandleInst implements obs.InstObserver.
-func (t *dynTracer) HandleInst(e *obs.InstEvent) { t.trace = append(t.trace, *e) }
+// HandleInsts implements obs.InstObserver.
+func (t *dynTracer) HandleInsts(evs []obs.InstEvent) { t.trace = append(t.trace, evs...) }
 
 // HandleEvent implements obs.Observer.
 func (t *dynTracer) HandleEvent(e obs.Event) {

@@ -59,16 +59,16 @@ echo "== core microbenchmark smoke (allocation invariants) =="
 # zero-allocation invariants at the benchmark level too (the dedicated
 # AllocsPerRun tests already ran under -race above): the steady-state
 # pipeline step, the NOP-sled run, the emit path bare, disabled and into the
-# metrics registry plus profile, and the Flush+Reload sweep must all report
-# 0 allocs/op. benchstat renders the table when installed (CI installs it),
-# with a visible skip locally.
+# metrics registry plus profile, the profile's fold and the Flush+Reload
+# sweep must all report 0 allocs/op. benchstat renders the table when
+# installed (CI installs it), with a visible skip locally.
 bench_out=$(mktemp)
 go test -run '^$' \
-    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkObsEmitFast|BenchmarkObsEmitObserved|BenchmarkObsEmitDisabled|BenchmarkFlushReloadSweep' \
+    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkObsEmitFast|BenchmarkObsEmitObserved|BenchmarkObsEmitDisabled|BenchmarkProfileFold|BenchmarkFlushReloadSweep' \
     -benchtime 100x -count 1 . | tee "$bench_out"
 benches=$(grep -c '^Benchmark' "$bench_out")
 zeroalloc=$(grep -c '	 *0 allocs/op' "$bench_out") || true
-if [ "$benches" -ne 6 ] || [ "$zeroalloc" -ne 6 ]; then
+if [ "$benches" -ne 7 ] || [ "$zeroalloc" -ne 7 ]; then
     echo "core benchmarks must all report 0 allocs/op ($zeroalloc of $benches did)" >&2
     exit 1
 fi
