@@ -33,7 +33,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced trial counts and secret sizes")
 	jsonOut := flag.Bool("json", false, "emit the suite report as JSON instead of text")
 	stable := flag.Bool("stable", false, "emit the suite report as StableJSON (host-dependent fields zeroed; byte-comparable across runs and worker counts)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all; see -list)")
+	only := flag.String("only", "", "comma-separated experiment IDs or tags to run; a tag selects every experiment carrying it (default: all; see -list)")
 	faults := flag.String("faults", "", "fault-injection plan: none|mild|default|harsh or an inline JSON plan object")
 	parallel := flag.Int("parallel", 0, "trial-runner workers; 0 means GOMAXPROCS (results are identical at any value)")
 	validate := flag.String("validate", "", "validate a suite JSON file written by -json: well-formed, bands consistent, all pass")
@@ -48,6 +48,7 @@ func run() int {
 	traceClasses := flag.String("trace-classes", "", "comma-separated event classes to trace: inst,squash,forward,predict,cache,probe,kernel,fault,pmc (default: all)")
 	validateTrace := flag.String("validate-trace", "", "validate a trace file written by -trace: JSON with at least one complete event")
 	list := flag.Bool("list", false, "list the registered experiments and exit")
+	transitionTable := flag.Bool("transition-table", false, "print TABLE I as implemented (generated from the state machine) and exit")
 	submit := flag.String("submit", "", "submit the run as a job to a zenspecd service at this base URL (e.g. http://127.0.0.1:8787) instead of running locally")
 	split := flag.Int("split", 0, "with -submit: cut each experiment's trial loop into this many range shards so multiple workers can drain one job (report bytes are identical at any split)")
 	priority := flag.Int("priority", 0, "job priority when submitting with -submit (higher runs first)")
@@ -59,6 +60,10 @@ func run() int {
 		for _, e := range zenspec.Experiments() {
 			fmt.Printf("%-20s [%s] %s\n", e.ID, strings.Join(e.Tags, ","), e.Title)
 		}
+		return 0
+	}
+	if *transitionTable {
+		fmt.Print(zenspec.TransitionTable())
 		return 0
 	}
 
@@ -144,13 +149,10 @@ func run() int {
 		}
 		cfg.Parallelism = 1
 	}
-	var ids []string
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
-		}
+	ids, err := resolveNames(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 2
 	}
 
 	if *submit != "" {
@@ -271,6 +273,38 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// resolveNames turns the -only list into experiment IDs. A name that is an
+// ID stays as it is; any other name expands to every experiment carrying it
+// as a tag, in registry order. A name that is neither is an error wrapping
+// zenspec.ErrUnknownExperiment. An empty list selects everything (nil).
+func resolveNames(only string) ([]string, error) {
+	exps := zenspec.Experiments()
+	isID := make(map[string]bool, len(exps))
+	for _, e := range exps {
+		isID[e.ID] = true
+	}
+	var ids []string
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "":
+		case isID[name]:
+			ids = append(ids, name)
+		default:
+			n := len(ids)
+			for _, e := range exps {
+				if e.HasTag(name) {
+					ids = append(ids, e.ID)
+				}
+			}
+			if len(ids) == n {
+				return nil, fmt.Errorf("%w %q (see -list)", zenspec.ErrUnknownExperiment, name)
+			}
+		}
+	}
+	return ids, nil
 }
 
 // emit renders a suite report to stdout in the selected format and returns a

@@ -42,30 +42,3 @@ func ExampleAssemble() {
 	// 0x400008: imul rax, rax, rax
 	// 0x400010: halt
 }
-
-func ExampleScanGadgets() {
-	code, _ := zenspec.Assemble(`
-		store [rcx], rax
-		load  rdx, [r14]
-		add   rbx, rdx, r11
-		load  r8, [rbx]
-		shl   r9, r8, 3
-		load  r10, [r9]
-		halt
-	`, 0)
-	for _, c := range zenspec.ScanGadgets(code) {
-		fmt.Println(c)
-	}
-	// Output:
-	// gadget: store@+0x0  ld1@+0x8  ld2@+0x18  transmit@+0x28
-}
-
-func ExampleMDUCharacterization() {
-	for _, row := range zenspec.MDUCharacterization() {
-		fmt.Println(row.Design, "—", row.StateMachineBits)
-	}
-	// Output:
-	// intel-mdu — 4 bit
-	// arm-mdu — 1 bit
-	// amd-psfp-ssbp — 6 bit (C3) + 2 bit (C4)
-}

@@ -20,10 +20,8 @@ import (
 type Arena struct {
 	bytes []byte
 	ints  []int
-	u64s  []uint64
 	f64s  []float64
 	m32   map[uint32]bool
-	mint  map[int]bool
 }
 
 // Bytes returns a zeroed scratch slice of length n, valid until this
@@ -48,17 +46,6 @@ func (a *Arena) Ints(n int) []int {
 	return a.ints
 }
 
-// Uint64s returns a zeroed scratch slice of length n, valid until this
-// Arena's next Uint64s call.
-func (a *Arena) Uint64s(n int) []uint64 {
-	if cap(a.u64s) < n {
-		a.u64s = make([]uint64, n)
-	}
-	a.u64s = a.u64s[:n]
-	clear(a.u64s)
-	return a.u64s
-}
-
 // Float64s returns a zeroed scratch slice of length n, valid until this
 // Arena's next Float64s call.
 func (a *Arena) Float64s(n int) []float64 {
@@ -78,16 +65,6 @@ func (a *Arena) BoolMap32() map[uint32]bool {
 	}
 	clear(a.m32)
 	return a.m32
-}
-
-// BoolMapInt returns an empty scratch set keyed by int, valid until this
-// Arena's next BoolMapInt call.
-func (a *Arena) BoolMapInt() map[int]bool {
-	if a.mint == nil {
-		a.mint = make(map[int]bool)
-	}
-	clear(a.mint)
-	return a.mint
 }
 
 // ArenaPool recycles arenas across experiments of one suite run, so the

@@ -122,12 +122,12 @@ func TestReportBandsAndPass(t *testing.T) {
 		t.Fatal("unknown ID must error")
 	}
 
-	tagged, err := reg.RunTagged(Ctx{}, nil, "unit")
+	tagged, err := reg.Select(nil, "unit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tagged.Experiments) != 1 || tagged.Experiments[0].ID != "demo" {
-		t.Fatalf("tag filter wrong: %+v", tagged.Experiments)
+	if len(tagged) != 1 || tagged[0].ID != "demo" {
+		t.Fatalf("tag filter wrong: %+v", tagged)
 	}
 }
 

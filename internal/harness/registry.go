@@ -45,12 +45,12 @@ type Ctx struct {
 	// back into results.
 	TrialProgress func(done, total int)
 	// Completed, when non-nil, is called with every finished experiment
-	// report, in completion order, from RunShard and RunTagged alike. It is
+	// report, in completion order, from RunShard and Run alike. It is
 	// how a partial suite survives an interrupted run: the caller accumulates
 	// reports as they land and can assemble a checkpoint at any time.
 	Completed func(Report)
 	// Arenas recycles per-worker scratch arenas (TrialsArena) across the
-	// suite's experiments. RunTagged installs one automatically; a nil pool
+	// suite's experiments. Run installs one automatically; a nil pool
 	// still works everywhere and just forgoes recycling.
 	Arenas *ArenaPool
 }
@@ -167,12 +167,7 @@ func (r *Registry) Select(ids []string, tag string) ([]Experiment, error) {
 // the suite report. Experiments run one after another; parallelism lives in
 // each experiment's trial loop, bounded by ctx.Config.Parallelism.
 func (r *Registry) Run(ctx Ctx, ids []string) (SuiteReport, error) {
-	return r.RunTagged(ctx, ids, "")
-}
-
-// RunTagged is Run with an additional tag filter applied when ids is empty.
-func (r *Registry) RunTagged(ctx Ctx, ids []string, tag string) (SuiteReport, error) {
-	exps, err := r.Select(ids, tag)
+	exps, err := r.Select(ids, "")
 	if err != nil {
 		return SuiteReport{}, err
 	}
@@ -200,7 +195,7 @@ func (r *Registry) RunTagged(ctx Ctx, ids []string, tag string) (SuiteReport, er
 	return suite, nil
 }
 
-// runOne executes a single experiment exactly as one RunTagged iteration
+// runOne executes a single experiment exactly as one Run iteration
 // would: fresh metrics/profile registries, panic isolation, verdict and wall
 // clock. Both the sequential suite runner and the service's shard workers
 // funnel through it, which is what makes a shard-merged suite byte-identical

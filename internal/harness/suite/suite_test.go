@@ -40,6 +40,19 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 	}
 }
 
+// TestTagsAreNotIDs: no tag equals an experiment ID, so a name given to
+// cmd/experiments -only means one thing, an ID or a tag.
+func TestTagsAreNotIDs(t *testing.T) {
+	exps := Registry().All()
+	for _, e := range exps {
+		for _, other := range exps {
+			if other.HasTag(e.ID) {
+				t.Errorf("%s carries the tag %q, which is an experiment ID", other.ID, e.ID)
+			}
+		}
+	}
+}
+
 // TestSuiteDeterministicAcrossWorkers is the harness's core contract: the
 // stable report of a run is byte-identical at any worker count. The subset
 // covers every refactored trial-loop shape — eviction sweeps (fig5),

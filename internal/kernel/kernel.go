@@ -212,15 +212,6 @@ func (k *Kernel) NumCPUs() int { return len(k.cpus) }
 // Config returns the boot configuration.
 func (k *Kernel) Config() Config { return k.cfg }
 
-// FaultStats reports what the machine's fault injector has done so far; the
-// zero Stats when no machine-level fault plan is active.
-func (k *Kernel) FaultStats() fault.Stats {
-	if k.inj == nil {
-		return fault.Stats{}
-	}
-	return k.inj.Stats()
-}
-
 // SetSSBD toggles SSBD on every hardware thread at run time (the
 // SPEC_CTRL write the OS performs).
 func (k *Kernel) SetSSBD(on bool) {

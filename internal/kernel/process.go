@@ -59,23 +59,6 @@ func (p *Process) MapData(va, size uint64) {
 	p.mapRange(va, size, mem.PermRW, nil)
 }
 
-// MapDataFrames maps data pages onto chosen frames.
-func (p *Process) MapDataFrames(va, size uint64, pfns []uint64) error {
-	pages := int((size + mem.PageSize - 1) / mem.PageSize)
-	if pages > len(pfns) {
-		return fmt.Errorf("kernel: need %d frames, got %d", pages, len(pfns))
-	}
-	for i := 0; i < pages; i++ {
-		if !p.kernel.phys.Allocated(pfns[i]) {
-			if err := p.kernel.phys.AllocFrameAt(pfns[i]); err != nil {
-				return err
-			}
-		}
-		p.AS.Map(va+uint64(i)*mem.PageSize, pfns[i], mem.PermRW)
-	}
-	return nil
-}
-
 func (p *Process) mapRange(va, size uint64, perm mem.Perm, pfns []uint64) {
 	end := va + size
 	for a := va &^ uint64(mem.PageMask); a < end; a += mem.PageSize {

@@ -133,9 +133,6 @@ func (p *Physical) AllocFrameAt(pfn uint64) error {
 	return nil
 }
 
-// FreeFrame releases a frame.
-func (p *Physical) FreeFrame(pfn uint64) { delete(p.frames, pfn) }
-
 // Allocated reports whether a frame exists.
 func (p *Physical) Allocated(pfn uint64) bool { return p.frames[pfn] != nil }
 

@@ -48,7 +48,6 @@ type traceEvent struct {
 type Recorder struct {
 	mu     sync.Mutex
 	events []traceEvent
-	seq    []int // emission order, for a stable sort tiebreak
 }
 
 // NewRecorder returns an empty recorder.
@@ -63,7 +62,6 @@ func (r *Recorder) Len() int {
 
 func (r *Recorder) push(te traceEvent) {
 	r.mu.Lock()
-	r.seq = append(r.seq, len(r.events))
 	r.events = append(r.events, te)
 	r.mu.Unlock()
 }
@@ -230,6 +228,7 @@ func (r *Recorder) Perfetto() ([]byte, error) {
 	copy(evs, r.events)
 	r.mu.Unlock()
 
+	// Stable: events at one timestamp keep their emission order.
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 
 	meta := func(pid, tid int, kind, name string) traceEvent {

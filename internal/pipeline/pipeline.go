@@ -377,10 +377,6 @@ func (c *Core) FlushTLBs() {
 	c.itlb.Flush()
 }
 
-// SetTimerQuantum adjusts RDPRU resolution at run time (secure-timer
-// mitigation / browser profile).
-func (c *Core) SetTimerQuantum(q int64) { c.cfg.TimerQuantum = q }
-
 // Run executes from entry until HALT, SYSCALL, a fault, or maxInsts retired
 // instructions (0 means a default safety cap). The register file is read
 // from and written back to regs.

@@ -1,6 +1,9 @@
 package predict
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestIntelMDUSaturationTraining(t *testing.T) {
 	m := NewIntelMDU()
@@ -135,6 +138,14 @@ func TestCharacterizationTable(t *testing.T) {
 	}
 	if rows[2].Design != "amd-psfp-ssbp" {
 		t.Error("AMD row missing")
+	}
+	if !strings.Contains(rows[2].Selection, "12-bit hash") {
+		t.Errorf("AMD selection %q, want the 12-bit IPA hash", rows[2].Selection)
+	}
+	for i, bits := range []string{"4 bit", "1 bit", "6 bit (C3) + 2 bit (C4)"} {
+		if rows[i].StateMachineBits != bits {
+			t.Errorf("%s state machine %q, want %q", rows[i].Design, rows[i].StateMachineBits, bits)
+		}
 	}
 	// The named designs must match the implementations' Name().
 	if rows[0].Design != NewIntelMDU().Name() || rows[1].Design != NewARMMDU().Name() {

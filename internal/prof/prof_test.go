@@ -243,32 +243,6 @@ func TestTopOrderAndText(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	a, b := New(), New()
-	a.HandleEvent(inst(0x400000, isa.LOAD, 0, 0, 10, 5, 0, 10))
-	b.HandleEvent(inst(0x400000, isa.LOAD, 0, 0, 30, 25, 0, 30))
-	b.HandleEvent(inst(0x400008, isa.STORE, 0, 0, 3, 0, 0, 3))
-	a.HandleEvent(obs.SquashEvent{Kind: obs.SquashBypass, PC: 0x400000, Start: 0, Verify: 5, Penalty: 200, Insts: 1})
-
-	d := Diff(a.Snapshot(), b.Snapshot())
-	if len(d.Samples) != 2 {
-		t.Fatalf("diff samples = %+v", d.Samples)
-	}
-	if d.Samples[0].PC != 0x400000 || d.Samples[0].SQStall != 20 || d.Samples[0].Count != 0 {
-		t.Errorf("changed site delta = %+v", d.Samples[0])
-	}
-	if d.Samples[1].PC != 0x400008 || d.Samples[1].Count != 1 {
-		t.Errorf("new site delta = %+v", d.Samples[1])
-	}
-	if len(d.Squashes) != 1 || d.Squashes[0].Count != -1 || d.Squashes[0].Penalty != -200 {
-		t.Errorf("removed squash delta = %+v", d.Squashes)
-	}
-
-	if self := Diff(a.Snapshot(), a.Snapshot()); len(self.Samples) != 0 || len(self.Squashes) != 0 {
-		t.Errorf("self-diff not empty: %+v", self)
-	}
-}
-
 // TestPprofRoundTrip writes a snapshot as pprof protobuf and parses it back,
 // checking names, the value schema, and byte determinism.
 func TestPprofRoundTrip(t *testing.T) {

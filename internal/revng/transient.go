@@ -36,12 +36,6 @@ type TransientExecResult struct {
 	PSFPForwardCached bool // probe line of the wrongly forwarded value cached
 }
 
-// Demonstrated reports whether both Fig 8 windows left their traces.
-func (r TransientExecResult) Demonstrated() bool {
-	return r.SSBPLeadingG && r.SSBPArchCorrect && r.SSBPStaleCached &&
-		r.SSBPArchCached && r.PSFPTypeD && r.PSFPForwardCached
-}
-
 func (r TransientExecResult) String() string {
 	return fmt.Sprintf("Section IV-C — transient execution windows: SSBP stale-value trace %v (G=%v, arch ok %v, replay cached %v); PSFP forwarded-value trace %v (D=%v)",
 		r.SSBPStaleCached, r.SSBPLeadingG, r.SSBPArchCorrect, r.SSBPArchCached,
@@ -153,13 +147,6 @@ type TransientUpdateResult struct {
 	FaultWindowCached bool // the dependent load's line was cached
 	// Memory-speculation window: an stld inside a type-G rollback window.
 	MemWindowTransient bool // the inner stld was seen transiently
-}
-
-// Demonstrated reports whether all three Fig 9 windows behaved as in the
-// paper.
-func (r TransientUpdateResult) Demonstrated() bool {
-	return r.BranchWindowSquashed && r.BranchWindowTrained &&
-		r.FaultWindowCached && r.MemWindowTransient
 }
 
 func (r TransientUpdateResult) String() string {

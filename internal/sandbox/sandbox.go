@@ -88,11 +88,6 @@ func (e *Env) WriteHeap(idx uint64, v uint64) {
 	e.Proc.Write64(heapVA+(idx&(e.HeapSize-8)), v)
 }
 
-// ReadHeap loads a 64-bit heap value.
-func (e *Env) ReadHeap(idx uint64) uint64 {
-	return e.Proc.Read64(heapVA + (idx & (e.HeapSize - 8)))
-}
-
 // HeapBase returns the heap's virtual base — scripts never see it; gadget
 // builders use it to reason about planted pointers.
 func (e *Env) HeapBase() uint64 { return heapVA }

@@ -133,11 +133,7 @@ func (c *Cache) Analyze(code []byte, opts Options) Result {
 		cache:  c,
 		blocks: make(map[int]*blockNode),
 	}
-	fp := summary.Fingerprint{
-		Window:       opts.Window,
-		MaxStates:    opts.MaxStates,
-		StraightLine: opts.StraightLine,
-	}
+	fp := summary.Fingerprint{Window: opts.Window, MaxStates: opts.MaxStates}
 
 	var res Result
 	var keyer summary.Keyer
@@ -154,7 +150,7 @@ func (c *Cache) Analyze(code []byte, opts Options) Result {
 		}
 		c.stats.Sources++
 
-		cl := summary.CloseOver(code, opts.Base, off, opts.Window, opts.StraightLine)
+		cl := summary.CloseOver(code, opts.Base, off, opts.Window)
 		key := keyer.SourceKey(code, off, byte(kind), fp, cl)
 		if ent, ok := c.lookupSource(key); ok {
 			c.stats.SourceHits++
@@ -205,7 +201,7 @@ func programKey(code []byte, opts Options) string {
 	h := sha256.New()
 	var buf [64]byte
 	b := buf[:0]
-	b = append(b, "zenspec/speccheck/program/v1"...)
+	b = append(b, "zenspec/speccheck/program/v2"...)
 	for _, v := range []uint64{
 		uint64(opts.Window), uint64(opts.MaxStates), uint64(opts.Stride), opts.Base,
 	} {
@@ -217,7 +213,7 @@ func programKey(code []byte, opts Options) string {
 		}
 		return 0
 	}
-	b = append(b, flag(opts.STL), flag(opts.CTL), flag(opts.StraightLine))
+	b = append(b, flag(opts.STL), flag(opts.CTL))
 	h.Write(b)
 	h.Write(code)
 	return string(h.Sum(nil))
@@ -325,12 +321,12 @@ func (e *engine) blockFor(off int) *blockNode {
 // of st, recording it on first use.
 func (e *engine) blockSummary(off int, st *summary.State, required int) *summary.BlockSummary {
 	bn := e.blockFor(off)
-	ek := summary.EntryKey(st, required, e.opts.StraightLine)
+	ek := summary.EntryKey(st, required)
 	if s, ok := bn.sums[ek]; ok {
 		e.cache.stats.BlockHits++
 		return s
 	}
-	s := summary.Record(bn.insts, st, required, e.opts.StraightLine)
+	s := summary.Record(bn.insts, st, required)
 	bn.sums[ek] = s
 	e.cache.stats.BlockMisses++
 	return s

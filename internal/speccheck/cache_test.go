@@ -209,7 +209,7 @@ func TestCacheOptionsIsolation(t *testing.T) {
 	for _, opts := range []speccheck.Options{
 		{},
 		{Window: 16},
-		{STL: true, StraightLine: true},
+		{STL: true},
 		{CTL: true},
 		{MaxStates: 32},
 	} {

@@ -96,17 +96,12 @@ func (e *engine) explore(kind Kind, src int) bool {
 
 		in := e.g.InstAt(n.off)
 		st := &n.st
-		switch summary.Step(in, st, n.off, required, e.opts.StraightLine) {
+		switch summary.Step(in, st, n.off, required) {
 		case summary.End:
 			continue
 		case summary.Report:
 			e.report(kind, src, st.Chain, n.off)
 			continue
-		case summary.Redirect:
-			if e.opts.StraightLine {
-				continue // legacy semantics: any redirect ends the window
-			}
-		case summary.Continue:
 		}
 		for _, succ := range e.g.SuccOffs(n.off) {
 			push(succ, n.steps+1, st)

@@ -8,14 +8,13 @@ import (
 )
 
 // equivOptions is the matrix of analysis modes the equivalence properties run
-// under: both kinds, each alone, byte-exact sliding, the legacy straight-line
-// semantics, and tight window/budget bounds that force truncation paths.
+// under: both kinds, each alone, byte-exact sliding, and tight window/budget
+// bounds that force truncation paths.
 var equivOptions = []speccheck.Options{
 	{},
 	{STL: true},
 	{CTL: true},
 	{Stride: 1},
-	{StraightLine: true},
 	{Window: 12},
 	{MaxStates: 24},
 	{Stride: 3, Window: 20, MaxStates: 100},

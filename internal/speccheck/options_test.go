@@ -26,29 +26,19 @@ func norm(mut func(*speccheck.Options)) speccheck.Options {
 }
 
 // TestOptionsNormalized tables every kind-selection combination plus the
-// clamping rules, pinning down in particular the former footgun where
-// StraightLine with CTL-only silently analyzed nothing.
+// clamping rules.
 func TestOptionsNormalized(t *testing.T) {
-	stlOnly := func(o *speccheck.Options) { o.STL, o.CTL = true, false }
 	cases := []struct {
 		name string
 		in   speccheck.Options
 		want speccheck.Options
 	}{
 		{"zero selects everything", speccheck.Options{}, norm(nil)},
-		{"stl only", speccheck.Options{STL: true}, norm(stlOnly)},
+		{"stl only", speccheck.Options{STL: true},
+			norm(func(o *speccheck.Options) { o.CTL = false })},
 		{"ctl only", speccheck.Options{CTL: true},
 			norm(func(o *speccheck.Options) { o.STL = false })},
 		{"both explicit", speccheck.Options{STL: true, CTL: true}, norm(nil)},
-		{"straightline defaults to stl", speccheck.Options{StraightLine: true},
-			norm(func(o *speccheck.Options) { stlOnly(o); o.StraightLine = true })},
-		{"straightline stl", speccheck.Options{StraightLine: true, STL: true},
-			norm(func(o *speccheck.Options) { stlOnly(o); o.StraightLine = true })},
-		{"straightline ctl-only falls back to stl",
-			speccheck.Options{StraightLine: true, CTL: true},
-			norm(func(o *speccheck.Options) { stlOnly(o); o.StraightLine = true })},
-		{"straightline both", speccheck.Options{StraightLine: true, STL: true, CTL: true},
-			norm(func(o *speccheck.Options) { stlOnly(o); o.StraightLine = true })},
 		{"negative knobs clamp to defaults",
 			speccheck.Options{Window: -1, Stride: -3, MaxStates: -7}, norm(nil)},
 		{"explicit knobs survive",
@@ -61,20 +51,6 @@ func TestOptionsNormalized(t *testing.T) {
 				t.Errorf("Normalized(%+v) = %+v, want %+v", tc.in, got, tc.want)
 			}
 		})
-	}
-}
-
-// TestStraightLineCTLFallsBackToSTL checks the fallback behaviorally: the
-// combination used to scan nothing at all.
-func TestStraightLineCTLFallsBackToSTL(t *testing.T) {
-	code := listing2STL()
-	got := speccheck.Analyze(code, speccheck.Options{StraightLine: true, CTL: true})
-	if len(got) == 0 {
-		t.Fatal("StraightLine+CTL-only scanned nothing; want the STL fallback to find the gadget")
-	}
-	want := speccheck.Analyze(code, speccheck.Options{StraightLine: true, STL: true})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("fallback findings = %v, want the straight-line STL findings %v", got, want)
 	}
 }
 

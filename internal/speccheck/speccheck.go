@@ -2,10 +2,9 @@
 // micro-ISA machine code, paired with a dynamic validator that replays its
 // findings through the cycle-level pipeline simulator.
 //
-// The analyzer generalizes the straight-line taint walk of internal/gadget
-// into a dataflow analysis over a control-flow graph, run under an
-// always-mispredict speculative semantics in the style of the compositional
-// speculative-leak detectors in the literature:
+// The analyzer is a dataflow analysis over a control-flow graph, run under
+// an always-mispredict speculative semantics in the style of the
+// compositional speculative-leak detectors in the literature:
 //
 //   - every store is assumed bypassable: a younger load may transiently read
 //     the stale memory value (Spectre-STL via an SSBP/PSFP misprediction);
@@ -35,10 +34,8 @@ import (
 	"zenspec/internal/isa"
 )
 
-// DefaultWindow is the default transient-window reach in instructions, the
-// ROB distance the gadget scanner has always assumed (48, the Zen 3 store
-// queue depth). internal/gadget aliases this constant so the two analyzers
-// cannot drift.
+// DefaultWindow is the default transient-window reach in instructions: 48,
+// the Zen 3 store queue depth.
 const DefaultWindow = 48
 
 // Kind classifies the speculation primitive a finding relies on.
@@ -141,11 +138,6 @@ type Options struct {
 	// the paper's code-sliding placement where a gadget may live on any of
 	// the eight instruction grids.
 	Stride int
-	// StraightLine reproduces the legacy internal/gadget semantics: the
-	// walk is linear from the source, any control flow ends the window, and
-	// taint does not propagate through memory. internal/gadget.Scan runs
-	// the engine in this mode.
-	StraightLine bool
 	// MaxStates bounds the abstract states explored per source before the
 	// walk gives up (termination backstop for branchy code). 0 means 16384.
 	MaxStates int
@@ -165,10 +157,6 @@ const defaultMaxStates = 16384
 //     state budget would silently scan nothing.
 //   - STL and CTL both false selects both kinds (the zero Options value
 //     analyzes everything).
-//   - StraightLine forces STL-only: a straight-line walk has no branch
-//     windows, so CTL is meaningless there. In particular StraightLine with
-//     CTL-only falls back to scanning STL rather than silently analyzing
-//     nothing — the footgun the previous defaulting logic had.
 //
 // Analyze and Cache.Analyze both normalize first; callers only need this to
 // inspect what an Options value will actually do.
@@ -184,9 +172,6 @@ func (o Options) Normalized() Options {
 	}
 	if !o.STL && !o.CTL {
 		o.STL, o.CTL = true, true
-	}
-	if o.StraightLine {
-		o.STL, o.CTL = true, false
 	}
 	return o
 }

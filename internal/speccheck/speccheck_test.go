@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"zenspec/internal/asm"
-	"zenspec/internal/gadget"
 	"zenspec/internal/isa"
 	"zenspec/internal/speccheck"
 )
@@ -31,29 +30,77 @@ func listing2STL() []byte {
 	return b.MustAssemble(0)
 }
 
+// storeTransmitter ends the Listing 2 chain in a store whose address
+// derives from ld2: a tainted-address store transmits like a load.
+func storeTransmitter() []byte {
+	b := asm.NewBuilder()
+	b.Store(isa.RCX, 0, isa.RAX) // store
+	b.Load(isa.RDX, isa.R14, 0)  // ld1
+	b.Load(isa.R8, isa.RDX, 0)   // ld2
+	b.Store(isa.R8, 0, isa.RAX)  // transmit
+	b.Halt()
+	return b.MustAssemble(0)
+}
+
+// stlVictim rebuilds the victim shape internal/attack's Spectre-STL uses: a
+// store address behind a ten-deep imul chain, then the Listing 2 chain.
+func stlVictim() []byte {
+	b := asm.NewBuilder()
+	b.Movi(isa.R15, 0x4000000)
+	b.Load(isa.RCX, isa.R15, 0)
+	for i := 0; i < 10; i++ {
+		b.Imul(isa.RCX, isa.RCX, isa.R12)
+	}
+	b.Shli(isa.RCX, isa.RCX, 12)
+	b.Movi(isa.R13, 0x3000000)
+	b.Add(isa.RCX, isa.RCX, isa.R13)
+	b.Store(isa.RCX, 0, isa.RDI) // +120 store
+	b.Load(isa.RDX, isa.R13, 0)  // +128 ld1
+	b.Movi(isa.R14, 0x2000000)
+	b.Add(isa.RBX, isa.RDX, isa.R14)
+	b.Load(isa.R8, isa.RBX, 0) // +152 ld2
+	b.Andi(isa.R8, isa.R8, 0xff)
+	b.Shli(isa.R9, isa.R8, 12)
+	b.Add(isa.R9, isa.R9, isa.R13)
+	b.Load(isa.R10, isa.R9, 0) // +184 transmit
+	b.Halt()
+	return b.MustAssemble(0)
+}
+
+// TestAnalyzeFindsListing2STL: each STL shape yields exactly one finding,
+// with the store → ld1 → ld2 → transmitter witness chain.
 func TestAnalyzeFindsListing2STL(t *testing.T) {
-	findings := speccheck.Analyze(listing2STL(), speccheck.Options{})
-	var stl []speccheck.Finding
-	for _, f := range findings {
-		if f.Kind == speccheck.KindSTL {
-			stl = append(stl, f)
-		}
-	}
-	if len(stl) != 1 {
-		t.Fatalf("stl findings = %v, want exactly 1", stl)
-	}
-	f := stl[0]
-	wantChain := []int{4 * isa.InstBytes, 5 * isa.InstBytes, 7 * isa.InstBytes, 11 * isa.InstBytes}
-	if !reflect.DeepEqual(f.Chain(), wantChain) {
-		t.Errorf("witness chain = %#v, want %#v", f.Chain(), wantChain)
-	}
-	if f.Depth != 2 {
-		t.Errorf("depth = %d, want 2", f.Depth)
+	for _, tc := range []struct {
+		name  string
+		code  []byte
+		chain []int
+	}{
+		{"listing2", listing2STL(), []int{32, 40, 56, 88}},
+		{"store transmitter", storeTransmitter(), []int{0, 8, 16, 24}},
+		{"attack victim", stlVictim(), []int{120, 128, 152, 184}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stl []speccheck.Finding
+			for _, f := range speccheck.Analyze(tc.code, speccheck.Options{}) {
+				if f.Kind == speccheck.KindSTL {
+					stl = append(stl, f)
+				}
+			}
+			if len(stl) != 1 {
+				t.Fatalf("stl findings = %v, want exactly 1", stl)
+			}
+			if got := stl[0].Chain(); !reflect.DeepEqual(got, tc.chain) {
+				t.Errorf("witness chain = %#v, want %#v", got, tc.chain)
+			}
+			if stl[0].Depth != 2 {
+				t.Errorf("depth = %d, want 2", stl[0].Depth)
+			}
+		})
 	}
 }
 
 // branchySTL interposes a conditional branch between ld1 and ld2; the
-// straight-line scanner gives up at the branch, the CFG analyzer must not.
+// analyzer must follow the branch to find ld2.
 func branchySTL() []byte {
 	b := asm.NewBuilder()
 	b.Store(isa.RCX, 0, isa.RAX) // +0  store
@@ -70,11 +117,7 @@ func branchySTL() []byte {
 }
 
 func TestAnalyzeSTLAcrossBranch(t *testing.T) {
-	code := branchySTL()
-	if got := gadget.Scan(code, gadget.Options{}); len(got) != 0 {
-		t.Fatalf("straight-line scanner unexpectedly found %v", got)
-	}
-	findings := speccheck.Analyze(code, speccheck.Options{STL: true})
+	findings := speccheck.Analyze(branchySTL(), speccheck.Options{STL: true})
 	if len(findings) == 0 {
 		t.Fatal("CFG analyzer missed the STL gadget behind a branch")
 	}
@@ -107,13 +150,7 @@ func ctlGadget() []byte {
 }
 
 func TestAnalyzeFindsCTL(t *testing.T) {
-	code := ctlGadget()
-	// The legacy scanner cannot see this shape at all (no store, and it
-	// stops at branches).
-	if got := gadget.Scan(code, gadget.Options{}); len(got) != 0 {
-		t.Fatalf("straight-line scanner unexpectedly found %v", got)
-	}
-	findings := speccheck.Analyze(code, speccheck.Options{CTL: true})
+	findings := speccheck.Analyze(ctlGadget(), speccheck.Options{CTL: true})
 	if len(findings) != 1 {
 		t.Fatalf("findings = %v, want exactly 1", findings)
 	}
@@ -134,25 +171,19 @@ func TestAnalyzeFindsCTL(t *testing.T) {
 }
 
 // TestAnalyzeTaintThroughMemory: a transient value spilled to memory and
-// reloaded keeps its taint (the finite abstract store), which the legacy
-// straight-line walk loses.
+// reloaded keeps its taint (the finite abstract store), across a branch.
 func TestAnalyzeTaintThroughMemory(t *testing.T) {
 	b := asm.NewBuilder()
 	b.Store(isa.RCX, 0, isa.RAX) // +0  source store
 	b.Load(isa.RDX, isa.R14, 0)  // +8  ld1
 	b.Store(isa.R15, 8, isa.RDX) // +16 spill the tainted value
-	b.Jnz(isa.RAX, "next")       // +24 ends every legacy window
+	b.Jnz(isa.RAX, "next")       // +24
 	b.Label("next")
 	b.Load(isa.RBX, isa.R15, 8) // +32 reload: taint survives
 	b.Load(isa.R8, isa.RBX, 0)  // +40 ld2
 	b.Load(isa.R10, isa.R8, 0)  // +48 transmit
 	b.Halt()
-	code := b.MustAssemble(0)
-
-	if got := gadget.Scan(code, gadget.Options{}); len(got) != 0 {
-		t.Fatalf("straight-line scanner should lose taint at the spill, found %v", got)
-	}
-	findings := speccheck.Analyze(code, speccheck.Options{STL: true})
+	findings := speccheck.Analyze(b.MustAssemble(0), speccheck.Options{STL: true})
 	if len(findings) == 0 {
 		t.Fatal("taint did not survive the spill/reload round trip")
 	}
@@ -269,12 +300,5 @@ func TestFindingJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f, got) {
 		t.Errorf("round trip %+v -> %s -> %+v", f, raw, got)
-	}
-}
-
-func TestDefaultWindowSharedWithGadget(t *testing.T) {
-	if gadget.DefaultWindow != speccheck.DefaultWindow {
-		t.Errorf("gadget.DefaultWindow = %d, speccheck.DefaultWindow = %d",
-			gadget.DefaultWindow, speccheck.DefaultWindow)
 	}
 }

@@ -16,9 +16,8 @@ type EndKind uint8
 
 // Block end kinds.
 const (
-	// EndDead: the path died inside the block (terminal, fence, a reported
-	// transmitter, or a straight-line walk hitting a branch). Nothing is
-	// pushed after the steps are applied.
+	// EndDead: the path died inside the block (terminal, fence or a
+	// reported transmitter). Nothing is pushed after the steps are applied.
 	EndDead EndKind = iota
 	// EndEdge: the walk survived the whole block; the driver continues at
 	// the control-flow successors of the block's last instruction (a
@@ -84,7 +83,7 @@ func HashBlock(code []byte, off, n int) [sha256.Size]byte {
 // Only the entry's register taints, abstract store and chain *length* matter
 // (captured by EntryKey); the concrete chain offsets never influence the
 // walk.
-func Record(insts []isa.Inst, entry *State, required int, straightLine bool) *BlockSummary {
+func Record(insts []isa.Inst, entry *State, required int) *BlockSummary {
 	st := State{Reg: entry.Reg}
 	st.Chain = make([]int, len(entry.Chain))
 	st.Mem = append([]Cell(nil), entry.Mem...)
@@ -93,19 +92,13 @@ func Record(insts []isa.Inst, entry *State, required int, straightLine bool) *Bl
 	for i, in := range insts {
 		rec := StepRec{KeySuffix: st.KeySuffix()}
 		before := len(st.Chain)
-		out := Step(in, &st, i*isa.InstBytes, required, straightLine)
+		out := Step(in, &st, i*isa.InstBytes, required)
 		rec.Append = len(st.Chain) > before
 		rec.Report = out == Report
 		s.Steps = append(s.Steps, rec)
 		switch out {
 		case End, Report:
 			s.End = EndDead
-		case Redirect:
-			if straightLine {
-				// Straight-line mode has no branch windows: the path dies
-				// at the branch instead of following its successors.
-				s.End = EndDead
-			}
 		case Continue:
 			continue
 		}

@@ -14,9 +14,8 @@ import (
 // Base is absent because the dependency closure records branch targets
 // relative to the source — a uniformly rebased program keys identically.
 type Fingerprint struct {
-	Window       int
-	MaxStates    int
-	StraightLine bool
+	Window    int
+	MaxStates int
 }
 
 // InvalidTarget marks a branch whose target the engine cannot resolve (it
@@ -83,7 +82,7 @@ func targetOff(codeLen int, base uint64, in isa.Inst) (int, bool) {
 // over-approximates the engine's reachable set — a superset is sound (it
 // only hashes more bytes); a subset would let a stale cache entry survive an
 // edit that changes the analysis.
-func CloseOver(code []byte, base uint64, src, window int, straightLine bool) Closure {
+func CloseOver(code []byte, base uint64, src, window int) Closure {
 	var c Closure
 	// seen doubles as the worklist: starts are appended once and swept in
 	// order (bounded by maxStarts, so the linear membership scan stays cheap
@@ -111,15 +110,13 @@ func CloseOver(code []byte, base uint64, src, window int, straightLine bool) Clo
 				dep := BranchDep{Rel: off - src, Target: InvalidTarget}
 				if t, ok := targetOff(len(code), base, in); ok {
 					dep.Target = int64(t - src)
-					if !straightLine && !saw(t) {
+					if !saw(t) {
 						seen = append(seen, t)
 					}
 				}
 				c.Branches = append(c.Branches, dep)
-				if in.Op == isa.JMP || straightLine {
-					// An unconditional redirect has no fall-through; a
-					// straight-line walk dies at any branch.
-					break
+				if in.Op == isa.JMP {
+					break // an unconditional redirect has no fall-through
 				}
 			}
 		}
@@ -170,14 +167,9 @@ func (kr *Keyer) SourceKey(code []byte, src int, kind byte, fp Fingerprint, c Cl
 	// writes into a digest dominated the warm-path profile.
 	buf := kr.buf[:0]
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	buf = append(buf, "zenspec/speccheck/source/v1"...)
+	buf = append(buf, "zenspec/speccheck/source/v2"...)
 	u64(uint64(fp.Window))
 	u64(uint64(fp.MaxStates))
-	sl := uint64(0)
-	if fp.StraightLine {
-		sl = 1
-	}
-	u64(sl)
 	u64(uint64(kind))
 	fb := uint64(0)
 	if c.Fallback {

@@ -35,7 +35,7 @@ func TestSourceKeyLocality(t *testing.T) {
 		isa.Inst{Op: isa.ADD, Dst: isa.RBX, Src1: isa.RBX},  // +32: past the halt
 	)
 	const src = 8
-	cl := summary.CloseOver(code, 0, src, fp.Window, false)
+	cl := summary.CloseOver(code, 0, src, fp.Window)
 	if cl.Fallback {
 		t.Fatal("tiny program degraded to fallback")
 	}
@@ -44,14 +44,14 @@ func TestSourceKeyLocality(t *testing.T) {
 	outside := append([]byte(nil), code...)
 	copy(outside[:isa.InstBytes], inst(isa.Inst{Op: isa.NOP}))
 	copy(outside[32:], inst(isa.Inst{Op: isa.NOP}))
-	clO := summary.CloseOver(outside, 0, src, fp.Window, false)
+	clO := summary.CloseOver(outside, 0, src, fp.Window)
 	if got := summary.SourceKey(outside, src, 0, fp, clO); got != key {
 		t.Error("edit outside the closure changed the key")
 	}
 
 	inside := append([]byte(nil), code...)
 	copy(inside[16:], inst(isa.Inst{Op: isa.NOP}))
-	clI := summary.CloseOver(inside, 0, src, fp.Window, false)
+	clI := summary.CloseOver(inside, 0, src, fp.Window)
 	if got := summary.SourceKey(inside, src, 0, fp, clI); got == key {
 		t.Error("edit inside the closure did not change the key")
 	}
@@ -74,7 +74,7 @@ func TestSourceKeyRelocatable(t *testing.T) {
 		return append(pad, body...)
 	}
 	k1 := func(code []byte, src int) string {
-		return summary.SourceKey(code, src, 0, fp, summary.CloseOver(code, 0, src, fp.Window, false))
+		return summary.SourceKey(code, src, 0, fp, summary.CloseOver(code, 0, src, fp.Window))
 	}
 	a := build(0, 1)
 	b := build(40, 1)
@@ -101,27 +101,11 @@ func TestCloseOverFallback(t *testing.T) {
 		ins = append(ins, isa.Inst{Op: isa.ADD, Dst: isa.RBX, Src1: isa.RBX})
 	}
 	code := prog(ins...)
-	cl := summary.CloseOver(code, 0, 0, 200, false)
+	cl := summary.CloseOver(code, 0, 0, 200)
 	if !cl.Fallback {
 		t.Fatal("fan-out past the budget did not trigger the fallback")
 	}
 	if len(cl.Ranges) != 1 || cl.Ranges[0].Rel != 0 || cl.Ranges[0].Insts != 2*n {
 		t.Errorf("fallback ranges = %+v", cl.Ranges)
-	}
-}
-
-// TestCloseOverStraightLine: straight-line closures stop at the first branch
-// and never follow targets.
-func TestCloseOverStraightLine(t *testing.T) {
-	code := prog(
-		isa.Inst{Op: isa.STORE, Src1: isa.RCX},
-		isa.Inst{Op: isa.JNZ, Src1: isa.RAX, Imm: 4 * isa.InstBytes},
-		isa.Inst{Op: isa.LOAD, Dst: isa.RDX, Src1: isa.R14},
-		isa.Inst{Op: isa.HALT},
-		isa.Inst{Op: isa.ADD, Dst: isa.RBX, Src1: isa.RBX},
-	)
-	cl := summary.CloseOver(code, 0, 0, 48, true)
-	if len(cl.Ranges) != 1 || cl.Ranges[0].Insts != 2 {
-		t.Errorf("straight-line closure = %+v, want the run up to the branch", cl)
 	}
 }

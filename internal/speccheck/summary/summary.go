@@ -89,14 +89,14 @@ func (s *State) PutCell(base isa.Reg, imm int32, taint uint8) {
 }
 
 // CellAt returns the recorded taint of the value reachable through
-// [base+imm], if any.
-func (s *State) CellAt(base isa.Reg, imm int32) (uint8, bool) {
+// [base+imm]; a location with no recorded store is clean (0).
+func (s *State) CellAt(base isa.Reg, imm int32) uint8 {
 	for _, c := range s.Mem {
 		if c.Base == base && c.Imm == imm {
-			return c.Taint, true
+			return c.Taint
 		}
 	}
-	return 0, false
+	return 0
 }
 
 // KeySuffix builds the position-independent tail of the visited-set key:
@@ -136,17 +136,13 @@ func PatchKey(off int, suffix []byte) string {
 }
 
 // EntryKey is the content-addressed entry abstraction a block summary is
-// keyed by: the source kind's required chain depth, the scan mode, and the
-// full entry state up to chain history. Unlike the visited key, the abstract
-// store keeps its insertion order — eviction in PutCell is order-sensitive,
-// so two entries whose cells differ only in order must not share a summary.
-func EntryKey(s *State, required int, straightLine bool) string {
-	buf := make([]byte, 0, 3+1+isa.NumRegs+len(s.Mem)*6)
-	sl := byte(0)
-	if straightLine {
-		sl = 1
-	}
-	buf = append(buf, byte(required), sl, byte(len(s.Chain)))
+// keyed by: the source kind's required chain depth and the full entry state
+// up to chain history. Unlike the visited key, the abstract store keeps its
+// insertion order — eviction in PutCell is order-sensitive, so two entries
+// whose cells differ only in order must not share a summary.
+func EntryKey(s *State, required int) string {
+	buf := make([]byte, 0, 2+isa.NumRegs+len(s.Mem)*6)
+	buf = append(buf, byte(required), byte(len(s.Chain)))
 	buf = append(buf, s.Reg[:]...)
 	for _, c := range s.Mem {
 		buf = append(buf, byte(c.Base), byte(c.Imm), byte(c.Imm>>8), byte(c.Imm>>16), byte(c.Imm>>24), c.Taint)

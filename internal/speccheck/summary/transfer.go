@@ -16,9 +16,8 @@ const (
 	// caller must emit a finding with the state's chain and this offset,
 	// and the path ends (the transmitter is the end of the witness).
 	Report
-	// Redirect: a branch; the caller pushes the control-flow successors
-	// (or ends the path in straight-line mode, which has no branch
-	// windows). The state is never modified by a Redirect.
+	// Redirect: a branch; the caller pushes the control-flow successors.
+	// The state is never modified by a Redirect.
 	Redirect
 )
 
@@ -32,7 +31,7 @@ const (
 // is what makes recorded summaries relocatable. required is the dependent
 // chain depth a transmitter needs (2 for STL, the Listing 2/3 chain; 1 for
 // CTL, the V1 shape).
-func Step(in isa.Inst, st *State, off, required int, straightLine bool) Outcome {
+func Step(in isa.Inst, st *State, off, required int) Outcome {
 	depth := len(st.Chain)
 	switch {
 	case in.Op == isa.BAD, in.Op == isa.HALT, in.Op == isa.SYSCALL:
@@ -65,13 +64,7 @@ func Step(in isa.Inst, st *State, off, required int, straightLine bool) Outcome 
 			// An unrelated load: its destination carries whatever the
 			// abstract store says was last written there (taint survives
 			// a spill/reload round trip), otherwise it is clean.
-			lvl := uint8(0)
-			if !straightLine {
-				if t, ok := st.CellAt(in.Src1, in.Imm); ok {
-					lvl = t
-				}
-			}
-			st.SetReg(in.Dst, lvl)
+			st.SetReg(in.Dst, st.CellAt(in.Src1, in.Imm))
 		}
 		return Continue
 
@@ -81,13 +74,11 @@ func Step(in isa.Inst, st *State, off, required int, straightLine bool) Outcome 
 			// moves the secret into a cache-visible location.
 			return Report
 		}
-		if !straightLine {
-			st.PutCell(in.Src1, in.Imm, st.Reg[in.Src2])
-		}
+		st.PutCell(in.Src1, in.Imm, st.Reg[in.Src2])
 		return Continue
 
 	case in.Op == isa.CLFLUSH:
-		if !straightLine && int(st.Reg[in.Src1]) >= required && depth >= required {
+		if int(st.Reg[in.Src1]) >= required && depth >= required {
 			// Flushing a secret-indexed line is a transmitter too
 			// (flush-based channels observe the displacement).
 			return Report

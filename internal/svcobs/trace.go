@@ -112,12 +112,6 @@ func (t *TraceLog) End(trace, actor, track, name string, args map[string]any) {
 		Phase: "E", StartUS: NowUS(), Args: args})
 }
 
-// Instant records a point event.
-func (t *TraceLog) Instant(trace, actor, track, name string, args map[string]any) {
-	t.Add(Span{Trace: trace, Actor: actor, Track: track, Name: name,
-		Phase: "i", StartUS: NowUS(), Args: args})
-}
-
 // Drop discards a trace (called when its job is archived).
 func (t *TraceLog) Drop(trace string) {
 	if t == nil {

@@ -113,6 +113,38 @@ go run ./cmd/experiments -quick -only spectre-stl -metrics -profile \
 go tool pprof -top -nodecount=5 "$prof_pb" > /dev/null
 test -s "$prof_flame"
 
+echo "== single-program CLI smoke (zrun -profile, speccheck, -transition-table) =="
+# The Listing 2 chain with its addresses mapped: over three runs it halts
+# cleanly and squashes once, on the first run's store bypass; its profile
+# exports open in go tool pprof. speccheck finds the same chain statically
+# and gates with exit 1.
+cli_tmp=$(mktemp -d)
+trap 'rm -f "$suite_json" "$fault_json" "$trace_json" "$prof_pb" "$prof_flame"; rm -rf "$cli_tmp"' EXIT
+go build -o "$cli_tmp/" ./cmd/zrun ./cmd/speccheck ./cmd/experiments
+printf 'store [rcx], rax\nload rdx, [r14]\nadd rbx, rdx, r11\nload r8, [rbx]\nadd r9, r8, r11\nload r10, [r9]\nhalt\n' \
+    > "$cli_tmp/prog.s"
+"$cli_tmp/zrun" -file "$cli_tmp/prog.s" -regs "rcx=0x10000,r14=0x10008,r11=0x10000" \
+    -profile -runs 3 -pprof "$cli_tmp/prog.pb.gz" -flame "$cli_tmp/prog.folded" \
+    > "$cli_tmp/zrun.out"
+squashes=$(grep -c '×' "$cli_tmp/zrun.out") || true
+if ! grep -q '^run 3 of 3: stop: halt ' "$cli_tmp/zrun.out" || [ "$squashes" -ne 1 ] ||
+    ! grep -q '^ *1× stl-bypass ' "$cli_tmp/zrun.out"; then
+    echo "zrun -profile: want three clean runs and one stl-bypass squash:" >&2
+    cat "$cli_tmp/zrun.out" >&2
+    exit 1
+fi
+go tool pprof -top "$cli_tmp/prog.pb.gz" > /dev/null
+test -s "$cli_tmp/prog.folded"
+code=0
+"$cli_tmp/speccheck" -asm "$cli_tmp/prog.s" > "$cli_tmp/speccheck.out" || code=$?
+if [ "$code" -ne 1 ] || ! grep -q 'stl: store@+0x0' "$cli_tmp/speccheck.out"; then
+    echo "speccheck: want exit 1 and the stl chain from +0x0, got exit $code:" >&2
+    cat "$cli_tmp/speccheck.out" >&2
+    exit 1
+fi
+"$cli_tmp/experiments" -transition-table > "$cli_tmp/table1.txt"
+test -s "$cli_tmp/table1.txt"
+
 echo "== zenspecd service smoke (submit, byte-identical report, drain) =="
 # Start the daemon (race-instrumented) on a random port, submit a quick
 # subset through the cmd/experiments client, and require the fetched
@@ -126,7 +158,7 @@ cleanup_svc() {
     [ -n "$svc_pid" ] && kill "$svc_pid" 2>/dev/null || true
     [ -n "$wrk_a_pid" ] && kill -9 "$wrk_a_pid" 2>/dev/null || true
     [ -n "$wrk_b_pid" ] && kill "$wrk_b_pid" 2>/dev/null || true
-    rm -rf "$svc_tmp"
+    rm -rf "$svc_tmp" "$cli_tmp"
     rm -f "$suite_json" "$fault_json" "$trace_json" "$prof_pb" "$prof_flame"
 }
 trap cleanup_svc EXIT

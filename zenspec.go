@@ -10,9 +10,10 @@
 // its browser variant, SSBP process fingerprinting), and the defense
 // evaluation (SSBD, PSFD, and the Section VI-B mitigation sketches).
 //
-// The package is the public facade: experiment and attack entry points take
-// a Config (platform preset plus mitigation knobs) and return self-printing
-// result structs, one per table or figure in the paper. Lower-level access —
+// The package is the public facade. RunExperiments reproduces every table
+// and figure through the experiment registry; the attack entry points and a
+// few experiment ones take a Config (platform preset plus mitigation knobs)
+// and return self-printing result structs. Lower-level access —
 // building programs, placing store-load pairs at chosen instruction physical
 // addresses, peeking at predictor counters — is available through Machine
 // and Lab.
@@ -26,7 +27,6 @@ import (
 	"zenspec/internal/asm"
 	"zenspec/internal/attack"
 	"zenspec/internal/fault"
-	"zenspec/internal/gadget"
 	"zenspec/internal/harness"
 	"zenspec/internal/harness/suite"
 	"zenspec/internal/kernel"
@@ -37,7 +37,6 @@ import (
 	"zenspec/internal/revng"
 	"zenspec/internal/sandbox"
 	"zenspec/internal/service"
-	"zenspec/internal/speccheck"
 	"zenspec/internal/workload"
 )
 
@@ -100,10 +99,10 @@ type Config struct {
 	TimerJitter  int64
 	// Seed makes every randomized structure reproducible.
 	Seed int64
-	// Faults is the deterministic fault-injection plan (see DefaultFaultPlan
-	// and ParseFaultPlan): timer noise, predictor pollution, cache-line
-	// eviction noise and injected trial failures. The zero plan injects
-	// nothing; a faulted run is still byte-reproducible at any parallelism.
+	// Faults is the deterministic fault-injection plan (see ParseFaultPlan):
+	// timer noise, predictor pollution, cache-line eviction noise and
+	// injected trial failures. The zero plan injects nothing; a faulted run
+	// is still byte-reproducible at any parallelism.
 	Faults FaultPlan
 	// Parallelism bounds the experiment harness's worker pool; 0 means
 	// GOMAXPROCS. Results are byte-identical at any value — each trial runs
@@ -172,11 +171,6 @@ func (c Config) kernelConfig() kernel.Config {
 // FaultPlan is a deterministic fault-injection regime: seeded, serializable,
 // and reproducible at any worker count. The zero value injects nothing.
 type FaultPlan = fault.Plan
-
-// DefaultFaultPlan returns the documented default fault intensity — the
-// strongest plan at which the STL and CTL attacks still recover the full
-// secret (see EXPERIMENTS.md's robustness section).
-func DefaultFaultPlan() FaultPlan { return fault.Default() }
 
 // ParseFaultPlan resolves a plan spec: "", "none" or "off" is the empty plan;
 // "mild", "default" and "harsh" are presets; a '{...}' string is an inline
@@ -300,11 +294,6 @@ func NewProfiler() *Profiler { return prof.New() }
 // ObserverOptions or Config.ObserverClasses.
 func ProfilerClasses() []EventClass { return prof.Classes() }
 
-// DiffProfiles returns b − a per profile site: the signed cycle-attribution
-// delta of two snapshots, e.g. a mitigated run against a vulnerable
-// baseline. Sites identical in both snapshots are dropped.
-func DiffProfiles(a, b *ProfileSnapshot) *ProfileSnapshot { return prof.Diff(a, b) }
-
 // Telemetry serves a live view of a running suite over HTTP: Prometheus-text
 // /metrics, JSON /progress, the current simulated-machine profile at
 // /profile (pprof protobuf) and /profile.txt, and the host's own
@@ -358,77 +347,6 @@ func Assemble(src string, base uint64) ([]byte, error) {
 // Disassemble renders machine code as text, one instruction per line.
 func Disassemble(code []byte, base uint64) []string { return asm.Disassemble(code, base) }
 
-// GadgetCandidate is one potential speculative store-bypass gadget found by
-// ScanGadgets.
-type GadgetCandidate = gadget.Candidate
-
-// ScanGadgets statically scans machine code for the store→load→dependent
-// load→transmitter shape the paper's attacks need (Listings 2 and 3).
-func ScanGadgets(code []byte) []GadgetCandidate {
-	return gadget.Scan(code, gadget.Options{})
-}
-
-// SpecFinding is one speculative-leak candidate (Spectre-STL or -CTL) found
-// by the CFG-based analyzer, with its instruction-offset witness chain.
-type SpecFinding = speccheck.Finding
-
-// SpecCheckOptions tunes SpecCheck (window, stride, kind selection).
-type SpecCheckOptions = speccheck.Options
-
-// SpecValidation is the simulator verdict on one static finding.
-type SpecValidation = speccheck.Validation
-
-// SpecReport aggregates validations with a precision summary.
-type SpecReport = speccheck.Report
-
-// SpecCheck runs the CFG-based always-mispredict taint analysis over machine
-// code: every conditional branch forks a bounded transient window, every
-// store is assumed bypassable, and taint flows through registers and a finite
-// abstract store. It subsumes ScanGadgets (which is its straight-line mode)
-// and additionally reports Spectre-CTL shapes and gadgets reached across
-// branches or through memory.
-func SpecCheck(code []byte, opts SpecCheckOptions) []SpecFinding {
-	return speccheck.Analyze(code, opts)
-}
-
-// SpecResult is a full analysis outcome: findings plus the count of sources
-// whose exploration was truncated by the MaxStates budget (nonzero means the
-// findings may be incomplete for branch-dense code).
-type SpecResult = speccheck.Result
-
-// SpecCheckAll is SpecCheck plus the truncation count.
-func SpecCheckAll(code []byte, opts SpecCheckOptions) SpecResult {
-	return speccheck.AnalyzeAll(code, opts)
-}
-
-// SpecCache is an incremental analyzer cache: analyses through it return
-// byte-identical results to SpecCheckAll but skip every speculation source
-// whose content-hashed dependency closure was analyzed before — across
-// re-scans, edits, and relocations of shared gadget bytes.
-type SpecCache = speccheck.Cache
-
-// SpecCacheStats counts a SpecCache's hits, misses and explored states.
-type SpecCacheStats = speccheck.CacheStats
-
-// NewSpecCache returns an in-memory incremental analyzer cache.
-func NewSpecCache() *SpecCache { return speccheck.NewCache() }
-
-// OpenSpecCache returns an incremental cache persisted under dir, so warm
-// scans survive process restarts.
-func OpenSpecCache(dir string) (*SpecCache, error) { return speccheck.OpenCache(dir) }
-
-// SpecCheckCached runs SpecCheckAll through cache (see SpecCache).
-func SpecCheckCached(cache *SpecCache, code []byte, opts SpecCheckOptions) SpecResult {
-	return cache.Analyze(code, opts)
-}
-
-// SpecValidate replays static findings through the pipeline simulator with
-// mistrained predictors and classifies each as dynamically confirmed or a
-// static over-approximation.
-func SpecValidate(code []byte, findings []SpecFinding) SpecReport {
-	return speccheck.ValidateAll(code, findings, speccheck.ValidateOptions{})
-}
-
 // NewLab boots a machine wrapped in the reverse-engineering fixture.
 func NewLab(cfg Config) *Lab { return revng.NewLab(cfg.kernelConfig()) }
 
@@ -439,19 +357,13 @@ func Seq(counts ...int) []bool { return revng.Seq(counts...) }
 // ParseSeq parses the paper's textual φ notation, e.g. "7n 1a 7n 1a".
 func ParseSeq(s string) ([]bool, error) { return revng.ParseSeq(s) }
 
-// --- Experiments: one entry point per table/figure ---
-
-// Fig2 reproduces the execution-type timing/PMC analysis.
-func Fig2(cfg Config) revng.Fig2Result { return revng.Fig2(cfg.kernelConfig()) }
+// --- Experiments called directly (RunExperiments runs them all) ---
 
 // Table1 validates the TABLE I state machine on random sequences. All
 // seeding derives from cfg.Seed through the harness's per-trial derivation.
 func Table1(cfg Config, sequences, length int) revng.Table1Result {
 	return revng.Table1(cfg.kernelConfig(), sequences, length)
 }
-
-// Table2 reproduces the counter-organization dependence matrix.
-func Table2(cfg Config) revng.Table2Result { return revng.Table2(cfg.kernelConfig()) }
 
 // Fig4 checks the stride-12 XOR property of mined colliding IPA pairs.
 func Fig4(cfg Config, targets int) revng.Fig4Result {
@@ -469,42 +381,9 @@ func Fig7(cfg Config, ssbpTrials, psfpTrials int) revng.Fig7Result {
 	return revng.Fig7(cfg.kernelConfig(), ssbpTrials, psfpTrials)
 }
 
-// Isolation runs the Section IV-A cross-domain matrix (Vulnerability 1).
-func Isolation(cfg Config) revng.IsolationResult { return revng.Isolation(cfg.kernelConfig()) }
-
-// SMTMode runs the Section III-D3 SMT-vs-single-thread eviction comparison.
-func SMTMode(cfg Config) revng.SMTModeResult { return revng.SMTMode(cfg.kernelConfig()) }
-
 // Infer recovers the Section III design constants (C0 init, C4 limit, C3
 // value, the PSF window, the PSFP capacity) from timing observations alone.
 func Infer(cfg Config) revng.InferredParams { return revng.Infer(cfg.kernelConfig()) }
-
-// AddrLeak runs the Section V-D physical-address-relation leak experiment.
-func AddrLeak(cfg Config, pages int) revng.AddrLeakResult {
-	return revng.AddrLeak(cfg.kernelConfig(), pages)
-}
-
-// TransientExec reproduces the Fig 8 transient-execution windows of both
-// mispredictions (Section IV-C, Vulnerability 3).
-func TransientExec(cfg Config) revng.TransientExecResult {
-	return revng.TransientExec(cfg.kernelConfig())
-}
-
-// TransientUpdate reproduces the Fig 9 observation that predictor updates
-// made inside transient windows survive the squash (Section IV-D,
-// Vulnerability 4).
-func TransientUpdate(cfg Config) revng.TransientUpdateResult {
-	return revng.TransientUpdate(cfg.kernelConfig())
-}
-
-// PSFPSizeAblation sweeps the PSFP capacity against the Fig 5 eviction
-// threshold (design-choice ablation).
-func PSFPSizeAblation(cfg Config, sizes []int) []revng.AblationPoint {
-	return revng.PSFPSizeAblation(cfg.kernelConfig(), sizes)
-}
-
-// MDUCharacterization returns TABLE IV (Intel/ARM/AMD designs).
-func MDUCharacterization() []predict.Characterization { return predict.CharacterizationTable() }
 
 // TransitionTable renders the implemented TABLE I state machine, generated
 // from the live Update code so it can never drift from the implementation.

@@ -55,16 +55,6 @@ func TestPlatformMatrix(t *testing.T) {
 	}
 }
 
-func TestMDUCharacterization(t *testing.T) {
-	rows := MDUCharacterization()
-	if len(rows) != 3 {
-		t.Fatalf("TABLE IV rows: %d", len(rows))
-	}
-	if !strings.Contains(rows[2].Selection, "12-bit hash") {
-		t.Error("AMD selection description")
-	}
-}
-
 // TestEndToEndThroughFacade leaks a short secret via both attacks using only
 // the public API.
 func TestEndToEndThroughFacade(t *testing.T) {
@@ -77,10 +67,29 @@ func TestEndToEndThroughFacade(t *testing.T) {
 	}
 }
 
-func TestFacadeIsolationAndOverhead(t *testing.T) {
-	if !Isolation(Config{Seed: 42}).Vulnerability1() {
-		t.Error("Vulnerability 1 not reproduced through the facade")
+// TestMDUCharacterization reads TABLE IV through the public experiment
+// registry: three designs, with AMD's counters selected by a 12-bit hash.
+func TestMDUCharacterization(t *testing.T) {
+	s, err := RunExperiments(Config{Seed: 1}, true, []string{"table4"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(s.Experiments) != 1 {
+		t.Fatalf("%d reports, want table4's 1", len(s.Experiments))
+	}
+	r := s.Experiments[0]
+	if !r.Pass {
+		t.Errorf("table4 failed its bands: %+v", r.Metrics)
+	}
+	if rows := strings.Count(r.Detail, "state machine:"); rows != 3 {
+		t.Fatalf("TABLE IV rows: %d", rows)
+	}
+	if !strings.Contains(r.Detail, "12-bit hash") {
+		t.Errorf("AMD selection description missing:\n%s", r.Detail)
+	}
+}
+
+func TestFacadeSSBDOverhead(t *testing.T) {
 	rows := SSBDOverhead(Config{Seed: 1}).Rows
 	if len(rows) != 10 {
 		t.Errorf("Fig 12 rows: %d", len(rows))
@@ -118,23 +127,6 @@ func TestFacadeInfer(t *testing.T) {
 	}
 }
 
-func TestFacadeSMTAndAblation(t *testing.T) {
-	if res := SMTMode(Config{Seed: 42}); !res.Duplicated() {
-		t.Error("SMT duplication not reproduced through the facade")
-	}
-	points := PSFPSizeAblation(Config{Seed: 42}, []int{8, 12})
-	if len(points) != 2 || points[1].Threshold != 12 {
-		t.Errorf("ablation points %+v", points)
-	}
-}
-
-func TestFacadeAddrLeak(t *testing.T) {
-	res := AddrLeak(Config{Seed: 42}, 3)
-	if res.Pages > 0 && res.Recovered != res.Pages {
-		t.Errorf("addr leak %d/%d", res.Recovered, res.Pages)
-	}
-}
-
 func TestFacadeInPlaceSTL(t *testing.T) {
 	res := SpectreSTLInPlace(Config{Seed: 5}, []byte("ab"))
 	if res.Accuracy != 1 {
@@ -152,12 +144,6 @@ func TestFacadeExperimentWrappers(t *testing.T) {
 		t.Skip("full wrapper sweep")
 	}
 	cfg := Config{Seed: 42}
-	if res := Fig2(cfg); res.TimingAgree < 0.99 {
-		t.Errorf("Fig2 agreement %.3f", res.TimingAgree)
-	}
-	if res := Table2(cfg); len(res.Rows) != 5 {
-		t.Errorf("Table2 rows %d", len(res.Rows))
-	}
 	if res := Fig4(cfg, 2); res.StrideXORok != res.Pairs {
 		t.Errorf("Fig4 %d/%d", res.StrideXORok, res.Pairs)
 	}
