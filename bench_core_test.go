@@ -289,8 +289,8 @@ func BenchmarkObsEmitDisabled(b *testing.B) {
 	}
 }
 
-// TestEmitNoObserverAllocFree pins the zero-alloc invariant for the
-// no-observer emit path at both guard levels: a nil bus (unobserved machine)
+// TestEmitNoObserverAllocFree pins the zero-alloc invariant for the emit
+// path without observers at both guard levels: a nil bus (unobserved machine)
 // and a live bus whose subscribers don't want the class. Staging events in
 // the bus's buffer, as the pipeline does, and delivering them in batches must
 // not allocate either: they are never boxed.

@@ -14,9 +14,10 @@
 // The daemon's whole lifecycle is observable: every job carries a trace ID
 // from submit to archive, /v1/jobs/{id}/trace serves the stitched Perfetto
 // trace of a run (remote worker spans included), /metrics exposes the
-// zenspec_service_* counter and histogram registry, and structured logs go
-// to stderr with job/shard/lease/worker/attempt fields (-log-format=json
-// for machine-parseable lines).
+// zenspec_service_* gauges, counters and histograms, /debug/pprof/ profiles
+// the daemon process itself, and structured logs go to stderr with
+// job/shard/lease/worker/attempt fields (-log-format=json for
+// machine-parseable lines).
 //
 // See the README's "Service" section and EXPERIMENTS.md for the API and a
 // kill-and-resume walkthrough.
@@ -52,7 +53,6 @@ func run() int {
 	drain := flag.Duration("drain", 10*time.Minute, "graceful-shutdown budget for in-flight shards before they are cancelled")
 	logFormat := flag.String("log-format", svcobs.FormatText, "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-	noObs := flag.Bool("no-obs", false, "disable tracing and service metrics (logging stays on; reports are byte-identical either way)")
 	flag.Parse()
 
 	lg, err := svcobs.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -60,18 +60,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "zenspecd:", err)
 		return 2
 	}
-	var hub *svcobs.Hub
-	if !*noObs {
-		hub = svcobs.New(lg)
-	}
 
 	w := *workers
 	if w < 0 {
 		w = runtime.GOMAXPROCS(0)
-	}
-	kj := *keepJobs
-	if kj < 0 {
-		kj = -1
 	}
 	d, err := service.Open(service.Config{
 		Dir:          *dir,
@@ -82,8 +74,8 @@ func run() int {
 		Backoff:      *backoff,
 		MaxBackoff:   *maxBackoff,
 		SegmentBytes: *segBytes,
-		KeepJobs:     kj,
-		Obs:          hub,
+		KeepJobs:     *keepJobs,
+		Obs:          svcobs.New(lg),
 	})
 	if err != nil {
 		lg.Error("open failed", "dir", *dir, "err", err)

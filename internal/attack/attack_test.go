@@ -63,6 +63,10 @@ func TestSpectreCTL(t *testing.T) {
 	if res.Accuracy < 0.95 {
 		t.Fatalf("accuracy %.3f (leaked %x want %x)", res.Accuracy, res.Leaked, res.Secret)
 	}
+	// Every leaked byte costs at least one victim invocation.
+	if res.VictimCalls < len(secret) {
+		t.Fatalf("%d victim calls for %d secret bytes", res.VictimCalls, len(secret))
+	}
 }
 
 // TestSpectreCTLKernelVictim: the same attack works against a kernel-domain

@@ -302,6 +302,7 @@ func (a *ctlAttack) callVictim(guess uint64, ptr uint64) {
 // first-load index (idx2); idx != idx2 makes the pair non-aliasing, which
 // drains a trained C3 one step per call (a stall of type F).
 func (a *ctlAttack) callVictim2(idx, idx2 uint64, ptr uint64) {
+	a.res.VictimCalls++
 	v := a.victim
 	v.Write64(ctlIdxVA, idx)
 	v.Write64(ctlArray2VA+idx2*8, ptr)

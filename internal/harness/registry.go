@@ -37,7 +37,7 @@ type Ctx struct {
 	// ID about to run, and once after the last with done == total. It feeds
 	// live telemetry; leave nil when nothing is watching.
 	Progress func(done, total int, id string)
-	// TrialProgress, when non-nil, is called by ResilientTrials after every
+	// TrialProgress, when non-nil, is called by ResilientTrialRange after every
 	// finished trial with the completed count and the trial total of the
 	// current loop. Completion order is scheduling-dependent, so the hook is
 	// observational only (per-shard progress streaming, worker lease

@@ -114,33 +114,28 @@ func AttemptSeed(seed int64, id string, trial, attempt int) int64 {
 	return TrialSeed(TrialSeed(seed, id, trial)+int64(attempt), id+"#retry", attempt)
 }
 
-// ResilientTrials runs fn over trials 0..n-1 like Trials, adding per-trial
-// panic isolation, an optional per-attempt deadline with cooperative
-// cancellation, bounded retries with attempt-indexed seeds, and the ctx
-// fault plan's injected trial faults. A trial that exhausts its attempts
-// contributes its zero value and is counted in the stats instead of killing
-// the suite.
+// ResilientTrialRange runs fn over the trials [lo, hi) like Trials, adding
+// per-trial panic isolation, an optional per-attempt deadline with
+// cooperative cancellation, bounded retries with attempt-indexed seeds, and
+// the ctx fault plan's injected trial faults. A trial that exhausts its
+// attempts contributes its zero value and is counted in the stats instead of
+// killing the suite.
 //
 // fn receives a per-attempt context whose Config carries the attempt's
 // cancellation hook (machines booted from actx.Config stop simulating when
 // the attempt overruns pol.Deadline) and the attempt's derived seed; fn must
 // boot machines from actx.Config and base all randomness on seed. Under that
-// contract the results and stats are identical at any worker count. When
-// ctx.TrialProgress is non-nil it is called after every finished trial with
-// the completed count; completion order is scheduling-dependent, so the hook
-// is observational only (live progress streaming, lease heartbeats) and
-// must be safe for concurrent calls.
-func ResilientTrials[T any](ctx Ctx, id string, pol TrialPolicy, n int, fn func(actx Ctx, trial, attempt int, seed int64) (T, error)) ([]T, TrialStats) {
-	return ResilientTrialRange(ctx, id, pol, 0, n, fn)
-}
-
-// ResilientTrialRange is ResilientTrials over the trial subrange [lo, hi):
-// the unit the service's trial-range shards execute. Trial t of the range is
-// trial t of the full loop — same attempt seeds, same injected faults — so
-// concatenating the value slices of a partition of [0, n) and folding the
-// per-range stats in range order (TrialStats.Merge) reproduces exactly what
-// one ResilientTrials call over [0, n) returns. ctx.TrialProgress reports
-// progress against the range's own size.
+// contract the results and stats are identical at any worker count.
+//
+// Trial t of the range is trial t of the full loop — same attempt seeds,
+// same injected faults — so concatenating the value slices of a partition of
+// [0, n) and folding the per-range stats in range order (TrialStats.Merge)
+// reproduces exactly what one call over [0, n) returns; the service's
+// trial-range shards are such a partition. When ctx.TrialProgress is non-nil
+// it is called after every finished trial with the completed count against
+// the range's own size; completion order is scheduling-dependent, so the hook
+// is observational only (live progress streaming, lease heartbeats) and must
+// be safe for concurrent calls.
 func ResilientTrialRange[T any](ctx Ctx, id string, pol TrialPolicy, lo, hi int, fn func(actx Ctx, trial, attempt int, seed int64) (T, error)) ([]T, TrialStats) {
 	plan := ctx.Config.Faults
 	// Trial-level injections have no machine (and so no bus) to report on;

@@ -47,7 +47,7 @@ func resilientRun(workers int) ([]int, TrialStats) {
 		TrialPanicRate: 0.1,
 	}}}
 	pol := TrialPolicy{Retries: 3}
-	return ResilientTrials(ctx, "acct", pol, 40, func(_ Ctx, trial, attempt int, seed int64) (int, error) {
+	return ResilientTrialRange(ctx, "acct", pol, 0, 40, func(_ Ctx, trial, attempt int, seed int64) (int, error) {
 		if trial%7 == 0 && attempt == 0 {
 			return 0, fmt.Errorf("flaky trial %d", trial)
 		}
@@ -104,7 +104,7 @@ func TestResilientTrialsDeterministicAcrossWorkers(t *testing.T) {
 
 func TestResilientTrialsCleanPlanIsPlainTrials(t *testing.T) {
 	ctx := Ctx{Config: kernel.Config{Seed: 3, Parallelism: 1}}
-	vals, stats := ResilientTrials(ctx, "clean", TrialPolicy{Retries: 2}, 10,
+	vals, stats := ResilientTrialRange(ctx, "clean", TrialPolicy{Retries: 2}, 0, 10,
 		func(_ Ctx, trial, attempt int, seed int64) (int64, error) { return seed, nil })
 	if stats.Degraded() || stats.Attempts != 10 {
 		t.Fatalf("clean run degraded: %+v", stats)
@@ -119,7 +119,7 @@ func TestResilientTrialsCleanPlanIsPlainTrials(t *testing.T) {
 func TestResilientTrialsDeadline(t *testing.T) {
 	ctx := Ctx{Config: kernel.Config{Seed: 1, Parallelism: 1}}
 	pol := TrialPolicy{Deadline: 5 * time.Millisecond}
-	_, stats := ResilientTrials(ctx, "slow", pol, 2, func(_ Ctx, trial, attempt int, seed int64) (int, error) {
+	_, stats := ResilientTrialRange(ctx, "slow", pol, 0, 2, func(_ Ctx, trial, attempt int, seed int64) (int, error) {
 		if trial == 1 {
 			time.Sleep(300 * time.Millisecond)
 		}
@@ -142,7 +142,7 @@ func TestDeadlineCancelsSimulation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx := Ctx{Config: kernel.Config{Seed: 1, Parallelism: 1}}
 	pol := TrialPolicy{Deadline: 30 * time.Millisecond}
-	_, stats := ResilientTrials(ctx, "runaway", pol, 1,
+	_, stats := ResilientTrialRange(ctx, "runaway", pol, 0, 1,
 		func(actx Ctx, trial, attempt int, seed int64) (int, error) {
 			// An infinite simulated loop: nothing but the cancel flag (booted
 			// into the machine through actx.Config) can end this run.

@@ -19,7 +19,10 @@ import (
 //
 // The margin is 10% plus a small absolute slack so scheduler noise on a
 // sub-second total cannot flake the test; a real regression (cheap trial
-// loops paying goroutine dispatch again) is far larger.
+// loops paying goroutine dispatch again) is far larger. The two sides are
+// timed alternately (serial, 8 workers, 8 workers, serial) and each side's
+// faster run is compared, so one burst of load from a neighbouring process
+// slows one run of a side, not the verdict; a real regression slows both.
 func TestParallelNeverRegressesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -37,7 +40,8 @@ func TestParallelNeverRegressesSerial(t *testing.T) {
 	}
 	run(1) // warm build caches and pools so neither timed run pays them
 	serial := run(1)
-	parallel := run(8)
+	parallel := min(run(8), run(8))
+	serial = min(serial, run(1))
 	limit := serial + serial/10 + 250*time.Millisecond
 	if parallel > limit {
 		t.Errorf("quick suite at 8 workers took %v, serial %v: parallel regresses serial by more than 10%%",

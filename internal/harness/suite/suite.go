@@ -780,8 +780,8 @@ func build() *harness.Registry {
 		},
 	})
 
-	// fault-harness exercises ResilientTrials itself, so its RangeSpec rides
-	// directly on ResilientTrialRange: each shard carries its range's values
+	// fault-harness exercises the resilient trial loop itself, so its RangeSpec
+	// rides directly on ResilientTrialRange: each shard carries its range's values
 	// and TrialStats, and Merge folds the stats in range order — the same
 	// fold one loop over [0, n) performs.
 	type faultHarnessFrag struct {

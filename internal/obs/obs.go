@@ -2,7 +2,11 @@
 // threaded through the pipeline, the predictors, the cache hierarchy, the OS
 // model, the side channels and the fault injector, plus the consumers built
 // on top of it — a metrics registry (monotonic counters and histograms) and a
-// Chrome trace-event / Perfetto exporter.
+// Chrome trace-event / Perfetto exporter. It also owns the repo's two
+// observability formats, which the service plane (internal/svcobs) and the
+// suite telemetry (internal/prof) render through too: the Chrome
+// trace-event encoder (EncodeTrace) and the Prometheus text writer
+// (WritePromFamily and its siblings).
 //
 // The design constraint is zero cost when disabled and zero feedback when
 // enabled. Every emit site is guarded by Bus.On, which is a branch on a nil

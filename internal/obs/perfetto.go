@@ -26,9 +26,11 @@ const (
 	tidProbe = 2
 )
 
-// traceEvent is one Chrome trace-event object (the JSON Perfetto ingests).
+// TraceEvent is one Chrome trace-event object (the JSON Perfetto ingests),
+// the one shape both the simulator's Recorder and the service's trace log
+// export.
 // https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-type traceEvent struct {
+type TraceEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	TS    int64          `json:"ts"`
@@ -47,7 +49,7 @@ type traceEvent struct {
 // that when -trace is given.
 type Recorder struct {
 	mu     sync.Mutex
-	events []traceEvent
+	events []TraceEvent
 }
 
 // NewRecorder returns an empty recorder.
@@ -60,7 +62,7 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-func (r *Recorder) push(te traceEvent) {
+func (r *Recorder) push(te TraceEvent) {
 	r.mu.Lock()
 	r.events = append(r.events, te)
 	r.mu.Unlock()
@@ -79,7 +81,7 @@ func (r *Recorder) pushInst(e *InstEvent) {
 	if e.Transient {
 		cat = "transient"
 	}
-	r.push(traceEvent{
+	r.push(TraceEvent{
 		Name: e.Inst.Op.String(), Phase: "X", TS: e.RetiredBy, Dur: 1,
 		PID: pidCores, TID: e.CPU, Cat: cat,
 		Args: map[string]any{
@@ -99,7 +101,7 @@ func (r *Recorder) HandleEvent(e Event) {
 		if dur < 1 {
 			dur = 1
 		}
-		r.push(traceEvent{
+		r.push(TraceEvent{
 			Name: "squash:" + ev.Kind.String(), Phase: "X",
 			TS: ev.Start, Dur: dur,
 			PID: pidCores, TID: ev.CPU, Cat: "squash",
@@ -205,8 +207,8 @@ func (r *Recorder) HandleEvent(e Event) {
 	}
 }
 
-func (r *Recorder) instant(name string, ts int64, pid, tid int, cat string, args map[string]any) traceEvent {
-	return traceEvent{
+func (r *Recorder) instant(name string, ts int64, pid, tid int, cat string, args map[string]any) TraceEvent {
+	return TraceEvent{
 		Name: name, Phase: "i", TS: ts, PID: pid, TID: tid,
 		Scope: "t", Cat: cat, Args: args,
 	}
@@ -218,56 +220,62 @@ func counterStr(c Counters) string {
 	return fmt.Sprintf("%d%d%d%d%d", c.C0, c.C1, c.C2, c.C3, c.C4)
 }
 
-// Perfetto renders the recorded events as Chrome trace-event JSON, loadable in
-// ui.perfetto.dev or chrome://tracing. Events are stably sorted by timestamp
-// (emission order breaks ties), with "M" metadata records naming the tracks.
-// Timestamps are microseconds to the viewer; here 1 µs == 1 simulated cycle.
-func (r *Recorder) Perfetto() ([]byte, error) {
-	r.mu.Lock()
-	evs := make([]traceEvent, len(r.events))
-	copy(evs, r.events)
-	r.mu.Unlock()
+// TraceMeta returns the "M" metadata record that names a track: kind
+// "process_name" names process pid, "thread_name" names thread tid within it.
+func TraceMeta(pid, tid int, kind, name string) TraceEvent {
+	return TraceEvent{Name: kind, Phase: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}}
+}
 
-	// Stable: events at one timestamp keep their emission order.
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-
-	meta := func(pid, tid int, kind, name string) traceEvent {
-		return traceEvent{
-			Name: kind, Phase: "M", PID: pid, TID: tid,
-			Args: map[string]any{"name": name},
+// EncodeTrace renders events as Chrome trace-event JSON, loadable in
+// ui.perfetto.dev or chrome://tracing. The "M" metadata records go first in
+// their given order; the other events follow, stably sorted by timestamp so
+// events at one timestamp keep their given order. unit is the viewer's
+// displayTimeUnit ("ns" or "ms"). evs is sorted in place.
+func EncodeTrace(evs []TraceEvent, unit string) ([]byte, error) {
+	sort.SliceStable(evs, func(i, j int) bool {
+		mi, mj := evs[i].Phase == "M", evs[j].Phase == "M"
+		if mi || mj {
+			return mi && !mj
 		}
+		return evs[i].TS < evs[j].TS
+	})
+	return json.MarshalIndent(struct {
+		TraceEvents []TraceEvent `json:"traceEvents"`
+		DisplayUnit string       `json:"displayTimeUnit"`
+	}{evs, unit}, "", " ")
+}
+
+// Perfetto renders the recorded events as Chrome trace-event JSON with "M"
+// records naming the simulator's tracks. Timestamps are microseconds to the
+// viewer; here 1 µs == 1 simulated cycle.
+func (r *Recorder) Perfetto() ([]byte, error) {
+	out := []TraceEvent{
+		TraceMeta(pidCores, 0, "process_name", "hw-threads"),
+		TraceMeta(pidPredictors, 0, "process_name", "predictors"),
+		TraceMeta(pidPredictors, tidPSFP, "thread_name", "PSFP"),
+		TraceMeta(pidPredictors, tidSSBP, "thread_name", "SSBP"),
+		TraceMeta(pidCache, 0, "process_name", "cache"),
+		TraceMeta(pidCache, tidCache, "thread_name", "hierarchy"),
+		TraceMeta(pidCache, tidProbe, "thread_name", "flush+reload"),
+		TraceMeta(pidKernel, 0, "process_name", "kernel"),
+		TraceMeta(pidKernel, tidOS, "thread_name", "scheduler"),
+		TraceMeta(pidKernel, tidFault, "thread_name", "fault-injector"),
 	}
-	out := []traceEvent{
-		meta(pidCores, 0, "process_name", "hw-threads"),
-		meta(pidPredictors, 0, "process_name", "predictors"),
-		meta(pidPredictors, tidPSFP, "thread_name", "PSFP"),
-		meta(pidPredictors, tidSSBP, "thread_name", "SSBP"),
-		meta(pidCache, 0, "process_name", "cache"),
-		meta(pidCache, tidCache, "thread_name", "hierarchy"),
-		meta(pidCache, tidProbe, "thread_name", "flush+reload"),
-		meta(pidKernel, 0, "process_name", "kernel"),
-		meta(pidKernel, tidOS, "thread_name", "scheduler"),
-		meta(pidKernel, tidFault, "thread_name", "fault-injector"),
-	}
+	r.mu.Lock()
+	evs := append([]TraceEvent(nil), r.events...)
+	r.mu.Unlock()
 	// Name each hardware-thread track that actually appears.
 	seen := map[int]bool{}
+	var tids []int
 	for _, e := range evs {
 		if e.PID == pidCores && !seen[e.TID] {
 			seen[e.TID] = true
+			tids = append(tids, e.TID)
 		}
-	}
-	tids := make([]int, 0, len(seen))
-	for tid := range seen {
-		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
 	for _, tid := range tids {
-		out = append(out, meta(pidCores, tid, "thread_name", fmt.Sprintf("cpu%d", tid)))
+		out = append(out, TraceMeta(pidCores, tid, "thread_name", fmt.Sprintf("cpu%d", tid)))
 	}
-	out = append(out, evs...)
-
-	return json.MarshalIndent(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-		DisplayUnit string       `json:"displayTimeUnit"`
-	}{out, "ns"}, "", " ")
+	return EncodeTrace(append(out, evs...), "ns")
 }

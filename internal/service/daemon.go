@@ -14,8 +14,8 @@ import (
 	"zenspec/internal/fault"
 	"zenspec/internal/harness"
 	"zenspec/internal/kernel"
+	"zenspec/internal/obs"
 	"zenspec/internal/pipeline"
-	"zenspec/internal/prof"
 	"zenspec/internal/svcobs"
 )
 
@@ -61,9 +61,9 @@ type Config struct {
 	KeepJobs int
 	// Obs is the service observability hub: job-lifecycle traces, the
 	// zenspec_service_* metrics on /metrics, and the daemon's structured log.
-	// Nil disables all three (every emission site is nil-safe). Observability
-	// is strictly off the report path: job StableJSON is byte-identical with
-	// Obs set or nil.
+	// Nil means svcobs.New(nil), a hub that logs nowhere. Observability is
+	// strictly off the report path: a job's StableJSON is the bytes a direct
+	// run of its spec produces.
 	Obs *svcobs.Hub
 }
 
@@ -123,9 +123,8 @@ type Meta struct {
 type Daemon struct {
 	cfg Config
 	reg *harness.Registry
-	tel *prof.Telemetry
-	obs *svcobs.Hub  // nil when observability is off; all uses are nil-safe
-	log *slog.Logger // never nil (discard logger when obs is off)
+	obs *svcobs.Hub
+	log *slog.Logger
 	// epoch is this daemon incarnation's token prefix: a token minted before a
 	// crash can never collide with a successor's, so a worker completing
 	// against a restarted daemon gets ErrLeaseNotFound, not silent corruption.
@@ -176,10 +175,12 @@ func Open(cfg Config) (*Daemon, error) {
 	for _, rec := range recs {
 		tab.apply(rec)
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = svcobs.New(nil)
+	}
 	d := &Daemon{
 		cfg:    cfg,
 		reg:    cfg.Registry,
-		tel:    prof.NewTelemetry(),
 		obs:    cfg.Obs,
 		log:    cfg.Obs.Logger(),
 		epoch:  time.Now().UnixNano(),
@@ -191,43 +192,9 @@ func Open(cfg Config) (*Daemon, error) {
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.initObs()
-	d.tel.RegisterGauge("service_queue_depth", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		n := 0
-		for _, id := range d.tab.order {
-			j := d.tab.jobs[id]
-			if !j.active() {
-				continue
-			}
-			for _, s := range j.shards {
-				if s.state == ShardPending {
-					n++
-				}
-			}
-		}
-		return float64(n)
-	})
-	d.tel.RegisterGauge("service_leases_active", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return float64(len(d.leases))
-	})
-	d.tel.RegisterGauge("service_jobs_active", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		n := 0
-		for _, j := range d.tab.jobs {
-			if j.active() {
-				n++
-			}
-		}
-		return float64(n)
-	})
 	d.mu.Lock()
 	d.gcLocked()
 	d.mu.Unlock()
-	d.publishProgress()
 	d.monitor.Add(1)
 	go d.monitorLoop()
 	for i := 0; i < cfg.Workers; i++ {
@@ -249,11 +216,12 @@ func Open(cfg Config) (*Daemon, error) {
 }
 
 // initObs wires the observability plane: metric descriptions and volatility
-// marks, the zenspec_service_* collector on the telemetry /metrics endpoint,
-// and the journal's timing hooks. Every emission is nil-safe, so a daemon
-// opened without Config.Obs pays one nil check per event and nothing else.
+// marks, the queue gauges, and the journal's timing hooks.
 func (d *Daemon) initObs() {
 	m := d.obs.Metrics()
+	m.Describe("queue_depth", "Pending shards of active jobs.")
+	m.Describe("leases_active", "Shard leases outstanding.")
+	m.Describe("jobs_active", "Jobs queued or running.")
 	m.Describe("jobs_submitted_total", "Jobs accepted by Submit.")
 	m.Describe("jobs_completed_total", "Jobs that finalized done.")
 	m.Describe("jobs_failed_total", "Jobs that finalized failed.")
@@ -281,7 +249,42 @@ func (d *Daemon) initObs() {
 	m.MarkVolatile("lease_rtt_ms", "fsync_ms", "checkpoint_ms",
 		"journal_rotations_total", "journal_checkpoints_total",
 		"readyz_draining_total", "watch_requests_total", "watch_fanout")
-	d.tel.RegisterCollector("service", m.WritePrometheus)
+	// The gauges sample under d.mu; the registry calls them with its own
+	// lock released, so they cannot deadlock against the counters the daemon
+	// bumps while holding d.mu.
+	m.Gauge("queue_depth", func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		n := 0
+		for _, id := range d.tab.order {
+			j := d.tab.jobs[id]
+			if !j.active() {
+				continue
+			}
+			for _, s := range j.shards {
+				if s.state == ShardPending {
+					n++
+				}
+			}
+		}
+		return float64(n)
+	})
+	m.Gauge("leases_active", func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return float64(len(d.leases))
+	})
+	m.Gauge("jobs_active", func() float64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		n := 0
+		for _, j := range d.tab.jobs {
+			if j.active() {
+				n++
+			}
+		}
+		return float64(n)
+	})
 
 	// Journal hooks run under d.mu (every append does); a submit record's
 	// job is not in the table yet, so prefer the record's own trace.
@@ -314,12 +317,12 @@ func (d *Daemon) spanX(trace, track, name string, start time.Time, args map[stri
 	d.obs.Traces().Span(trace, svcobs.ActorDaemon, track, name, start, time.Since(start), args)
 }
 
-// Obs returns the daemon's observability hub (nil when disabled).
+// Obs returns the daemon's observability hub.
 func (d *Daemon) Obs() *svcobs.Hub { return d.obs }
 
 // TracePerfetto renders the job's stitched daemon+worker trace as Chrome
-// trace-event JSON (GET /v1/jobs/{id}/trace). Jobs without a trace — tracing
-// disabled at submission or now, or a trace already evicted — return an error.
+// trace-event JSON (GET /v1/jobs/{id}/trace). Jobs without a trace — one
+// journaled without a trace ID, or a trace already evicted — return an error.
 func (d *Daemon) TracePerfetto(id string) ([]byte, error) {
 	d.mu.Lock()
 	j := d.tab.jobs[id]
@@ -329,15 +332,11 @@ func (d *Daemon) TracePerfetto(id string) ([]byte, error) {
 	}
 	trace := j.trace
 	d.mu.Unlock()
-	if d.obs == nil || trace == "" {
-		return nil, fmt.Errorf("service: job %q has no trace (observability disabled?)", id)
+	if trace == "" {
+		return nil, fmt.Errorf("service: job %q has no trace (journaled without one)", id)
 	}
 	return d.obs.Traces().Perfetto(trace)
 }
-
-// Telemetry returns the daemon's telemetry hub (queue gauges pre-registered)
-// for mounting on the service mux.
-func (d *Daemon) Telemetry() *prof.Telemetry { return d.tel }
 
 // Meta describes this daemon: API version, build, and the experiments its
 // registry can run.
@@ -421,10 +420,7 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	// The correlation ID is minted here and journaled with the job: it is
 	// stable across restarts, unique across daemon incarnations (the epoch),
 	// and carried in every lease so remote workers stitch into it.
-	trace := ""
-	if d.obs.Enabled() {
-		trace = fmt.Sprintf("%s.%x", id, d.epoch)
-	}
+	trace := fmt.Sprintf("%s.%x", id, d.epoch)
 	rec := record{Type: recSubmit, Job: id, Trace: trace, Spec: &spec, Defs: defs}
 	if err := d.jnl.append(rec); err != nil {
 		return "", err
@@ -436,7 +432,6 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	d.log.Info("job submitted", "job", id, "trace", trace,
 		"shards", len(defs), "experiments", len(exps), "split", spec.Split)
 	d.compactLocked()
-	d.publishProgress()
 	d.cond.Broadcast()
 	return id, nil
 }
@@ -692,14 +687,14 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 		s.notBefore = time.Now().Add(delay)
 		s.enqueuedAt = time.Now()
 		endLease("retry")
-		d.obs.Metrics().IncL("shards_retried_total", svcobs.Label("exp", s.def.Exp), 1)
+		d.obs.Metrics().IncL("shards_retried_total", obs.PromLabel("exp", s.def.Exp), 1)
 		d.obs.Traces().Span(j.trace, svcobs.ActorDaemon, s.id, "backoff",
 			time.Now(), delay, map[string]any{"attempt": s.attempt, "delay_ms": delay.Milliseconds()})
 		lg.Warn("shard overran deadline, retrying", "delay_ms", delay.Milliseconds(),
 			"retries_left", j.spec.Retries-s.attempt)
 	case overrun:
 		endLease("failed")
-		d.obs.Metrics().IncL("shards_failed_total", svcobs.Label("exp", s.def.Exp), 1)
+		d.obs.Metrics().IncL("shards_failed_total", obs.PromLabel("exp", s.def.Exp), 1)
 		lg.Error("shard failed", "error", "deadline overrun, retry budget exhausted")
 		d.resolveLocked(j, s, record{
 			Type: recShardFailed, Job: j.id, Shard: s.id,
@@ -710,12 +705,12 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 		// deregistered between submit and replay): the shard fails with the
 		// error's text, the job will finalize failed.
 		endLease("failed")
-		d.obs.Metrics().IncL("shards_failed_total", svcobs.Label("exp", s.def.Exp), 1)
+		d.obs.Metrics().IncL("shards_failed_total", obs.PromLabel("exp", s.def.Exp), 1)
 		lg.Error("shard failed", "error", errText)
 		d.resolveLocked(j, s, record{Type: recShardFailed, Job: j.id, Shard: s.id, Error: errText})
 	case p == nil:
 		endLease("failed")
-		d.obs.Metrics().IncL("shards_failed_total", svcobs.Label("exp", s.def.Exp), 1)
+		d.obs.Metrics().IncL("shards_failed_total", obs.PromLabel("exp", s.def.Exp), 1)
 		lg.Error("shard failed", "error", "shard completed without a report")
 		d.resolveLocked(j, s, record{Type: recShardFailed, Job: j.id, Shard: s.id, Error: "shard completed without a report"})
 	default:
@@ -725,13 +720,12 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 		pp := *p
 		pp.Exp, pp.Lo, pp.Hi = s.def.Exp, s.def.Lo, s.def.Hi
 		endLease("done")
-		d.obs.Metrics().IncL("shards_completed_total", svcobs.Label("exp", s.def.Exp), 1)
-		d.obs.Metrics().ObserveL("shard_wall_ms", svcobs.Label("exp", s.def.Exp), pp.WallMS)
+		d.obs.Metrics().IncL("shards_completed_total", obs.PromLabel("exp", s.def.Exp), 1)
+		d.obs.Metrics().ObserveL("shard_wall_ms", obs.PromLabel("exp", s.def.Exp), pp.WallMS)
 		lg.Info("shard done", "wall_ms", int64(pp.WallMS))
 		d.resolveLocked(j, s, record{Type: recShardDone, Job: j.id, Shard: s.id, Partial: &pp})
 	}
 	d.compactLocked()
-	d.publishProgress()
 	d.cond.Broadcast()
 	return nil
 }
@@ -856,7 +850,7 @@ func (d *Daemon) monitorLoop() {
 						s.state = ShardPending
 						s.lease = ""
 						s.enqueuedAt = now
-						d.obs.Metrics().IncL("shards_abandoned_total", svcobs.Label("exp", s.def.Exp), 1)
+						d.obs.Metrics().IncL("shards_abandoned_total", obs.PromLabel("exp", s.def.Exp), 1)
 					}
 				}
 				woke = true
@@ -877,27 +871,6 @@ func (d *Daemon) anyBackoffReady(now time.Time) bool {
 		}
 	}
 	return false
-}
-
-// publishProgress pushes aggregate shard progress to the telemetry plane.
-// Callers hold d.mu (or, in Open, exclusive access).
-func (d *Daemon) publishProgress() {
-	done, total := 0, 0
-	current := ""
-	for _, id := range d.tab.order {
-		j := d.tab.jobs[id]
-		dn, fl, tot := j.counts()
-		done += dn + fl
-		total += tot
-		if j.active() {
-			for _, sid := range j.order {
-				if j.shards[sid].state == ShardRunning && current == "" {
-					current = j.id + "/" + sid
-				}
-			}
-		}
-	}
-	d.tel.Progress(done, total, current)
 }
 
 // Ready reports whether the daemon is accepting submissions (the /v1/readyz

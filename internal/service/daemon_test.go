@@ -14,7 +14,7 @@ import (
 	"zenspec/internal/harness"
 	"zenspec/internal/isa"
 	"zenspec/internal/kernel"
-	"zenspec/internal/svcobs"
+	"zenspec/internal/obs"
 )
 
 // fakeRegistry builds a registry of trivial deterministic experiments: each
@@ -184,7 +184,7 @@ func TestReplayDeregisteredExperiment(t *testing.T) {
 // is revoked by the monitor, its zombie run is cancelled, its shard is
 // re-queued, and a completion arriving on the stale token is discarded.
 func TestLeaseExpiryRequeues(t *testing.T) {
-	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0, Lease: 30 * time.Millisecond, Obs: svcobs.New(nil)})
+	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0, Lease: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if got := d.Obs().Metrics().Counter("lease_revocations_total", ""); got != 1 {
 		t.Fatalf("lease_revocations_total = %d, want 1", got)
 	}
-	if got := d.Obs().Metrics().Counter("shards_abandoned_total", svcobs.Label("exp", "a")); got != 1 {
+	if got := d.Obs().Metrics().Counter("shards_abandoned_total", obs.PromLabel("exp", "a")); got != 1 {
 		t.Fatalf(`shards_abandoned_total{exp="a"} = %d, want 1`, got)
 	}
 	// The stale completion must be refused: the token is gone and the shard

@@ -66,8 +66,8 @@ type record struct {
 	Spec *JobSpec `json:"spec,omitempty"`
 	// Trace is the submit record's observability correlation ID: minted by
 	// the daemon at submission and journaled with the job, so a resumed job
-	// keeps its trace identity across restarts. A job submitted with
-	// observability disabled has none.
+	// keeps its trace identity across restarts. A job journaled by an older
+	// daemon run with observability off has none, and replays without one.
 	Trace string `json:"trace,omitempty"`
 	// Defs is the submit record's shard list.
 	Defs  []ShardRef `json:"defs,omitempty"`

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,7 +33,7 @@ type perfettoDoc struct {
 func TestSplitJobStitchedTrace(t *testing.T) {
 	reg := rangeRegistry(12)
 	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 0,
-		Lease: 10 * time.Second, Obs: svcobs.New(nil)})
+		Lease: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +143,10 @@ func TestSplitJobStitchedTrace(t *testing.T) {
 // drainWithWorkers runs one split job to completion on n in-process pull
 // workers and returns the daemon's stable metrics snapshot and the job's
 // StableJSON report.
-func drainWithWorkers(t *testing.T, n int, obs bool) (snapshot, report []byte) {
+func drainWithWorkers(t *testing.T, n int) (snapshot, report []byte) {
 	t.Helper()
 	reg := rangeRegistry(12)
-	cfg := Config{Dir: t.TempDir(), Registry: reg, Workers: 0, Lease: 10 * time.Second}
-	if obs {
-		cfg.Obs = svcobs.New(nil)
-	}
-	d, err := Open(cfg)
+	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 0, Lease: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +168,22 @@ func drainWithWorkers(t *testing.T, n int, obs bool) (snapshot, report []byte) {
 			w.Run(ctx)
 		}()
 	}
+	// Scrape throughout the drain, as a monitor would: the gauges take the
+	// daemon lock, under which the workers' completions update the registry.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			d.Obs().Metrics().WritePrometheus(io.Discard)
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
+	}()
 	st := waitStatus(t, d, id, JobStatus.Terminal, "metrics drain")
 	cancel()
 	wg.Wait()
@@ -190,12 +203,13 @@ func drainWithWorkers(t *testing.T, n int, obs bool) (snapshot, report []byte) {
 
 // TestStableMetricsAcrossWorkerCounts pins the volatile-vs-stable metric
 // discipline: the deterministic projection of the service metrics registry is
-// byte-identical however many workers drain the job, and the job's StableJSON
-// is byte-identical with observability on or off.
+// byte-identical however many workers drain the job, and so is the job's
+// StableJSON. (TestServerEndToEnd checks that StableJSON against a direct
+// run of the spec.)
 func TestStableMetricsAcrossWorkerCounts(t *testing.T) {
-	snap1, rep1 := drainWithWorkers(t, 1, true)
-	snap2, rep2 := drainWithWorkers(t, 2, true)
-	snap8, rep8 := drainWithWorkers(t, 8, true)
+	snap1, rep1 := drainWithWorkers(t, 1)
+	snap2, rep2 := drainWithWorkers(t, 2)
+	snap8, rep8 := drainWithWorkers(t, 8)
 	if len(snap1) == 0 {
 		t.Fatal("stable snapshot is empty")
 	}
@@ -224,10 +238,6 @@ func TestStableMetricsAcrossWorkerCounts(t *testing.T) {
 	if !bytes.Equal(rep1, rep2) || !bytes.Equal(rep1, rep8) {
 		t.Fatal("job StableJSON differs across worker counts")
 	}
-	_, repOff := drainWithWorkers(t, 2, false)
-	if !bytes.Equal(rep1, repOff) {
-		t.Fatalf("observability changed the report bytes:\n on: %s\noff: %s", rep1, repOff)
-	}
 }
 
 // TestReadyzDrainingObserved: the draining readiness response is itself an
@@ -235,7 +245,7 @@ func TestStableMetricsAcrossWorkerCounts(t *testing.T) {
 // counter and the drain is logged.
 func TestReadyzDrainingObserved(t *testing.T) {
 	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"),
-		Workers: 0, Obs: svcobs.New(nil)})
+		Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +286,7 @@ func TestReadyzDrainingObserved(t *testing.T) {
 // post-restart drain still produces a renderable span tree.
 func TestTraceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(Config{Dir: dir, Registry: fakeRegistry("a"), Workers: 0,
-		Obs: svcobs.New(nil)})
+	d, err := Open(Config{Dir: dir, Registry: fakeRegistry("a"), Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +304,7 @@ func TestTraceSurvivesRestart(t *testing.T) {
 	d.Kill() // crash before anything ran
 
 	d2, err := Open(Config{Dir: dir, Registry: fakeRegistry("a"), Workers: 1,
-		Lease: time.Second, Obs: svcobs.New(nil)})
+		Lease: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

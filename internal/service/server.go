@@ -7,14 +7,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"zenspec/internal/harness"
 )
 
-// Server is the zenspecd HTTP front end: the versioned /v1 JSON job API
-// mounted beside the daemon's telemetry plane (Prometheus /metrics with the
-// queue gauges, live /progress, /profile, host pprof).
+// Server is the zenspecd HTTP front end: the versioned /v1 JSON job API,
+// the daemon's Prometheus scrape and the host's own profiler.
 //
 //	GET  /v1/meta                         API version, build, experiment list
 //	POST /v1/jobs                         submit a JobSpec, returns {"id": "job-N"}
@@ -25,13 +25,16 @@ import (
 //	                                      ?text=1 for the terminal rendering)
 //	GET  /v1/jobs/{id}/profile            merged simulated-machine profile, pprof protobuf
 //	GET  /v1/jobs/{id}/trace              stitched daemon+worker Perfetto trace
-//	                                      (Chrome trace-event JSON; 404 without tracing)
+//	                                      (Chrome trace-event JSON; 404 for a job
+//	                                      journaled without a trace ID)
 //	POST /v1/leases                       claim a shard lease ({"worker", "wait_ms"};
 //	                                      204 when nothing is pending)
 //	POST /v1/leases/{token}/heartbeat     keep a lease alive ({"done", "total"})
 //	POST /v1/leases/{token}/complete      hand back a shard ({"partial", "error", "overrun"})
 //	GET  /v1/healthz                      liveness (200 while the process serves)
 //	GET  /v1/readyz                       readiness (503 once draining)
+//	GET  /metrics                         the zenspec_service_* registry, Prometheus text
+//	GET  /debug/pprof/                    the Go runtime's profiler, for the daemon process
 //
 // Errors come back as {"error": "...", "code": "..."} JSON bodies; Client
 // maps the code to the package's typed sentinels.
@@ -71,7 +74,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/leases", s.handleLease)
 	mux.HandleFunc("POST /v1/leases/{token}/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("POST /v1/leases/{token}/complete", s.handleComplete)
-	mux.Handle("/", s.d.Telemetry().Handler())
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		s.d.Obs().Metrics().WritePrometheus(w)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -134,7 +134,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("profile endpoint status %d, %d bytes", resp.StatusCode, len(prof))
 	}
 
-	// The queue gauges ride the telemetry plane on the same mux.
+	// One registry serves /metrics: the queue gauges beside the counters,
+	// and none of the suite telemetry's series.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -142,12 +143,33 @@ func TestServerEndToEnd(t *testing.T) {
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"zenspec_service_queue_depth",
-		"zenspec_service_leases_active",
-		"zenspec_service_jobs_active",
+		"# TYPE zenspec_service_queue_depth gauge\nzenspec_service_queue_depth 0\n",
+		"# TYPE zenspec_service_leases_active gauge\nzenspec_service_leases_active 0\n",
+		"# TYPE zenspec_service_jobs_active gauge\nzenspec_service_jobs_active 0\n",
+		"zenspec_service_jobs_submitted_total 1\n",
+		"zenspec_service_jobs_completed_total 1\n",
 	} {
 		if !strings.Contains(string(metrics), want) {
-			t.Errorf("metrics missing %q", want)
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	if strings.Contains(string(metrics), "zenspec_trials_") {
+		t.Errorf("daemon scrape carries suite progress gauges:\n%s", metrics)
+	}
+	// The host profiler rides the same mux; the suite telemetry's routes
+	// do not.
+	for path, code := range map[string]int{
+		"/debug/pprof/cmdline": http.StatusOK,
+		"/progress":            http.StatusNotFound,
+		"/profile":             http.StatusNotFound,
+	} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Errorf("GET %s status %d, want %d", path, resp.StatusCode, code)
 		}
 	}
 

@@ -123,7 +123,8 @@ type job struct {
 	id  string
 	seq int // submission order, the priority tiebreak
 	// trace is the job's observability correlation ID (journaled with the
-	// submit record; empty when the job was submitted without observability).
+	// submit record; empty for a job journaled by a daemon run with
+	// observability off).
 	trace  string
 	spec   JobSpec
 	plan   fault.Plan

@@ -1,12 +1,14 @@
 package svcobs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+
+	"zenspec/internal/obs"
 )
 
 // Prefix is the Prometheus namespace every Registry series is exported
@@ -20,12 +22,11 @@ const Prefix = "zenspec_service_"
 // journal fsync to a multi-minute shard.
 var histBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000, 300000}
 
-// hist is one cumulative histogram series.
+// hist is one histogram series.
 type hist struct {
 	count   uint64
 	sum     float64
-	max     float64
-	buckets []uint64 // len(histBounds)+1, +Inf last
+	buckets []uint64 // per bucket, len(histBounds)+1, +Inf last
 }
 
 func newHist() *hist { return &hist{buckets: make([]uint64, len(histBounds)+1)} }
@@ -33,25 +34,24 @@ func newHist() *hist { return &hist{buckets: make([]uint64, len(histBounds)+1)} 
 func (h *hist) observe(v float64) {
 	h.count++
 	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
 	i := sort.SearchFloat64s(histBounds, v)
 	h.buckets[i]++
 }
 
 // Registry is the service metrics registry: monotonic counters and
-// cumulative histograms, optionally labeled, with Prometheus text exposition.
-// All methods are safe for concurrent use and no-ops on a nil receiver.
+// cumulative histograms, optionally labeled, plus gauges sampled at scrape
+// time, with Prometheus text exposition. All methods are safe for concurrent
+// use.
 //
 // Series carrying host wall-clock values are inherently nondeterministic;
 // MarkVolatile excludes a series (its values always, its very presence and
 // count too) from StableSnapshot, the deterministic view the cross-worker
-// identity tests compare.
+// identity tests compare. Gauges sample live state and never appear there.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]map[string]uint64
 	hists    map[string]map[string]*hist
+	gauges   map[string]func() float64
 	help     map[string]string
 	volatile map[string]bool
 }
@@ -61,23 +61,14 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]map[string]uint64{},
 		hists:    map[string]map[string]*hist{},
+		gauges:   map[string]func() float64{},
 		help:     map[string]string{},
 		volatile: map[string]bool{},
 	}
 }
 
-// Label renders one label pair for the labels argument of IncL/ObserveL,
-// escaping the value per the Prometheus text format.
-func Label(key, value string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return key + `="` + r.Replace(value) + `"`
-}
-
 // Describe attaches HELP text to a metric name (shown on /metrics).
 func (r *Registry) Describe(name, help string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	r.help[name] = help
 	r.mu.Unlock()
@@ -87,9 +78,6 @@ func (r *Registry) Describe(name, help string) {
 // functions of host timing (heartbeat races, journal segment boundaries),
 // not of the job's deterministic execution.
 func (r *Registry) MarkVolatile(names ...string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	for _, n := range names {
 		r.volatile[n] = true
@@ -97,15 +85,23 @@ func (r *Registry) MarkVolatile(names ...string) {
 	r.mu.Unlock()
 }
 
+// Gauge publishes an unlabeled gauge whose value fn samples at every scrape;
+// registering a name again replaces its sampler. fn runs without the
+// registry's lock held, so it may take locks under which other goroutines
+// update this registry.
+func (r *Registry) Gauge(name string, fn func() float64) {
+	r.mu.Lock()
+	r.gauges[name] = fn
+	r.mu.Unlock()
+}
+
 // Inc adds n to the unlabeled counter series of name.
 func (r *Registry) Inc(name string, n uint64) { r.IncL(name, "", n) }
 
 // IncL adds n to the counter series of name with the given label set
-// (rendered by Label, comma-joined for multiple pairs; "" means unlabeled).
+// (rendered by obs.PromLabel, comma-joined for multiple pairs; "" means
+// unlabeled).
 func (r *Registry) IncL(name, labels string, n uint64) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	s := r.counters[name]
 	if s == nil {
@@ -121,9 +117,6 @@ func (r *Registry) Observe(name string, v float64) { r.ObserveL(name, "", v) }
 
 // ObserveL records v in the histogram series of name with the given labels.
 func (r *Registry) ObserveL(name, labels string, v float64) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	s := r.hists[name]
 	if s == nil {
@@ -139,12 +132,8 @@ func (r *Registry) ObserveL(name, labels string, v float64) {
 	r.mu.Unlock()
 }
 
-// Counter returns the counter series' current value (0 when absent, or on a
-// nil registry).
+// Counter returns the counter series' current value (0 when absent).
 func (r *Registry) Counter(name, labels string) uint64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters[name][labels]
@@ -152,9 +141,6 @@ func (r *Registry) Counter(name, labels string) uint64 {
 
 // HistCount returns the histogram series' observation count.
 func (r *Registry) HistCount(name, labels string) uint64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h := r.hists[name][labels]; h != nil {
@@ -163,93 +149,68 @@ func (r *Registry) HistCount(name, labels string) uint64 {
 	return 0
 }
 
-func series(name, labels string) string {
-	if labels == "" {
-		return name
-	}
-	return name + "{" + labels + "}"
-}
-
-func bucketSeries(name, labels, le string) string {
-	l := `le="` + le + `"`
-	if labels != "" {
-		l = labels + "," + l
-	}
-	return name + "_bucket{" + l + "}"
-}
-
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // WritePrometheus writes the registry as Prometheus text exposition, every
-// name under the zenspec_service_ prefix, sorted for a stable scrape layout.
-// It is the collector the daemon mounts on prof.Telemetry's /metrics.
+// name under the zenspec_service_ prefix and sorted for a stable scrape
+// layout: gauges, then counters, then histograms. It is what the daemon
+// serves on /metrics.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
+	gnames := sortedKeys(r.gauges)
+	gfns := make([]func() float64, len(gnames))
+	for i, n := range gnames {
+		gfns[i] = r.gauges[n]
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		full := Prefix + n
-		if h := r.help[n]; h != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", full, h)
-		}
-		fmt.Fprintf(w, "# TYPE %s counter\n", full)
-		lsets := make([]string, 0, len(r.counters[n]))
-		for l := range r.counters[n] {
-			lsets = append(lsets, l)
-		}
-		sort.Strings(lsets)
-		for _, l := range lsets {
-			fmt.Fprintf(w, "%s %d\n", series(full, l), r.counters[n][l])
-		}
+	r.mu.Unlock()
+	// Sampled with the lock released: a sampler may wait on a lock whose
+	// holder is updating this registry.
+	gvals := make([]float64, len(gfns))
+	for i, fn := range gfns {
+		gvals[i] = fn()
 	}
-	names = names[:0]
-	for n := range r.hists {
-		names = append(names, n)
+
+	// Rendered under the lock, written after it: a slow reader of w must
+	// not hold up the updates the daemon makes under its own lock.
+	var buf bytes.Buffer
+	r.mu.Lock()
+	for i, n := range gnames {
+		obs.WritePromFamily(&buf, Prefix+n, "gauge", r.help[n])
+		obs.WritePromFloat(&buf, Prefix+n, "", gvals[i])
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		full := Prefix + n
-		if h := r.help[n]; h != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", full, h)
-		}
-		fmt.Fprintf(w, "# TYPE %s histogram\n", full)
-		lsets := make([]string, 0, len(r.hists[n]))
-		for l := range r.hists[n] {
-			lsets = append(lsets, l)
-		}
-		sort.Strings(lsets)
-		for _, l := range lsets {
-			h := r.hists[n][l]
-			var cum uint64
-			for i, b := range histBounds {
-				cum += h.buckets[i]
-				fmt.Fprintf(w, "%s %d\n", bucketSeries(full, l, fmtFloat(b)), cum)
-			}
-			cum += h.buckets[len(histBounds)]
-			fmt.Fprintf(w, "%s %d\n", bucketSeries(full, l, "+Inf"), cum)
-			fmt.Fprintf(w, "%s %s\n", series(full+"_sum", l), fmtFloat(h.sum))
-			fmt.Fprintf(w, "%s %d\n", series(full+"_count", l), h.count)
+	for _, n := range sortedKeys(r.counters) {
+		obs.WritePromFamily(&buf, Prefix+n, "counter", r.help[n])
+		s := r.counters[n]
+		for _, l := range sortedKeys(s) {
+			obs.WritePromUint(&buf, Prefix+n, l, s[l])
 		}
 	}
+	for _, n := range sortedKeys(r.hists) {
+		obs.WritePromFamily(&buf, Prefix+n, "histogram", r.help[n])
+		s := r.hists[n]
+		for _, l := range sortedKeys(s) {
+			h := s[l]
+			obs.WritePromHistogram(&buf, Prefix+n, l, histBounds, h.buckets, h.sum, h.count)
+		}
+	}
+	r.mu.Unlock()
+	w.Write(buf.Bytes())
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // StableSnapshot renders the deterministic projection of the registry as
 // sorted "series value" lines: every non-volatile counter, and every
-// non-volatile histogram's observation *count* — never its sum, max or
-// bucket tallies, which hold host wall-clock values. Two runs of the same
+// non-volatile histogram's observation *count* — never its sum or bucket
+// tallies, which hold host wall-clock values. Two runs of the same
 // deterministic job produce byte-identical stable snapshots at any worker
 // count; the cross-worker tests compare exactly this.
 func (r *Registry) StableSnapshot() []byte {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var lines []string
@@ -258,7 +219,7 @@ func (r *Registry) StableSnapshot() []byte {
 			continue
 		}
 		for l, v := range s {
-			lines = append(lines, fmt.Sprintf("%s %d", series(n, l), v))
+			lines = append(lines, fmt.Sprintf("%s %d", obs.PromSeries(n, l), v))
 		}
 	}
 	for n, s := range r.hists {
@@ -266,7 +227,7 @@ func (r *Registry) StableSnapshot() []byte {
 			continue
 		}
 		for l, h := range s {
-			lines = append(lines, fmt.Sprintf("%s %d", series(n+"_count", l), h.count))
+			lines = append(lines, fmt.Sprintf("%s %d", obs.PromSeries(n+"_count", l), h.count))
 		}
 	}
 	sort.Strings(lines)

@@ -4,27 +4,26 @@
 // predictors, squashes) with deterministic, report-grade registries, svcobs
 // watches the *service around it* — queue waits, lease round-trips, shard
 // wall-clocks, journal fsyncs — in host time, strictly off the report path:
-// nothing here ever feeds back into a Report, so job StableJSON is
-// byte-identical with observability on or off.
+// nothing here ever feeds back into a Report, so a job's StableJSON is the
+// bytes a direct run of its spec produces.
 //
 // The three planes share one correlation ID, minted per job at submission,
 // journaled with the job, and propagated to remote workers in every lease:
 //
 //   - Traces: a TraceLog of wall-clock spans on per-actor tracks (the daemon
 //     plus every worker that touched the job), exported as Chrome
-//     trace-event JSON — the same Perfetto format internal/obs uses for
-//     simulated cycles — so one trace shows queue wait, lease latency, shard
-//     execution, retry backoff and journal fsyncs side by side.
-//   - Metrics: a Registry of counters and histograms with Prometheus text
-//     exposition under the zenspec_service_* namespace, mounted on the
-//     daemon's existing /metrics endpoint.
+//     trace-event JSON through internal/obs's encoder — the same Perfetto
+//     format the simulator's Recorder writes for simulated cycles — so one
+//     trace shows queue wait, lease latency, shard execution, retry backoff
+//     and journal fsyncs side by side.
+//   - Metrics: a Registry of counters, histograms and scrape-time gauges,
+//     exposed in Prometheus text through internal/obs's writer under the
+//     zenspec_service_* namespace on the daemon's /metrics.
 //   - Logs: log/slog structured logging with consistent job/shard/lease/
 //     worker/attempt/trace fields, selectable text or JSON handlers.
 //
-// All collection types are nil-safe: every method on a nil *Registry,
-// *TraceLog or *Hub is a no-op, so a disabled observability plane costs one
-// nil check per call site — the internal/obs zero-cost-when-disabled
-// discipline, applied to the service.
+// A daemon always runs with a Hub; one built by New(nil) logs nowhere but
+// still collects metrics and traces.
 package svcobs
 
 import (
@@ -32,17 +31,15 @@ import (
 	"log/slog"
 )
 
-// Hub bundles the three service-observability planes. A nil *Hub is the
-// disabled plane: logging goes nowhere, metrics and traces collect nothing —
-// the accessors below are all nil-safe, so call sites never branch.
+// Hub bundles the three service-observability planes.
 type Hub struct {
 	logger  *slog.Logger
 	metrics *Registry
 	traces  *TraceLog
 }
 
-// New returns an enabled hub collecting metrics and traces and logging
-// through logger (nil logger discards).
+// New returns a hub collecting metrics and traces and logging through logger
+// (nil logger discards).
 func New(logger *slog.Logger) *Hub {
 	if logger == nil {
 		logger = Discard()
@@ -50,35 +47,14 @@ func New(logger *slog.Logger) *Hub {
 	return &Hub{logger: logger, metrics: NewRegistry(), traces: NewTraceLog()}
 }
 
-// Logger returns the hub's logger; a nil hub (or one built without a logger)
-// yields the discard logger, so callers never nil-check before logging.
-func (h *Hub) Logger() *slog.Logger {
-	if h == nil || h.logger == nil {
-		return Discard()
-	}
-	return h.logger
-}
+// Logger returns the hub's logger.
+func (h *Hub) Logger() *slog.Logger { return h.logger }
 
-// Metrics returns the hub's registry (nil on a nil hub; the nil registry is
-// itself a no-op collector).
-func (h *Hub) Metrics() *Registry {
-	if h == nil {
-		return nil
-	}
-	return h.metrics
-}
+// Metrics returns the hub's registry.
+func (h *Hub) Metrics() *Registry { return h.metrics }
 
-// Traces returns the hub's trace log (nil on a nil hub; the nil log is a
-// no-op collector).
-func (h *Hub) Traces() *TraceLog {
-	if h == nil {
-		return nil
-	}
-	return h.traces
-}
-
-// Enabled reports whether the hub collects anything.
-func (h *Hub) Enabled() bool { return h != nil }
+// Traces returns the hub's trace log.
+func (h *Hub) Traces() *TraceLog { return h.traces }
 
 // discard is the shared no-op logger behind Discard.
 var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))

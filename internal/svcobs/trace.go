@@ -1,11 +1,12 @@
 package svcobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"zenspec/internal/obs"
 )
 
 // Span is one wall-clock trace record, the wire unit of distributed tracing:
@@ -50,8 +51,7 @@ const maxSpansPerTrace = 16384
 const maxTraces = 64
 
 // TraceLog accumulates spans per trace and renders each trace as Chrome
-// trace-event JSON (the Perfetto format). Safe for concurrent use; all
-// methods are no-ops on a nil receiver.
+// trace-event JSON (the Perfetto format). Safe for concurrent use.
 type TraceLog struct {
 	mu      sync.Mutex
 	traces  map[string][]Span
@@ -65,11 +65,9 @@ func NewTraceLog() *TraceLog {
 }
 
 // Add appends spans to their traces. Spans with an empty Trace are ignored
-// (a job submitted without observability has no correlation ID).
+// (a job journaled by a daemon run with observability off has no
+// correlation ID).
 func (t *TraceLog) Add(spans ...Span) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range spans {
@@ -114,9 +112,6 @@ func (t *TraceLog) End(trace, actor, track, name string, args map[string]any) {
 
 // Drop discards a trace (called when its job is archived).
 func (t *TraceLog) Drop(trace string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.traces[trace]; !ok {
@@ -134,9 +129,6 @@ func (t *TraceLog) Drop(trace string) {
 
 // Spans returns a copy of one trace's buffered spans (nil when unknown).
 func (t *TraceLog) Spans(trace string) []Span {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	buf := t.traces[trace]
@@ -150,26 +142,9 @@ func (t *TraceLog) Spans(trace string) []Span {
 
 // Len returns the number of spans buffered for a trace.
 func (t *TraceLog) Len(trace string) int {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.traces[trace])
-}
-
-// traceEvent mirrors the Chrome trace-event JSON object (the same shape
-// internal/obs emits for simulated cycles; redeclared here to keep the
-// wall-clock plane dependency-free of the simulation observer).
-type traceEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
 }
 
 // Perfetto renders one trace as Chrome trace-event JSON, loadable in
@@ -210,14 +185,10 @@ func (t *TraceLog) Perfetto(trace string) ([]byte, error) {
 	})
 	pid := map[string]int{}
 	tid := map[string]map[string]int{}
-	var out []traceEvent
-	meta := func(p, tr int, kind, name string) traceEvent {
-		return traceEvent{Name: kind, Phase: "M", PID: p, TID: tr,
-			Args: map[string]any{"name": name}}
-	}
+	out := make([]obs.TraceEvent, 0, len(spans)+2*len(actors))
 	for i, a := range actors {
 		pid[a] = i + 1
-		out = append(out, meta(i+1, 0, "process_name", a))
+		out = append(out, obs.TraceMeta(i+1, 0, "process_name", a))
 		tracks := make([]string, 0, len(actorTracks[a]))
 		for tr := range actorTracks[a] {
 			tracks = append(tracks, tr)
@@ -230,32 +201,25 @@ func (t *TraceLog) Perfetto(trace string) ([]byte, error) {
 			if name == "" {
 				name = a
 			}
-			out = append(out, meta(i+1, j, "thread_name", name))
+			out = append(out, obs.TraceMeta(i+1, j, "thread_name", name))
 		}
 	}
 
-	evs := make([]traceEvent, 0, len(spans))
 	for _, s := range spans {
 		ph := s.Phase
 		if ph == "" {
 			ph = "X"
 		}
-		te := traceEvent{
+		te := obs.TraceEvent{
 			Name: s.Name, Phase: ph, TS: s.StartUS - origin, Dur: s.DurUS,
 			PID: pid[s.Actor], TID: tid[s.Actor][s.Track], Args: s.Args,
 		}
 		if ph == "i" {
 			te.Scope = "t"
 		}
-		evs = append(evs, te)
+		out = append(out, te)
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-	out = append(out, evs...)
-
-	return json.MarshalIndent(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-		DisplayUnit string       `json:"displayTimeUnit"`
-	}{out, "ms"}, "", " ")
+	return obs.EncodeTrace(out, "ms")
 }
 
 // ActorDaemon is the daemon's span actor name, pinned as the first Perfetto

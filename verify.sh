@@ -267,9 +267,9 @@ cmp "$svc_tmp/dist.json" "$svc_tmp/direct.json"
 
 echo "== distributed observability smoke (metrics, stitched trace, JSON logs) =="
 # After the drain the daemon's /metrics scrape must carry the service plane:
-# per-experiment shard wall-clock histograms, lease counters, and — because
-# the doomed worker was SIGKILLed after claiming a lease — at least one
-# revocation.
+# per-experiment shard wall-clock histograms, lease counters, the queue
+# gauges, and — because the doomed worker was SIGKILLed after claiming a
+# lease — at least one revocation.
 curl -fsS "$svc_url/metrics" > "$svc_tmp/metrics"
 grep -q '^zenspec_service_shard_wall_ms_bucket{exp=' "$svc_tmp/metrics" || {
     echo "metrics scrape missing per-experiment shard wall-clock histogram:" >&2
@@ -281,6 +281,16 @@ grep -q '^zenspec_service_leases_granted_total [1-9]' "$svc_tmp/metrics" || {
     cat "$svc_tmp/metrics" >&2
     exit 1
 }
+# The queue gauges are sampled into the same registry scrape, and the host
+# profiler is mounted beside it.
+for g in queue_depth leases_active jobs_active; do
+    grep -q "^zenspec_service_$g " "$svc_tmp/metrics" || {
+        echo "metrics scrape missing gauge zenspec_service_$g:" >&2
+        cat "$svc_tmp/metrics" >&2
+        exit 1
+    }
+done
+curl -fsS "$svc_url/debug/pprof/cmdline" > /dev/null
 # The job's stitched daemon+worker trace must be Perfetto-loadable JSON with
 # events from the daemon and both worker actors, re-leased shard included.
 python3 - "$svc_url" <<'PYEOF'
