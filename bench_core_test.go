@@ -1,9 +1,10 @@
 package zenspec
 
 // Micro-benchmarks for the per-cycle hot paths: the steady-state pipeline
-// step, a NOP-sled run, the observability emit fast path bare and into the
-// metrics registry and profile an observed run attaches, the profile's fold,
-// and a Flush+Reload probe sweep.
+// step, a NOP-sled run, a timed stld run through the kernel, the
+// observability emit fast path bare and into the metrics registry and
+// profile an observed run attaches, the profile's fold, and a Flush+Reload
+// probe sweep.
 // Each reports allocations, and the paired tests pin the zero-allocation
 // invariants with testing.AllocsPerRun so a regression fails `go test`
 // itself, not just a benchstat comparison. verify.sh runs them as its
@@ -22,6 +23,7 @@ import (
 	"zenspec/internal/pmc"
 	"zenspec/internal/predict"
 	"zenspec/internal/prof"
+	"zenspec/internal/revng"
 	"zenspec/internal/sidechannel"
 )
 
@@ -106,8 +108,7 @@ func newStepEnv(tb testing.TB, iters int32) *stepEnv {
 // newNOPSledEnv runs the stld microbenchmark laid out as
 // revng.PlaceStldHash places it: 488 NOPs of padding so that the STORE ends
 // the first page and the load starts the next. The Run covers the first
-// page and stops before the load: the load's speculation record would be
-// copied out of Run, the one allocation a full stld Run makes.
+// page and stops before the load.
 func newNOPSledEnv(tb testing.TB) *stepEnv {
 	tb.Helper()
 	pad := (mem.PageSize - isa.InstBytes - asm.BuildStld(asm.StldOptions{}).StoreOff) / isa.InstBytes
@@ -158,6 +159,22 @@ func TestCoreNOPSledAllocFree(t *testing.T) {
 	e := newNOPSledEnv(t)
 	if allocs := testing.AllocsPerRun(20, func() { e.run() }); allocs != 0 {
 		t.Fatalf("steady-state Run allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// BenchmarkStldRun measures one timed stld run on a calibrated lab, the
+// unit of the Fig 2 sequences, code sliding and the collision searches:
+// revng.Stld.Run through Kernel.RunOn and Core.Run. Every eighth run aliases,
+// so the (7n, a) pattern keeps the pair cycling through rollbacks.
+func BenchmarkStldRun(b *testing.B) {
+	s := revng.NewLab(kernel.Config{Seed: 1}).PlaceStld()
+	for i := 0; i < 16; i++ { // grow the episode and predictor state
+		s.Run(i%8 == 7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(i%8 == 7)
 	}
 }
 

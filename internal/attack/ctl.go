@@ -456,7 +456,8 @@ func (a *ctlAttack) slideSearch(slider *revng.Slider, confirm func(*revng.Stld) 
 			continue
 		}
 		if confirm == nil || confirm(probe) {
-			return probe
+			kept := *probe
+			return &kept
 		}
 	}
 	return nil

@@ -258,7 +258,8 @@ func spectreSTLShard(cfg kernel.Config, secret []byte, opts STLOptions, lo, hi i
 			if probe.Run(false).Class != revng.ClassStall {
 				continue
 			}
-			collider = probe
+			kept := *probe
+			collider = &kept
 			if !robust || selfTest() {
 				break
 			}

@@ -32,10 +32,11 @@ type Ctx struct {
 	// Metrics, accumulation is commutative, so the snapshot is deterministic
 	// at any worker count.
 	Profile bool
-	// Progress, when non-nil, is called as the suite advances: once before
-	// each experiment with the count of experiments already finished and the
-	// ID about to run, and once after the last with done == total. It feeds
-	// live telemetry; leave nil when nothing is watching.
+	// Progress, when non-nil, is called by Run as the suite advances: once
+	// as each experiment starts, with the count of experiments already
+	// finished and the ID starting, and once after the last with done ==
+	// total. Run makes every call from its own goroutine. It feeds live
+	// telemetry; leave nil when nothing is watching.
 	Progress func(done, total int, id string)
 	// TrialProgress, when non-nil, is called by ResilientTrialRange after every
 	// finished trial with the completed count and the trial total of the
@@ -45,9 +46,11 @@ type Ctx struct {
 	// back into results.
 	TrialProgress func(done, total int)
 	// Completed, when non-nil, is called with every finished experiment
-	// report, in completion order, from RunShard and Run alike. It is
-	// how a partial suite survives an interrupted run: the caller accumulates
-	// reports as they land and can assemble a checkpoint at any time.
+	// report, in completion order, from RunShard and Run alike; Run makes
+	// every call from its own goroutine, so it and Progress need no lock
+	// between them. It is how a partial suite survives an interrupted run:
+	// the caller accumulates reports as they land and can assemble a
+	// checkpoint at any time.
 	Completed func(Report)
 	// Arenas recycles per-worker scratch arenas (TrialsArena) across the
 	// suite's experiments. Run installs one automatically; a nil pool
@@ -163,9 +166,18 @@ func (r *Registry) Select(ids []string, tag string) ([]Experiment, error) {
 	return out, nil
 }
 
+// maxInFlight is how many experiments Run keeps running at once. One
+// experiment alone leaves CPUs idle in its serial stretches (a trial-0
+// probe, a shard's uneven tail, a single-threaded experiment), which a
+// second one fills; two also keep live machines within twice the trial
+// workers.
+const maxInFlight = 2
+
 // Run executes the selected experiments (nil ids means all) and assembles
-// the suite report. Experiments run one after another; parallelism lives in
-// each experiment's trial loop, bounded by ctx.Config.Parallelism.
+// the suite report. Experiments start in registration order, with up to
+// maxInFlight running at once, but one at a time at Parallelism 1; each
+// experiment's trial loop runs on up to ctx.Config.Parallelism workers.
+// Reports keep registration order whatever order experiments finish in.
 func (r *Registry) Run(ctx Ctx, ids []string) (SuiteReport, error) {
 	exps, err := r.Select(ids, "")
 	if err != nil {
@@ -183,11 +195,41 @@ func (r *Registry) Run(ctx Ctx, ids []string) (SuiteReport, error) {
 		plan := ctx.Config.Faults
 		suite.Faults = &plan
 	}
-	for i, e := range exps {
-		if ctx.Progress != nil {
-			ctx.Progress(i, len(exps), e.ID)
+	// The hooks run here, never on an experiment's goroutine: runOne gets a
+	// ctx without Completed, and its result is delivered from this loop.
+	completed := ctx.Completed
+	ctx.Completed = nil
+	inFlight := min(maxInFlight, suite.Parallelism)
+	type finished struct {
+		i   int
+		rep Report
+	}
+	// Buffered to the in-flight count, so a finished experiment never waits
+	// for a hook.
+	results := make(chan finished, inFlight)
+	if len(exps) > 0 { // an empty selection stays nil, as in Assemble
+		suite.Experiments = make([]Report, len(exps))
+	}
+	done := 0
+	collect := func() {
+		f := <-results
+		suite.Experiments[f.i] = f.rep
+		done++
+		if completed != nil {
+			completed(f.rep)
 		}
-		suite.Experiments = append(suite.Experiments, runOne(e, ctx))
+	}
+	for i, e := range exps {
+		for i-done >= inFlight {
+			collect()
+		}
+		if ctx.Progress != nil {
+			ctx.Progress(done, len(exps), e.ID)
+		}
+		go func() { results <- finished{i, runOne(e, ctx)} }()
+	}
+	for done < len(exps) {
+		collect()
 	}
 	if ctx.Progress != nil {
 		ctx.Progress(len(exps), len(exps), "")
@@ -201,10 +243,11 @@ func (r *Registry) Run(ctx Ctx, ids []string) (SuiteReport, error) {
 // funnel through it, which is what makes a shard-merged suite byte-identical
 // to an uninterrupted run.
 func runOne(e Experiment, ctx Ctx) Report {
-	// Collect the previous experiment's garbage outside the timed region:
-	// one experiment's heap debt must not inflate the next one's wall clock
-	// (results are unaffected either way — WallMS is excluded from the
-	// stable report).
+	// Collect earlier experiments' garbage outside the timed region, so
+	// their heap debt is not charged to this one's wall clock (results are
+	// unaffected either way — WallMS is excluded from the stable report).
+	// When Run keeps a neighbour in flight, the collection lands in the
+	// neighbour's wall clock instead.
 	runtime.GC()
 	start := time.Now()
 	ectx, mc, pp := attachObservers(ctx)

@@ -60,6 +60,8 @@ type Report struct {
 	Profile *prof.Snapshot `json:"profile,omitempty"`
 	// WallMS is host wall-clock time. It is the one host-dependent field;
 	// StableJSON zeroes it so reports can be compared across worker counts.
+	// In a suite Run it includes time shared with the experiment running
+	// beside it; RunShard times an experiment alone.
 	WallMS float64 `json:"wall_ms"`
 }
 
@@ -256,7 +258,9 @@ func (s SuiteReport) Text() string {
 			passed++
 		}
 	}
-	fmt.Fprintf(&b, "suite: %d/%d experiments in paper band; seed %d; workers %d; total %.2fs\n",
+	// Experiments of one Run overlap, so the sum of their wall clocks is
+	// not the run's wall clock.
+	fmt.Fprintf(&b, "suite: %d/%d experiments in paper band; seed %d; workers %d; summed wall %.2fs\n",
 		passed, len(s.Experiments), s.Seed, s.Parallelism, totalMS/1000)
 	return b.String()
 }

@@ -292,7 +292,8 @@ func (k *Kernel) switchTo(cpu *CPU, p *Process) {
 // RunOn runs process p on hardware thread cpu from entry until it halts,
 // faults or exceeds maxInsts. Syscalls are serviced in the loop: every
 // syscall flushes PSFP (the paper observed the flush on syscalls and
-// yields); SysSleep additionally flushes SSBP.
+// yields); SysSleep additionally flushes SSBP. As from Core.Run, the
+// result's Stlds are valid until the next run on cpu.
 func (k *Kernel) RunOn(cpuIdx int, p *Process, entry uint64, maxInsts uint64) pipeline.RunResult {
 	cpu := k.cpus[cpuIdx]
 	if k.inj != nil {
@@ -306,11 +307,13 @@ func (k *Kernel) RunOn(cpuIdx int, p *Process, entry uint64, maxInsts uint64) pi
 		})
 	}
 	k.switchTo(cpu, p)
+	// Events of runs the loop continues past are copied into all before the
+	// next Core.Run reuses its buffer; a program that ran in one Core.Run
+	// returns that run's result as it is.
 	var all []pipeline.StldEvent
 	var insts uint64
 	for {
 		res := cpu.Core.Run(p, entry, &p.Regs, maxInsts)
-		all = append(all, res.Stlds...)
 		insts += res.Insts
 		switch res.Stop {
 		case pipeline.StopSyscall:
@@ -323,24 +326,25 @@ func (k *Kernel) RunOn(cpuIdx int, p *Process, entry uint64, maxInsts uint64) pi
 			case SysYield:
 				// PSFP flush already done; the scheduler picks us again.
 			}
+			all = append(all, res.Stlds...)
 			entry = res.EndPC
+			continue
 		case pipeline.StopFault:
 			// Transparent copy-on-write handling: a write fault on a COW
 			// page copies the frame and retries the instruction.
 			if pte, ok := p.AS.Lookup(res.FaultVA); ok && pte.COW && pte.Perm&mem.PermW != 0 {
 				if err := p.BreakCOW(res.FaultVA); err == nil {
+					all = append(all, res.Stlds...)
 					entry = res.FaultPC
 					continue
 				}
 			}
-			res.Stlds = all
-			res.Insts = insts
-			return res
-		default:
-			res.Stlds = all
-			res.Insts = insts
-			return res
 		}
+		if all != nil {
+			res.Stlds = append(all, res.Stlds...)
+		}
+		res.Insts = insts
+		return res
 	}
 }
 

@@ -244,9 +244,9 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 	res.EndPC = st.pc
 	res.Insts = st.insts
 	if len(st.stlds) > 0 {
-		// Copy out: st is pooled and its stlds buffer is recycled next Run,
-		// while RunResult.Stlds escapes to callers that may hold it.
-		res.Stlds = append([]StldEvent(nil), st.stlds...)
+		// No copy: the events alias the pooled run state's buffer, which
+		// the core's next Run reuses (see RunResult.Stlds).
+		res.Stlds = st.stlds
 	}
 	return res
 }

@@ -226,7 +226,10 @@ type RunResult struct {
 	FaultVA uint64
 	FaultPC uint64 // pc of the faulting instruction (for retry after COW break)
 	Insts   uint64 // retired instruction count
-	Stlds   []StldEvent
+	// Stlds are the run's store-load speculation events. They alias the
+	// core's run buffer and stay valid only until the core's next Run;
+	// copy them to keep them longer.
+	Stlds []StldEvent
 }
 
 // Core is one simulated hardware thread's execution resources. Caches and

@@ -54,7 +54,9 @@ func (t *Telemetry) SetProfile(p *Profile) {
 	t.mu.Unlock()
 }
 
-// Progress records suite progress; the harness calls it after every trial.
+// Progress records suite progress; the harness calls it as each experiment
+// starts and once when the suite ends. With two experiments in flight,
+// current names the one that started last.
 func (t *Telemetry) Progress(done, total int, id string) {
 	t.mu.Lock()
 	t.done, t.total, t.current = done, total, id

@@ -22,6 +22,7 @@ type Slider struct {
 	tmpl  asm.Stld
 	va    uint64 // base of the sliding window
 	pages int
+	probe Stld // the instance Place returns, reused across offsets
 }
 
 // NewSlider maps `pages` executable pages (kernel-chosen frames, as an
@@ -38,12 +39,13 @@ func (l *Lab) NewSlider(p *kernel.Process, pages int, tmpl asm.Stld) *Slider {
 }
 
 // Place writes the stld at byte offset `at` within the sliding window and
-// returns a runnable instance.
+// returns a runnable instance. The instance is the slider's own and is
+// rewritten by its next Place: a caller keeping a probe copies it out.
 func (s *Slider) Place(at int) *Stld {
 	va := s.va + uint64(at)
 	s.proc.WriteBytes(va, s.tmpl.Code)
-	inst := s.lab.finish(s.proc, 0, va, s.tmpl)
-	return inst
+	s.probe = s.lab.finish(s.proc, 0, va, s.tmpl)
+	return &s.probe
 }
 
 // MaxOffsets returns the number of byte positions available.
@@ -68,7 +70,8 @@ func (s *Slider) SSBPCollisionSearch(target *Stld, step int) (attempts int, foun
 		ob := probe.Run(false)
 		if ob.Class == ClassStall {
 			if s.confirmSSBP(target, probe) {
-				return attempts, probe, true
+				found := *probe
+				return attempts, &found, true
 			}
 		}
 	}
@@ -125,7 +128,8 @@ func (s *Slider) PSFPCollisionSearch(target *Stld, step int) (attempts int, foun
 		ob := probe.Run(false)
 		if ob.Class == ClassStall {
 			if s.confirmPSFP(target, probe, canary) {
-				return attempts, probe, true
+				found := *probe
+				return attempts, &found, true
 			}
 		}
 	}

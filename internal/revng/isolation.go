@@ -117,7 +117,8 @@ func isolationTrial(cfg kernel.Config, pred string, train, probe kernel.Domain, 
 			panic(err)
 		}
 		off := vStld.VA & uint64(mem.PageMask)
-		aStld = l.finish(attacker, 0, shareVA+off, vStld.Tmpl)
+		shared := l.finish(attacker, 0, shareVA+off, vStld.Tmpl)
+		aStld = &shared
 	} else {
 		// Out-of-place: the attacker's own stld at a colliding hash.
 		aStld = l.PlaceStldHashIn(attacker, 0x0aa, 0x0bb)
@@ -154,5 +155,6 @@ func (l *Lab) PlaceStldHashIn(p *kernel.Process, storeHash, loadHash uint16) *St
 		uint64(len(s.Tmpl.Code)), mem.PermR|mem.PermX); err != nil {
 		panic(err)
 	}
-	return l.finish(p, 0, s.VA, s.Tmpl)
+	in := l.finish(p, 0, s.VA, s.Tmpl)
+	return &in
 }

@@ -176,10 +176,12 @@ func (l *Lab) placeIn(p *kernel.Process, cpu int, tmpl asm.Stld) *Stld {
 	va := l.nextVA
 	l.nextVA += (uint64(len(tmpl.Code))/mem.PageSize + 2) * mem.PageSize
 	p.MapCode(va, tmpl.Code)
-	return l.finish(p, cpu, va, tmpl)
+	s := l.finish(p, cpu, va, tmpl)
+	return &s
 }
 
-func (l *Lab) finish(p *kernel.Process, cpu int, va uint64, tmpl asm.Stld) *Stld {
+// finish describes the stld placed at va in p.
+func (l *Lab) finish(p *kernel.Process, cpu int, va uint64, tmpl asm.Stld) Stld {
 	storeIPA, err := p.IPA(va + uint64(tmpl.StoreOff))
 	if err != nil {
 		panic(err)
@@ -188,7 +190,7 @@ func (l *Lab) finish(p *kernel.Process, cpu int, va uint64, tmpl asm.Stld) *Stld
 	if err != nil {
 		panic(err)
 	}
-	return &Stld{
+	return Stld{
 		VA:        va,
 		Tmpl:      tmpl,
 		StoreIPA:  storeIPA,
@@ -220,7 +222,8 @@ func (l *Lab) PlaceStldRandom(rnd func(int) int) *Stld {
 	}
 	off := uint64(rnd(mem.PageSize - 1))
 	l.P.WriteBytes(pageVA+off, tmpl.Code)
-	return l.finish(l.P, 0, pageVA+off, tmpl)
+	s := l.finish(l.P, 0, pageVA+off, tmpl)
+	return &s
 }
 
 // PlaceStldHash places an stld whose load and store IPAs hash to the given
@@ -250,7 +253,7 @@ func (l *Lab) PlaceStldHash(storeHash, loadHash uint16) *Stld {
 		panic(fmt.Sprintf("revng: hash placement failed: got %#x/%#x want %#x/%#x",
 			s.StoreHash, s.LoadHash, storeHash, loadHash))
 	}
-	return s
+	return &s
 }
 
 // Run executes the stld once. aliasing selects the load address equal to the

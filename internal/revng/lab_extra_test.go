@@ -174,3 +174,29 @@ func TestParseSeq(t *testing.T) {
 		t.Error("empty sequence should parse to nothing")
 	}
 }
+
+// TestStldRunAllocFree pins the stld hot path allocation-free on a warmed
+// lab without faults: a run returns the core's events without copying them,
+// and sliding reuses one Stld across offsets.
+func TestStldRunAllocFree(t *testing.T) {
+	l := NewLab(baseCfg())
+	s := l.PlaceStld()
+	for _, aliasing := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(50, func() { s.Run(aliasing) }); allocs != 0 {
+			t.Errorf("Run(%v) allocates %.1f objects per run, want 0", aliasing, allocs)
+		}
+	}
+	slider := l.NewSlider(l.P, 1, s.Tmpl)
+	const offsets = 64
+	for at := 0; at < offsets; at++ { // warm every placement's pages
+		slider.Place(at).Run(false)
+	}
+	at := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		slider.Place(at % offsets).Run(false)
+		at++
+	})
+	if allocs != 0 {
+		t.Errorf("Place then Run allocates %.1f objects per run, want 0", allocs)
+	}
+}

@@ -58,17 +58,17 @@ echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the
 # zero-allocation invariants at the benchmark level too (the dedicated
 # AllocsPerRun tests already ran under -race above): the steady-state
-# pipeline step, the NOP-sled run, the emit path bare, disabled and into the
-# metrics registry plus profile, the profile's fold and the Flush+Reload
-# sweep must all report 0 allocs/op. benchstat renders the table when
-# installed (CI installs it), with a visible skip locally.
+# pipeline step, the NOP-sled run, the timed stld run, the emit path bare,
+# disabled and into the metrics registry plus profile, the profile's fold
+# and the Flush+Reload sweep must all report 0 allocs/op. benchstat renders
+# the table when installed (CI installs it), with a visible skip locally.
 bench_out=$(mktemp)
 go test -run '^$' \
-    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkObsEmitFast|BenchmarkObsEmitObserved|BenchmarkObsEmitDisabled|BenchmarkProfileFold|BenchmarkFlushReloadSweep' \
+    -bench 'BenchmarkCoreStep|BenchmarkCoreNOPSled|BenchmarkStldRun|BenchmarkObsEmitFast|BenchmarkObsEmitObserved|BenchmarkObsEmitDisabled|BenchmarkProfileFold|BenchmarkFlushReloadSweep' \
     -benchtime 100x -count 1 . | tee "$bench_out"
 benches=$(grep -c '^Benchmark' "$bench_out")
 zeroalloc=$(grep -c '	 *0 allocs/op' "$bench_out") || true
-if [ "$benches" -ne 7 ] || [ "$zeroalloc" -ne 7 ]; then
+if [ "$benches" -ne 8 ] || [ "$zeroalloc" -ne 8 ]; then
     echo "core benchmarks must all report 0 allocs/op ($zeroalloc of $benches did)" >&2
     exit 1
 fi
@@ -215,12 +215,14 @@ grep -q "journal checkpointed" "$svc_tmp/err" || {
 }
 
 echo "== distributed smoke (queue-only daemon, 2 pull workers, one SIGKILLed) =="
-# The same spec again, but through the scale-out path: a queue-only daemon
-# (-workers 0) cuts the job into trial-range shards (-split 4), two external
-# zenspec-worker processes drain it over /v1 leases, and one worker is
-# SIGKILLed mid-drain — its abandoned lease expires and the survivor reruns
-# the shard. The merged StableJSON must still be byte-identical to the direct
-# local run.
+# The scale-out path: a queue-only daemon (-workers 0) cuts a quick fig11 job
+# into four trial-range shards (-split 4) of about half a second each, two
+# external zenspec-worker processes drain it over /v1 leases, and one worker
+# is SIGKILLed as soon as it logs a lease, while its shard runs — its
+# abandoned lease expires and the survivor reruns the shard. The merged
+# StableJSON must still be byte-identical to a direct local run of the same
+# spec.
+"$svc_tmp/experiments" -quick -only fig11 -stable > "$svc_tmp/dist-direct.json"
 "$svc_tmp/zenspecd" -dir "$svc_tmp/dist-state" -addr 127.0.0.1:0 -workers 0 \
     -lease 2s > "$svc_tmp/dist-out" 2> "$svc_tmp/dist-err" &
 svc_pid=$!
@@ -244,16 +246,20 @@ wrk_a_pid=$!
 "$svc_tmp/zenspec-worker" -url "$svc_url" -name survivor -poll 200ms \
     -log-format json > "$svc_tmp/wrk-b.log" 2>&1 &
 wrk_b_pid=$!
-"$svc_tmp/experiments" -submit "$svc_url" -quick -only fig2,table1 -split 4 \
+"$svc_tmp/experiments" -submit "$svc_url" -quick -only fig11 -split 4 \
     -stable > "$svc_tmp/dist.json" &
 submit_pid=$!
-# Let the workers lease shards, then SIGKILL one mid-drain: no Complete, no
+# SIGKILL the doomed worker the moment it claims a lease: no Complete, no
 # heartbeat — the daemon only learns from the lease expiring.
-sleep 2
+i=0
+while [ $i -lt 600 ] && ! grep -q "lease claimed" "$svc_tmp/wrk-a.log"; do
+    sleep 0.05
+    i=$((i + 1))
+done
 kill -9 "$wrk_a_pid" 2>/dev/null || true
 wait "$wrk_a_pid" 2>/dev/null || true
 wrk_a_pid=
-grep -q "lease " "$svc_tmp/wrk-a.log" || {
+grep -q "lease claimed" "$svc_tmp/wrk-a.log" || {
     echo "SIGKILLed worker never claimed a lease; smoke did not exercise re-lease:" >&2
     cat "$svc_tmp/wrk-a.log" >&2
     exit 1
@@ -263,7 +269,17 @@ if ! wait "$submit_pid"; then
     cat "$svc_tmp/dist-err" "$svc_tmp/wrk-b.log" >&2
     exit 1
 fi
-cmp "$svc_tmp/dist.json" "$svc_tmp/direct.json"
+cmp "$svc_tmp/dist.json" "$svc_tmp/dist-direct.json"
+# The killed worker's lease must have been revoked and its shard requeued
+# by the drain itself, before the hand-claimed lease further down.
+curl -fsS "$svc_url/metrics" > "$svc_tmp/drain-metrics"
+grep -Eq '^zenspec_service_(shards_abandoned_total\{[^}]*\}|lease_revocations_total) [1-9]' \
+    "$svc_tmp/drain-metrics" || {
+    echo "drain revoked no lease: the SIGKILL missed every running shard:" >&2
+    grep -E 'abandoned|revocations|leases_granted' "$svc_tmp/drain-metrics" >&2
+    exit 1
+}
+drain_revoked=$(sed -n 's/^zenspec_service_lease_revocations_total //p' "$svc_tmp/drain-metrics")
 
 echo "== distributed observability smoke (metrics, stitched trace, JSON logs) =="
 # After the drain the daemon's /metrics scrape must carry the service plane:
@@ -325,10 +341,11 @@ wait "$wrk_b_pid" 2>/dev/null || true
 wrk_b_pid=
 # Revocation path: with no workers left, claim a lease by hand over /v1 and
 # never heartbeat. The monitor must revoke it within the 2s TTL and the
-# revocation must land on the scrape.
-python3 - "$svc_url" <<'PYEOF'
+# revocation must land on the scrape, one past the drain's count.
+python3 - "$svc_url" "${drain_revoked:-0}" <<'PYEOF'
 import json, sys, time, urllib.request
 base = sys.argv[1]
+before = int(sys.argv[2])
 def post(path, body):
     req = urllib.request.Request(base + path, json.dumps(body).encode(),
                                  {"Content-Type": "application/json"})
@@ -342,11 +359,11 @@ while time.time() < deadline:
     scrape = urllib.request.urlopen(base + "/metrics").read().decode()
     n = [l for l in scrape.splitlines()
          if l.startswith("zenspec_service_lease_revocations_total ")]
-    if n and int(n[0].split()[1]) >= 1:
+    if n and int(n[0].split()[1]) > before:
         print(f"revocation OK: {n[0]}")
         sys.exit(0)
     time.sleep(0.5)
-sys.exit("abandoned lease was never revoked (revocation counter still 0)")
+sys.exit(f"abandoned lease was never revoked (revocation counter still {before})")
 PYEOF
 kill -TERM "$svc_pid"
 wait "$svc_pid"

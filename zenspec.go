@@ -133,15 +133,18 @@ type Config struct {
 	// byte-identical at any Parallelism.
 	Profile bool
 	// Progress, when non-nil, is called by RunExperiments as the suite
-	// advances — before each experiment with the finished count and the ID
-	// about to run, and once at the end with done == total. It feeds the
-	// live telemetry endpoint; leave nil when nothing is watching.
+	// advances — as each experiment starts, with the finished count and the
+	// ID starting, and once at the end with done == total. RunExperiments
+	// keeps up to two experiments running at once (one at Parallelism 1)
+	// but makes every Progress and Completed call from its own goroutine.
+	// It feeds the live telemetry endpoint; leave nil when nothing is
+	// watching.
 	Progress func(done, total int, id string)
 	// Completed, when non-nil, receives every finished experiment report as
-	// it lands. Accumulating these is how an interrupted run keeps its
-	// partial results: AssembleExperiments turns the collected reports into
-	// the suite report at any time, with skipped stubs for experiments that
-	// never ran.
+	// it lands, in completion order. Accumulating these is how an
+	// interrupted run keeps its partial results: AssembleExperiments turns
+	// the collected reports into the suite report at any time, with skipped
+	// stubs for experiments that never ran.
 	Completed func(ExperimentReport)
 }
 
@@ -207,7 +210,8 @@ const (
 	DomainKernel = kernel.DomainKernel
 )
 
-// RunResult reports one program run on a Machine.
+// RunResult reports one program run on a Machine. Its Stlds are valid until
+// the Machine's next run on the same hardware thread.
 type RunResult = pipeline.RunResult
 
 // --- Observability ---
