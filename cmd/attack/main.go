@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 
 	"zenspec"
 )
@@ -27,10 +28,11 @@ func main() {
 	flag.Parse()
 
 	cfg := zenspec.Config{Seed: *seed, SSBD: *ssbd}
-	secret := []byte(*secretStr)
-	if len(secret) == 0 {
-		secret = make([]byte, *nBytes)
-		rand.New(rand.NewSource(*seed)).Read(secret)
+	secret, err := secretFrom(*secretStr, *nBytes, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "attack:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	any := false
@@ -75,4 +77,18 @@ func main() {
 	if !any {
 		flag.Usage()
 	}
+}
+
+// secretFrom returns the secret the leak attacks target: str when it is
+// non-empty, else n bytes drawn from seed. A negative n is refused.
+func secretFrom(str string, n int, seed int64) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("-bytes %d is negative", n)
+	}
+	if str != "" {
+		return []byte(str), nil
+	}
+	secret := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(secret)
+	return secret, nil
 }

@@ -332,6 +332,3 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 func (h *Hierarchy) Lines() (l1, l2, l3 int) {
 	return h.l1.count(), h.l2.count(), h.l3.count()
 }
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }

@@ -66,7 +66,7 @@ func TestScaleClamps(t *testing.T) {
 func drive(p Plan, stream int64, n int) Stats {
 	in := p.Injector(stream)
 	psfp := predict.NewPSFP(0)
-	ssbp := predict.NewSSBP(0, nil)
+	ssbp := predict.NewSSBP(nil)
 	h := cache.New(cache.DefaultConfig())
 	for i := 0; i < 8; i++ {
 		psfp.Put(uint16(i), uint16(i+100), 4, 16, 2)

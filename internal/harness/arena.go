@@ -9,52 +9,17 @@ import (
 
 // Arena is a per-worker scratch allocator for host-side temporaries inside
 // trial bodies: buffers that live only for one trial and would otherwise be
-// reallocated tens of thousands of times per experiment. Buffers come back
-// zeroed (maps come back empty), so a trial cannot observe what an earlier
-// trial on the same worker left behind — reuse is invisible to the
-// simulation, which is what keeps the determinism contract intact.
+// reallocated tens of thousands of times per experiment. Its one buffer, the
+// set fig5's trials track used hashes in, comes back empty, so a trial
+// cannot observe what an earlier trial on the same worker left behind —
+// reuse is invisible to the simulation, which is what keeps the determinism
+// contract intact.
 //
 // An Arena is not safe for concurrent use; TrialsArena hands each worker its
 // own. Simulated machine state (labs, processes, frames) must never be
 // pooled here: trials boot fresh machines by contract.
 type Arena struct {
-	bytes []byte
-	ints  []int
-	f64s  []float64
-	m32   map[uint32]bool
-}
-
-// Bytes returns a zeroed scratch slice of length n, valid until this
-// Arena's next Bytes call.
-func (a *Arena) Bytes(n int) []byte {
-	if cap(a.bytes) < n {
-		a.bytes = make([]byte, n)
-	}
-	a.bytes = a.bytes[:n]
-	clear(a.bytes)
-	return a.bytes
-}
-
-// Ints returns a zeroed scratch slice of length n, valid until this Arena's
-// next Ints call.
-func (a *Arena) Ints(n int) []int {
-	if cap(a.ints) < n {
-		a.ints = make([]int, n)
-	}
-	a.ints = a.ints[:n]
-	clear(a.ints)
-	return a.ints
-}
-
-// Float64s returns a zeroed scratch slice of length n, valid until this
-// Arena's next Float64s call.
-func (a *Arena) Float64s(n int) []float64 {
-	if cap(a.f64s) < n {
-		a.f64s = make([]float64, n)
-	}
-	a.f64s = a.f64s[:n]
-	clear(a.f64s)
-	return a.f64s
+	m32 map[uint32]bool
 }
 
 // BoolMap32 returns an empty scratch set keyed by uint32, valid until this

@@ -76,6 +76,7 @@ func build() *harness.Registry {
 			var r harness.Report
 			r.Detail = res.String()
 			r.Add("timing_agreement", res.TimingAgree, 0.99, 1)
+			r.Add("pmc_agreement", res.PMCAgree, 1, 1)
 			r.Add("exec_types", float64(len(res.Rows)), 8, 8)
 			return r
 		},

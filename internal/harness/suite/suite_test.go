@@ -9,6 +9,7 @@ import (
 	"zenspec/internal/fault"
 	"zenspec/internal/harness"
 	"zenspec/internal/kernel"
+	"zenspec/internal/pipeline"
 )
 
 // TestRegistryCoversDesignIndex pins the registry to DESIGN.md's
@@ -48,6 +49,33 @@ func TestTagsAreNotIDs(t *testing.T) {
 		for _, other := range exps {
 			if other.HasTag(e.ID) {
 				t.Errorf("%s carries the tag %q, which is an experiment ID", other.ID, e.ID)
+			}
+		}
+	}
+}
+
+// TestFig2PMCAgreementAcrossSeeds: the PMC classifier types every fig2
+// execution as ground truth does, at each seed of the 60-seed sweep and on
+// both TABLE III store-queue sizes.
+func TestFig2PMCAgreementAcrossSeeds(t *testing.T) {
+	for _, sq := range []int{48, 64} {
+		for seed := int64(1); seed <= 60; seed++ {
+			cfg := kernel.Config{Seed: seed, Pipeline: pipeline.Config{SQSize: sq}}
+			rep, err := Registry().RunShard(harness.Ctx{Config: cfg}, "fig2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, m := range rep.Metrics {
+				if m.Name == "pmc_agreement" {
+					found = true
+					if m.Value != 1 {
+						t.Errorf("sq %d seed %d: pmc_agreement %v, want 1", sq, seed, m.Value)
+					}
+				}
+			}
+			if !found {
+				t.Fatalf("sq %d seed %d: fig2 reports no pmc_agreement", sq, seed)
 			}
 		}
 	}

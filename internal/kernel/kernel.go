@@ -1,10 +1,10 @@
 // Package kernel models the operating-system layer the paper's experiments
 // depend on: processes with private page tables, security domains (host
-// user, VM guest, kernel thread), fork with copy-on-write, shared mappings,
-// mprotect-induced remapping, and — crucially — the context-switch flush
-// rules the paper reverse engineered: PSFP is flushed on every context
-// switch, syscall and yield; both predictors are flushed when a process
-// sleeps; SSBP otherwise survives across processes (Vulnerability 1).
+// user, VM guest, kernel thread), shared mappings, code placed on chosen
+// physical frames, and — crucially — the context-switch flush rules the
+// paper reverse engineered: PSFP is flushed on every context switch, syscall
+// and yield; both predictors are flushed when a process sleeps; SSBP
+// otherwise survives across processes (Vulnerability 1).
 //
 // The kernel also owns the machine's hardware threads: two SMT threads per
 // physical core, each with its own predictor unit (the paper found the
@@ -231,12 +231,11 @@ func (k *Kernel) SetPSFD(on bool) {
 func (k *Kernel) NewProcess(name string, d Domain) *Process {
 	k.nextID++
 	p := &Process{
-		ID:       k.nextID,
-		Name:     name,
-		Domain:   d,
-		AS:       mem.NewAddrSpace(),
-		kernel:   k,
-		nextMmap: 0x7f0000000000,
+		ID:     k.nextID,
+		Name:   name,
+		Domain: d,
+		AS:     mem.NewAddrSpace(),
+		kernel: k,
 	}
 	k.procs = append(k.procs, p)
 	return p
@@ -315,8 +314,7 @@ func (k *Kernel) RunOn(cpuIdx int, p *Process, entry uint64, maxInsts uint64) pi
 	for {
 		res := cpu.Core.Run(p, entry, &p.Regs, maxInsts)
 		insts += res.Insts
-		switch res.Stop {
-		case pipeline.StopSyscall:
+		if res.Stop == pipeline.StopSyscall {
 			k.emitFlush(cpu, "psfp", cpu.Unit.PSFP().Len(), "syscall")
 			cpu.Unit.FlushPSFP()
 			switch p.Regs[isa.RAX] {
@@ -329,16 +327,6 @@ func (k *Kernel) RunOn(cpuIdx int, p *Process, entry uint64, maxInsts uint64) pi
 			all = append(all, res.Stlds...)
 			entry = res.EndPC
 			continue
-		case pipeline.StopFault:
-			// Transparent copy-on-write handling: a write fault on a COW
-			// page copies the frame and retries the instruction.
-			if pte, ok := p.AS.Lookup(res.FaultVA); ok && pte.COW && pte.Perm&mem.PermW != 0 {
-				if err := p.BreakCOW(res.FaultVA); err == nil {
-					all = append(all, res.Stlds...)
-					entry = res.FaultPC
-					continue
-				}
-			}
 		}
 		if all != nil {
 			res.Stlds = append(all, res.Stlds...)

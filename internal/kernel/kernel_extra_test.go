@@ -34,37 +34,6 @@ func TestRunAccountsInstructionsAcrossSyscalls(t *testing.T) {
 	}
 }
 
-// TestCOWFaultRetryPreservesSemantics: a store to a COW page transparently
-// copies the frame, retries, and the parent's copy is untouched.
-func TestCOWFaultRetryPreservesSemantics(t *testing.T) {
-	k := New(Config{Seed: 1})
-	parent := k.NewProcess("parent", DomainUser)
-	parent.MapData(dataBase, mem.PageSize)
-	parent.Write64(dataBase, 0x1111)
-	b := asm.NewBuilder()
-	b.Movi(isa.RAX, 0x2222)
-	b.Store(isa.RDI, 0, isa.RAX)
-	b.Load(isa.RBX, isa.RDI, 0)
-	b.Halt()
-	parent.MapCode(codeBase, b.MustAssemble(codeBase))
-	child := parent.Fork("child")
-	// The child shares the code page COW; executing it is fine.
-	child.Regs[isa.RDI] = dataBase
-	res := k.Run(child, codeBase, 0)
-	if res.Stop != pipeline.StopHalt {
-		t.Fatalf("stop %v (fault %v at %#x)", res.Stop, res.Fault, res.FaultVA)
-	}
-	if child.Regs[isa.RBX] != 0x2222 {
-		t.Errorf("child read back %#x", child.Regs[isa.RBX])
-	}
-	if child.Read64(dataBase) != 0x2222 {
-		t.Error("child write lost")
-	}
-	if parent.Read64(dataBase) != 0x1111 {
-		t.Error("child write leaked into the parent (COW broken)")
-	}
-}
-
 // TestVMDomainProcessesRun: processes in the VM and kernel domains execute
 // like user processes (domains only matter to isolation bookkeeping).
 func TestVMDomainProcessesRun(t *testing.T) {
@@ -135,24 +104,6 @@ func TestMmapSharedUnmappedSource(t *testing.T) {
 	b := k.NewProcess("b", DomainUser)
 	if err := b.MmapShared(0x9000000, a, 0x5555000, mem.PageSize, mem.PermR); err == nil {
 		t.Error("sharing unmapped pages should fail")
-	}
-}
-
-// TestBreakCOWNonCOWIsNoop: breaking COW on a private page does nothing.
-func TestBreakCOWNonCOWIsNoop(t *testing.T) {
-	k := New(Config{Seed: 1})
-	p := k.NewProcess("p", DomainUser)
-	p.MapData(dataBase, mem.PageSize)
-	before, _ := p.IPA(dataBase)
-	if err := p.BreakCOW(dataBase); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := p.IPA(dataBase)
-	if before != after {
-		t.Error("non-COW page was remapped")
-	}
-	if err := p.BreakCOW(0xdead0000); err == nil {
-		t.Error("breaking COW on an unmapped page should fail")
 	}
 }
 

@@ -161,53 +161,6 @@ func TestSMTPartitioning(t *testing.T) {
 	}
 }
 
-// TestForkSharesIPAThenBreaksCOW reproduces the Section III-C1 chain of
-// experiments: after fork, parent and child stld share the same IPA (same
-// predictor entry); after a COW break, the child's IPA changes.
-func TestForkSharesIPAThenBreaksCOW(t *testing.T) {
-	k := New(Config{Seed: 1})
-	parent, s := setupStldProc(t, k, "parent", DomainUser)
-	child := parent.Fork("child")
-
-	pIPA, err := parent.IPA(codeBase + uint64(s.LoadOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cIPA, err := child.IPA(codeBase + uint64(s.LoadOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pIPA != cIPA {
-		t.Fatalf("after fork IPAs differ: %#x vs %#x", pIPA, cIPA)
-	}
-
-	// Child runs fine on the shared COW page.
-	ev := runStld(t, k, 0, child, codeBase, true, 1)
-	if len(ev) != 1 {
-		t.Fatalf("child stld produced %d events", len(ev))
-	}
-
-	// mprotect + dummy write: the kernel remaps the page.
-	if err := child.BreakCOW(codeBase + uint64(s.LoadOff)); err != nil {
-		t.Fatal(err)
-	}
-	cIPA2, err := child.IPA(codeBase + uint64(s.LoadOff))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cIPA2 == pIPA {
-		t.Fatal("BreakCOW did not remap the page")
-	}
-	// Content is preserved.
-	got := child.ReadBytes(codeBase+uint64(s.LoadOff), 8)
-	want := parent.ReadBytes(codeBase+uint64(s.LoadOff), 8)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatal("COW copy corrupted the code")
-		}
-	}
-}
-
 // TestMmapSharedGivesSameIPA: two processes mapping the same frames have the
 // same IPA at different IVAs.
 func TestMmapSharedGivesSameIPA(t *testing.T) {
@@ -287,12 +240,6 @@ func TestProcessMemoryHelpers(t *testing.T) {
 	p.Write64(dataBase+mem.PageSize-4, 0xdeadbeefcafe) // crosses a page
 	if got := p.Read64(dataBase + mem.PageSize - 4); got != 0xdeadbeefcafe {
 		t.Errorf("cross-page rw: %#x", got)
-	}
-	va := p.Mmap(3*mem.PageSize, mem.PermRW)
-	p.Write64(va, 1)
-	va2 := p.Mmap(mem.PageSize, mem.PermRW)
-	if va2 <= va {
-		t.Error("mmap regions overlap")
 	}
 	p.WarmLine(dataBase)
 	pa, _ := p.AS.Translate(dataBase, mem.AccessRead)

@@ -15,8 +15,7 @@ type Process struct {
 	AS     *mem.AddrSpace
 	Regs   [isa.NumRegs]uint64
 
-	kernel   *Kernel
-	nextMmap uint64
+	kernel *Kernel
 }
 
 // Translate implements pipeline.MMU.
@@ -68,17 +67,6 @@ func (p *Process) mapRange(va, size uint64, perm mem.Perm, pfns []uint64) {
 	}
 }
 
-// Mmap allocates a fresh anonymous mapping and returns its address.
-func (p *Process) Mmap(size uint64, perm mem.Perm) uint64 {
-	va := p.nextMmap
-	pages := (size + mem.PageSize - 1) / mem.PageSize
-	for i := uint64(0); i < pages; i++ {
-		p.AS.Map(va+i*mem.PageSize, p.kernel.phys.AllocFrame(), perm)
-	}
-	p.nextMmap += (pages + 1) * mem.PageSize
-	return va
-}
-
 // MmapShared maps the physical frames backing other's [otherVA, otherVA+size)
 // into p at va — the shared-memory setup of the in-place cross-domain
 // experiments (same IPA, possibly different IVA).
@@ -91,38 +79,6 @@ func (p *Process) MmapShared(va uint64, other *Process, otherVA, size uint64, pe
 		}
 		p.AS.Map(va+i*mem.PageSize, pte.PFN, perm)
 	}
-	return nil
-}
-
-// Fork creates a child process sharing all frames copy-on-write, the
-// Section III-C1 experiment: parent and child stld share IVAs and IPAs
-// until the child writes.
-func (p *Process) Fork(name string) *Process {
-	child := p.kernel.NewProcess(name, p.Domain)
-	child.Regs = p.Regs
-	child.nextMmap = p.nextMmap
-	p.AS.Each(func(vpn uint64, pte mem.PTE) {
-		child.AS.MapCOW(vpn<<mem.PageShift, pte.PFN, pte.Perm)
-	})
-	return child
-}
-
-// BreakCOW gives the page containing va a private copy of its frame — what
-// the kernel does when a COW page is written (the paper triggers it with
-// mprotect + a dummy write, observing that the stld's IPA changes while its
-// IVA does not).
-func (p *Process) BreakCOW(va uint64) error {
-	pte, ok := p.AS.Lookup(va)
-	if !ok {
-		return fmt.Errorf("kernel: %#x not mapped", va)
-	}
-	if !pte.COW {
-		return nil
-	}
-	newPFN := p.kernel.phys.AllocFrame()
-	data := p.kernel.phys.ReadBytes(pte.PFN<<mem.PageShift, mem.PageSize)
-	p.kernel.phys.WriteBytes(newPFN<<mem.PageShift, data)
-	p.AS.Map(va, newPFN, pte.Perm)
 	return nil
 }
 

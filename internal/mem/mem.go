@@ -253,9 +253,6 @@ func (p *Physical) Write64(pa, v uint64) {
 type PTE struct {
 	PFN  uint64
 	Perm Perm
-	// COW marks a copy-on-write mapping: it is readable/executable but a
-	// write must first be given a private copy by the kernel.
-	COW bool
 }
 
 // AddrSpace is a per-process page table.
@@ -270,11 +267,11 @@ func NewAddrSpace() *AddrSpace {
 }
 
 // TranslationEpoch returns the translation epoch: a counter bumped whenever
-// an existing translation changes or disappears. Caches of *successful*
-// translation results (the pipeline's fetch and data-translation caches)
-// compare it to detect remaps in O(1) instead of re-walking the page table.
-// Mapping a previously-unmapped page does not bump it: no cached success can
-// be affected, and faults are never cached.
+// an existing translation changes. Caches of *successful* translation
+// results (the pipeline's fetch and data-translation caches) compare it to
+// detect remaps in O(1) instead of re-walking the page table. Mapping a
+// previously-unmapped page does not bump it: no cached success can be
+// affected, and faults are never cached.
 func (a *AddrSpace) TranslationEpoch() uint64 { return a.epoch }
 
 // Map installs a mapping from the virtual page containing va to pfn.
@@ -287,51 +284,15 @@ func (a *AddrSpace) Map(va, pfn uint64, perm Perm) {
 	a.pages[vpn] = pte
 }
 
-// MapCOW installs a copy-on-write mapping.
-func (a *AddrSpace) MapCOW(va, pfn uint64, perm Perm) {
-	vpn := VPN(va)
-	pte := PTE{PFN: pfn, Perm: perm, COW: true}
-	if old, ok := a.pages[vpn]; ok && old != pte {
-		a.epoch++
-	}
-	a.pages[vpn] = pte
-}
-
-// Unmap removes the mapping of the page containing va.
-func (a *AddrSpace) Unmap(va uint64) {
-	delete(a.pages, VPN(va))
-	a.epoch++
-}
-
 // Lookup returns the PTE for the page containing va.
 func (a *AddrSpace) Lookup(va uint64) (PTE, bool) {
 	pte, ok := a.pages[VPN(va)]
 	return pte, ok
 }
 
-// Pages returns the number of mapped pages.
-func (a *AddrSpace) Pages() int { return len(a.pages) }
-
-// Each calls fn for every mapping.
-func (a *AddrSpace) Each(fn func(vpn uint64, pte PTE)) {
-	for vpn, pte := range a.pages {
-		fn(vpn, pte)
-	}
-}
-
-// Clone returns a deep copy of the address space (used by fork before COW
-// marking).
-func (a *AddrSpace) Clone() *AddrSpace {
-	c := NewAddrSpace()
-	for vpn, pte := range a.pages {
-		c.pages[vpn] = pte
-	}
-	return c
-}
-
 // Translate translates va for the given access kind. On success it returns
-// the physical address and FaultNone. A write to a COW page reports
-// FaultProtection; the kernel resolves it by copying the frame.
+// the physical address and FaultNone; an access the page's permissions deny
+// reports FaultProtection.
 func (a *AddrSpace) Translate(va uint64, acc Access) (uint64, Fault) {
 	pte, ok := a.pages[VPN(va)]
 	if !ok {
@@ -343,7 +304,7 @@ func (a *AddrSpace) Translate(va uint64, acc Access) (uint64, Fault) {
 			return 0, FaultProtection
 		}
 	case AccessWrite:
-		if pte.Perm&PermW == 0 || pte.COW {
+		if pte.Perm&PermW == 0 {
 			return 0, FaultProtection
 		}
 	case AccessExec:

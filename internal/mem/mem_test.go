@@ -111,34 +111,6 @@ func TestTranslatePermissions(t *testing.T) {
 	}
 }
 
-func TestCOWTranslate(t *testing.T) {
-	a := NewAddrSpace()
-	a.MapCOW(0x600000, 9, PermRW)
-	if _, f := a.Translate(0x600000, AccessRead); f != FaultNone {
-		t.Errorf("COW read fault = %v", f)
-	}
-	if _, f := a.Translate(0x600000, AccessWrite); f != FaultProtection {
-		t.Errorf("COW write fault = %v, want protection", f)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	a := NewAddrSpace()
-	a.Map(0x1000, 1, PermRW)
-	c := a.Clone()
-	c.Map(0x2000, 2, PermRW)
-	if a.Pages() != 1 {
-		t.Error("clone mutated original")
-	}
-	if c.Pages() != 2 {
-		t.Error("clone missing mapping")
-	}
-	a.Unmap(0x1000)
-	if _, ok := c.Lookup(0x1000); !ok {
-		t.Error("unmap in original affected clone")
-	}
-}
-
 func TestTLBFIFOEviction(t *testing.T) {
 	tlb := NewTLB(2)
 	tlb.Insert(0x1000, 1)

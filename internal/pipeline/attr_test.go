@@ -106,7 +106,6 @@ func TestAttrStallAndReplay(t *testing.T) {
 	var tap instTap
 	tap.attach(se.core)
 	loadPC := codeBase + uint64(se.s.LoadOff)
-	cfg := se.core.Config()
 
 	// Run 1: non-aliasing, fresh predictor — type H, a clean bypass.
 	if _, ev := se.exec(false); len(ev) != 1 || ev[0].Type != predict.TypeH {
@@ -123,9 +122,9 @@ func TestAttrStallAndReplay(t *testing.T) {
 		t.Fatalf("run 2 events %v, want type G first", ev)
 	}
 	ld := tap.loadAt(t, loadPC)
-	if ld.Replay <= int64(cfg.RollbackPenalty) {
+	if ld.Replay <= rollbackPenalty {
 		t.Errorf("type G load replay = %d, want > rollback penalty %d",
-			ld.Replay, cfg.RollbackPenalty)
+			ld.Replay, rollbackPenalty)
 	}
 	if ld.SQStall != 0 {
 		t.Errorf("type G load charged SQ-stall %d, want 0", ld.SQStall)
@@ -137,8 +136,8 @@ func TestAttrStallAndReplay(t *testing.T) {
 	if sq.Kind != obs.SquashBypass {
 		t.Errorf("squash kind %v, want bypass", sq.Kind)
 	}
-	if sq.Penalty != int64(cfg.RollbackPenalty) {
-		t.Errorf("squash penalty %d, want rollback penalty %d", sq.Penalty, cfg.RollbackPenalty)
+	if sq.Penalty != rollbackPenalty {
+		t.Errorf("squash penalty %d, want rollback penalty %d", sq.Penalty, rollbackPenalty)
 	}
 	if sq.PC != loadPC {
 		t.Errorf("squash at %#x, want the victim load %#x", sq.PC, loadPC)

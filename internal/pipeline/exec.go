@@ -53,7 +53,7 @@ func (c *Core) fetchInst(mmu MMU, st *runState) (isa.Inst, uint64, mem.Fault) {
 				c.pmcs.Inc(pmc.ITLBHit4K)
 			} else {
 				c.itlb.Insert(pc, mem.PFNOf(pa))
-				st.fetchCycle += int64(c.cfg.TLBMissPenalty)
+				st.fetchCycle += tlbMissPenalty
 			}
 			in := e.insts[off>>3]
 			if in.Op == opUndecoded {
@@ -97,7 +97,7 @@ func (c *Core) fetchSlow(mmu MMU, st *runState, pc uint64) (isa.Inst, uint64, me
 		c.pmcs.Inc(pmc.ITLBHit4K)
 	} else {
 		c.itlb.Insert(pc, mem.PFNOf(pa))
-		st.fetchCycle += int64(c.cfg.TLBMissPenalty)
+		st.fetchCycle += tlbMissPenalty
 	}
 	first := mem.PageSize - mem.PageOffset(pc)
 	if first < isa.InstBytes {
@@ -174,7 +174,7 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 					c.pmcs.Inc(pmc.ITLBHit4K)
 				} else {
 					c.itlb.Insert(st.pc, mem.PFNOf(ipa))
-					st.fetchCycle += int64(c.cfg.TLBMissPenalty)
+					st.fetchCycle += tlbMissPenalty
 				}
 				in = e.insts[off>>3]
 				if in.Op == opUndecoded {
@@ -283,7 +283,7 @@ func (c *Core) runEpisode(mmu MMU, st *runState, verifyTime int64) ([]StldEvent,
 					c.pmcs.Inc(pmc.ITLBHit4K)
 				} else {
 					c.itlb.Insert(st.pc, mem.PFNOf(ipa))
-					st.fetchCycle += int64(c.cfg.TLBMissPenalty)
+					st.fetchCycle += tlbMissPenalty
 				}
 				in = e.insts[off>>3]
 				if in.Op == opUndecoded {
@@ -346,7 +346,7 @@ func (c *Core) translateData(mmu MMU, va uint64, write bool) (uint64, int64, mem
 	}
 	var extra int64
 	if _, hit := c.dtlb.Lookup(va); !hit {
-		extra = int64(c.cfg.TLBMissPenalty)
+		extra = tlbMissPenalty
 		c.dtlb.Insert(va, mem.PFNOf(pa))
 	}
 	return pa, extra, mem.FaultNone
@@ -456,7 +456,7 @@ func (c *Core) exec(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, ep *epis
 	case isa.MOVI:
 		issue := acquire(st.ports.alu, d)
 		st.attr.issue = issue
-		done := issue + int64(cfg.ALULatency)
+		done := issue + aluLatency
 		st.regs[in.Dst] = uint64(int64(in.Imm))
 		st.regTime[in.Dst] = done
 		st.bumpDone(done)
@@ -467,7 +467,7 @@ func (c *Core) exec(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, ep *epis
 	case isa.MOV:
 		issue := acquire(st.ports.alu, max64(d, st.regTime[in.Src1]))
 		st.attr.issue = issue
-		done := issue + int64(cfg.ALULatency)
+		done := issue + aluLatency
 		st.regs[in.Dst] = st.regs[in.Src1]
 		st.regTime[in.Dst] = done
 		st.bumpDone(done)
@@ -479,7 +479,7 @@ func (c *Core) exec(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, ep *epis
 		ready := max64(d, max64(st.regTime[in.Src1], st.regTime[in.Src2]))
 		issue := acquire(st.ports.alu, ready)
 		st.attr.issue = issue
-		done := issue + int64(cfg.ALULatency)
+		done := issue + aluLatency
 		st.regs[in.Dst] = evalALU(in.Op, st.regs[in.Src1], st.regs[in.Src2], in.Imm)
 		st.regTime[in.Dst] = done
 		st.bumpDone(done)
@@ -490,7 +490,7 @@ func (c *Core) exec(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, ep *epis
 	case isa.ADDI, isa.SUBI, isa.ANDI, isa.ORI, isa.XORI, isa.SHLI, isa.SHRI:
 		issue := acquire(st.ports.alu, max64(d, st.regTime[in.Src1]))
 		st.attr.issue = issue
-		done := issue + int64(cfg.ALULatency)
+		done := issue + aluLatency
 		st.regs[in.Dst] = evalALU(in.Op, st.regs[in.Src1], 0, in.Imm)
 		st.regTime[in.Dst] = done
 		st.bumpDone(done)
@@ -502,7 +502,7 @@ func (c *Core) exec(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, ep *epis
 		ready := max64(d, max64(st.regTime[in.Src1], st.regTime[in.Src2]))
 		issue := acquire(st.ports.mul, ready)
 		st.attr.issue = issue
-		done := issue + int64(cfg.MulLatency)
+		done := issue + mulLatency
 		st.regs[in.Dst] = st.regs[in.Src1] * st.regs[in.Src2]
 		st.regTime[in.Dst] = done
 		st.bumpDone(done)
@@ -538,7 +538,7 @@ func (c *Core) exec(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, ep *epis
 			}
 			return outcome{kind: oFault, fault: f, faultVA: va}
 		}
-		issue := max64(d, st.regTime[in.Src1]+int64(cfg.AGULatency)) + extra
+		issue := max64(d, st.regTime[in.Src1]+aguLatency) + extra
 		st.attr.issue = issue
 		c.bus.StampCycle(issue)
 		c.cache.Flush(pa)
@@ -648,13 +648,12 @@ func (c *Core) execBranch(mmu MMU, st *runState, in isa.Inst, pc uint64, d int64
 	ev, n := c.runEpisode(mmu, clone, resolve)
 	st.stlds = append(st.stlds, ev...)
 	c.putClone(clone)
-	c.emitSquash(obs.SquashBranch, pc, start, resolve, int64(c.cfg.BranchMissPenalty), n)
-	st.redirect(correctPC, resolve+int64(c.cfg.BranchMissPenalty))
+	c.emitSquash(obs.SquashBranch, pc, start, resolve, branchMissPenalty, n)
+	st.redirect(correctPC, resolve+branchMissPenalty)
 	return outcome{}
 }
 
 func (c *Core) execStore(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, d int64, ep *episodeCtx) outcome {
-	cfg := &c.cfg
 	va := st.regs[in.Src1] + uint64(int64(in.Imm))
 	data := st.regs[in.Src2]
 	d = st.sqSlot(d)
@@ -668,7 +667,7 @@ func (c *Core) execStore(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, d i
 	addrReady := max64(d, st.regTime[in.Src1])
 	issued := acquire(st.ports.st, addrReady)
 	st.attr.issue = issued
-	addrTime := issued + int64(cfg.AGULatency) + extra
+	addrTime := issued + aguLatency + extra
 	dataTime := max64(d, st.regTime[in.Src2])
 	complete := max64(addrTime, dataTime)
 	c.bus.StampCycle(complete)
@@ -705,14 +704,13 @@ func (c *Core) execStore(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, d i
 }
 
 func (c *Core) execLoad(mmu MMU, st *runState, in isa.Inst, pc, ipa uint64, d int64, ep *episodeCtx) outcome {
-	cfg := &c.cfg
 	va := st.regs[in.Src1] + uint64(int64(in.Imm))
 	pa, extra, f := c.translateData(mmu, va, false)
 	if f != mem.FaultNone {
 		return c.faultingLoad(mmu, st, in, pc, va, d, ep, f)
 	}
 	d = st.lqSlot(d)
-	addrReady := max64(d, st.regTime[in.Src1]) + int64(cfg.AGULatency)
+	addrReady := max64(d, st.regTime[in.Src1]) + aguLatency
 	tA := acquire(st.ports.ld, addrReady) + extra
 	if ep != nil && tA >= ep.verifyTime {
 		// The squash arrives before this load could issue: it never executes
@@ -784,7 +782,7 @@ func (c *Core) resolvedLoad(st *runState, pa uint64, t int64) (uint64, int64) {
 	if a := st.youngestAliasing(pa, t); a != nil {
 		if a.pa == pa {
 			c.pmcs.Inc(pmc.StoreToLoadForwarding)
-			done := max64(t, a.dataTime) + int64(c.cfg.ForwardLatency)
+			done := max64(t, a.dataTime) + forwardLatency
 			if c.bus.On(obs.ClassForward) {
 				c.bus.Emit(obs.ForwardEvent{CPU: c.cpuID, Cycle: done, StoreIPA: a.ipa, VA: a.va})
 			}
@@ -824,7 +822,7 @@ func (c *Core) bypassLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S
 	// replay the load with the conflicting stores resolved.
 	c.pmcs.Inc(pmc.Rollbacks)
 	verify := uMaxAddr + 1
-	st.attr.replay = (verify - tA) + int64(c.cfg.RollbackPenalty)
+	st.attr.replay = (verify - tA) + rollbackPenalty
 	clone := c.getClone(st)
 	clone.regs[in.Dst] = stale
 	clone.regTime[in.Dst] = tDone
@@ -834,7 +832,7 @@ func (c *Core) bypassLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S
 	ev, n := c.runEpisode(mmu, clone, verify)
 	st.stlds = append(st.stlds, ev...)
 	c.putClone(clone)
-	c.emitSquash(obs.SquashBypass, q.LoadIVA, tA, verify, int64(c.cfg.RollbackPenalty), n)
+	c.emitSquash(obs.SquashBypass, q.LoadIVA, tA, verify, rollbackPenalty, n)
 	return c.replayLoad(st, pa, verify)
 }
 
@@ -843,7 +841,7 @@ func (c *Core) bypassLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S
 // wrong (type D) and triggers a rollback.
 func (c *Core) psfLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S, U *storeRec, uMaxAddr int64, va, pa uint64, tA int64, ep *episodeCtx) (uint64, int64) {
 	c.pmcs.Inc(pmc.PSFForwards)
-	fwdDone := max64(tA, S.dataTime) + int64(c.cfg.ForwardLatency)
+	fwdDone := max64(tA, S.dataTime) + forwardLatency
 	if c.bus.On(obs.ClassForward) {
 		c.bus.Emit(obs.ForwardEvent{CPU: c.cpuID, Cycle: fwdDone, StoreIPA: S.ipa, LoadIPA: q.LoadIPA, VA: va, PSF: true})
 	}
@@ -871,7 +869,7 @@ func (c *Core) psfLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S, U
 	if uMaxAddr+1 > verify {
 		verify = uMaxAddr + 1
 	}
-	st.attr.replay = (verify - tA) + int64(c.cfg.RollbackPenalty)
+	st.attr.replay = (verify - tA) + rollbackPenalty
 	clone := c.getClone(st)
 	clone.regs[in.Dst] = S.newVal
 	clone.regTime[in.Dst] = fwdDone
@@ -881,14 +879,14 @@ func (c *Core) psfLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S, U
 	ev, n := c.runEpisode(mmu, clone, verify)
 	st.stlds = append(st.stlds, ev...)
 	c.putClone(clone)
-	c.emitSquash(obs.SquashPSF, q.LoadIVA, tA, verify, int64(c.cfg.RollbackPenalty), n)
+	c.emitSquash(obs.SquashPSF, q.LoadIVA, tA, verify, rollbackPenalty, n)
 	return c.replayLoad(st, pa, verify)
 }
 
 // replayLoad re-executes a squashed load after the rollback penalty, with
 // all older stores now resolved.
 func (c *Core) replayLoad(st *runState, pa uint64, verify int64) (uint64, int64) {
-	redirect := verify + int64(c.cfg.RollbackPenalty)
+	redirect := verify + rollbackPenalty
 	// The refetch walks the front end again.
 	c.pmcs.Inc(pmc.ITLBHit4K)
 	c.pmcs.Inc(pmc.LdDispatch)
@@ -907,7 +905,7 @@ func (c *Core) faultingLoad(mmu MMU, st *runState, in isa.Inst, pc, va uint64, d
 	if ep != nil {
 		return outcome{kind: oFault}
 	}
-	addrReady := max64(d, st.regTime[in.Src1]) + int64(c.cfg.AGULatency)
+	addrReady := max64(d, st.regTime[in.Src1]) + aguLatency
 	tA := acquire(st.ports.ld, addrReady)
 	st.attr.issue = tA
 	c.pmcs.Inc(pmc.LdDispatch)

@@ -40,7 +40,7 @@ var ErrCancelled = errors.New("pipeline: run cancelled")
 const stopCheckInterval = 1024
 
 // MMU translates virtual addresses for the running context. *mem.AddrSpace
-// satisfies it; the kernel model wraps it with COW handling.
+// satisfies it, and *kernel.Process forwards to its address space.
 type MMU interface {
 	Translate(va uint64, acc mem.Access) (uint64, mem.Fault)
 }
@@ -52,28 +52,34 @@ type epochMMU interface {
 	TranslationEpoch() uint64
 }
 
-// Config sets the core's microarchitectural parameters. Zero values are
-// replaced by DefaultConfig's.
+// The core's fixed microarchitectural parameters, which approximate the
+// paper's Zen 3 test machines. Nothing varies them, so they are constants
+// rather than Config fields.
+const (
+	aluPorts   = 4
+	mulPorts   = 1
+	loadPorts  = 2
+	storePorts = 1
+
+	aluLatency     = 1
+	mulLatency     = 3 // the IMUL chains delaying store address generation
+	forwardLatency = 8 // store-queue forward (STLF and PSF)
+	aguLatency     = 1 // address generation
+
+	branchMissPenalty = 16
+	rollbackPenalty   = 200 // extra refetch delay after a memory-speculation rollback
+	tlbMissPenalty    = 20
+	dtlbSize          = 64
+)
+
+// Config sets the core's variable microarchitectural parameters. Zero values
+// are replaced by DefaultConfig's.
 type Config struct {
 	FetchWidth int // instructions dispatched per cycle
 	ROBSize    int // reorder-buffer window
 	SQSize     int // store-queue entries (48 on Zen 3 family 17h)
 	LQSize     int // load-queue entries (72 on Zen 3)
-	ALUPorts   int
-	MulPorts   int
-	LoadPorts  int
-	StorePorts int
-
-	ALULatency     int
-	MulLatency     int // the IMUL chains delaying store address generation
-	ForwardLatency int // store-queue forward (STLF and PSF)
-	AGULatency     int // address generation
-
-	BranchMissPenalty int
-	RollbackPenalty   int // extra refetch delay after a memory-speculation rollback
-	TLBMissPenalty    int
-	DTLBSize          int
-	ITLBSize          int
+	ITLBSize   int
 
 	// EpisodeCap bounds how many instructions execute inside one transient
 	// episode (the hardware bound is the ROB size).
@@ -102,24 +108,12 @@ type Config struct {
 // DefaultConfig approximates the paper's Zen 3 test machines.
 func DefaultConfig() Config {
 	return Config{
-		FetchWidth:        4,
-		ROBSize:           256,
-		SQSize:            48,
-		LQSize:            72,
-		ALUPorts:          4,
-		MulPorts:          1,
-		LoadPorts:         2,
-		StorePorts:        1,
-		ALULatency:        1,
-		MulLatency:        3,
-		ForwardLatency:    8,
-		AGULatency:        1,
-		BranchMissPenalty: 16,
-		RollbackPenalty:   200,
-		TLBMissPenalty:    20,
-		DTLBSize:          64,
-		ITLBSize:          64,
-		EpisodeCap:        64,
+		FetchWidth: 4,
+		ROBSize:    256,
+		SQSize:     48,
+		LQSize:     72,
+		ITLBSize:   64,
+		EpisodeCap: 64,
 	}
 }
 
@@ -136,42 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LQSize == 0 {
 		c.LQSize = d.LQSize
-	}
-	if c.ALUPorts == 0 {
-		c.ALUPorts = d.ALUPorts
-	}
-	if c.MulPorts == 0 {
-		c.MulPorts = d.MulPorts
-	}
-	if c.LoadPorts == 0 {
-		c.LoadPorts = d.LoadPorts
-	}
-	if c.StorePorts == 0 {
-		c.StorePorts = d.StorePorts
-	}
-	if c.ALULatency == 0 {
-		c.ALULatency = d.ALULatency
-	}
-	if c.MulLatency == 0 {
-		c.MulLatency = d.MulLatency
-	}
-	if c.ForwardLatency == 0 {
-		c.ForwardLatency = d.ForwardLatency
-	}
-	if c.AGULatency == 0 {
-		c.AGULatency = d.AGULatency
-	}
-	if c.BranchMissPenalty == 0 {
-		c.BranchMissPenalty = d.BranchMissPenalty
-	}
-	if c.RollbackPenalty == 0 {
-		c.RollbackPenalty = d.RollbackPenalty
-	}
-	if c.TLBMissPenalty == 0 {
-		c.TLBMissPenalty = d.TLBMissPenalty
-	}
-	if c.DTLBSize == 0 {
-		c.DTLBSize = d.DTLBSize
 	}
 	if c.ITLBSize == 0 {
 		c.ITLBSize = d.ITLBSize
@@ -224,7 +182,7 @@ type RunResult struct {
 	EndPC   uint64 // pc after the stopping instruction
 	Fault   mem.Fault
 	FaultVA uint64
-	FaultPC uint64 // pc of the faulting instruction (for retry after COW break)
+	FaultPC uint64 // pc of the faulting instruction
 	Insts   uint64 // retired instruction count
 	// Stlds are the run's store-load speculation events. They alias the
 	// core's run buffer and stay valid only until the core's next Run;
@@ -270,9 +228,9 @@ type Core struct {
 	fetchGenClock uint64 // round-robin eviction cursor for fetchGens
 
 	// xlat caches successful data translations ([0] reads, [1] writes),
-	// validated by the same generation tag as the fetch cache. Failed
-	// translations (faults, COW write breaks) are never cached, so the
-	// fault behaviour is exactly the page table's.
+	// validated by the same generation tag as the fetch cache. Faulting
+	// translations are never cached, so the fault behaviour is exactly the
+	// page table's.
 	xlat [2][xlatCacheSize]xlatEntry
 }
 
@@ -352,15 +310,12 @@ func New(cfg Config, phys *mem.Physical, ch *cache.Hierarchy, dis predict.Disamb
 		cache:  ch,
 		dis:    dis,
 		pmcs:   pmcs,
-		dtlb:   mem.NewTLB(cfg.DTLBSize),
+		dtlb:   mem.NewTLB(dtlbSize),
 		itlb:   mem.NewTLB(cfg.ITLBSize),
 		bp:     newBranchPredictor(),
 		jitter: rand.New(rand.NewSource(cfg.TimerSeed + 1)),
 	}
 }
-
-// Config returns the core configuration.
-func (c *Core) Config() Config { return c.cfg }
 
 // PMC returns the core's performance counters.
 func (c *Core) PMC() *pmc.Counters { return c.pmcs }

@@ -30,18 +30,18 @@ type ports struct {
 	st  []int64
 }
 
-func newPorts(cfg Config) ports {
+func newPorts() ports {
 	return ports{
-		alu: make([]int64, cfg.ALUPorts),
-		mul: make([]int64, cfg.MulPorts),
-		ld:  make([]int64, cfg.LoadPorts),
-		st:  make([]int64, cfg.StorePorts),
+		alu: make([]int64, aluPorts),
+		mul: make([]int64, mulPorts),
+		ld:  make([]int64, loadPorts),
+		st:  make([]int64, storePorts),
 	}
 }
 
 // copyFrom overwrites p with src, reusing p's backing arrays when they are
 // large enough (they always are after the first use, since port counts are
-// fixed per core).
+// constants).
 func (p *ports) copyFrom(src *ports) {
 	p.alu = append(p.alu[:0], src.alu...)
 	p.mul = append(p.mul[:0], src.mul...)
@@ -147,7 +147,7 @@ func (c *Core) acquireRun(entry uint64, regs [isa.NumRegs]uint64) *runState {
 			retireRing: make([]int64, c.cfg.ROBSize),
 			sqRing:     make([]int64, c.cfg.SQSize),
 			lqRing:     make([]int64, c.cfg.LQSize),
-			ports:      newPorts(c.cfg),
+			ports:      newPorts(),
 		}
 		c.runSt = st
 	}

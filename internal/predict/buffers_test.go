@@ -85,14 +85,14 @@ func TestPSFPFlush(t *testing.T) {
 }
 
 func TestSSBPMissReadsZero(t *testing.T) {
-	s := NewSSBP(0, nil)
+	s := NewSSBP(nil)
 	if c3, c4 := s.Get(7); c3 != 0 || c4 != 0 {
 		t.Error("missing entry should read zero")
 	}
 }
 
 func TestSSBPPutGetUpdate(t *testing.T) {
-	s := NewSSBP(0, nil)
+	s := NewSSBP(nil)
 	s.Put(7, 15, 3)
 	if c3, c4 := s.Get(7); c3 != 15 || c4 != 3 {
 		t.Errorf("got %d,%d", c3, c4)
@@ -104,13 +104,10 @@ func TestSSBPPutGetUpdate(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if s.Ways() != SSBPWays {
-		t.Errorf("Ways = %d", s.Ways())
-	}
 }
 
 func TestSSBPZeroPutDoesNotAllocate(t *testing.T) {
-	s := NewSSBP(0, nil)
+	s := NewSSBP(nil)
 	s.Put(9, 0, 0)
 	if s.Len() != 0 {
 		t.Error("zero put should not allocate")
@@ -126,7 +123,7 @@ func TestSSBPGradualEviction(t *testing.T) {
 		const trials = 400
 		for trial := 0; trial < trials; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial*1000 + k)))
-			s := NewSSBP(0, rng)
+			s := NewSSBP(rng)
 			s.Put(0, 15, 3) // base entry
 			for i := 1; i <= k; i++ {
 				s.Put(uint16(i), 0, 1)
@@ -150,7 +147,7 @@ func TestSSBPGradualEviction(t *testing.T) {
 }
 
 func TestSSBPFlushAndSnapshot(t *testing.T) {
-	s := NewSSBP(0, nil)
+	s := NewSSBP(nil)
 	s.Put(1, 5, 1)
 	s.Put(2, 7, 2)
 	snap := s.Snapshot()

@@ -142,7 +142,7 @@ func TestUnitEvictionInteraction(t *testing.T) {
 	}
 	// SSBP is 10-way with random replacement; the base tag may or may not
 	// survive 12 more inserts, but the structure must still answer.
-	if u.SSBP().Len() != u.SSBP().Ways() {
-		t.Errorf("SSBP should be full: %d/%d", u.SSBP().Len(), u.SSBP().Ways())
+	if u.SSBP().Len() != SSBPWays {
+		t.Errorf("SSBP should be full: %d/%d", u.SSBP().Len(), SSBPWays)
 	}
 }

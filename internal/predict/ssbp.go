@@ -21,7 +21,6 @@ type ssbpEntry struct {
 // by a small store with random replacement. Missing entries read as zeros.
 // Unlike PSFP it survives context switches — the root of Vulnerability 1.
 type SSBP struct {
-	ways    int
 	entries []ssbpEntry
 	rng     *rand.Rand
 	// onEvict observes random-replacement evictions only — not Flush and not
@@ -29,17 +28,13 @@ type SSBP struct {
 	onEvict func(ssbpEntry)
 }
 
-// NewSSBP returns an empty SSBP. ways == 0 selects the default capacity; the
-// rng drives victim selection and must be seeded by the caller for
-// reproducible experiments.
-func NewSSBP(ways int, rng *rand.Rand) *SSBP {
-	if ways == 0 {
-		ways = SSBPWays
-	}
+// NewSSBP returns an empty SSBP. The rng drives victim selection and must be
+// seeded by the caller for reproducible experiments.
+func NewSSBP(rng *rand.Rand) *SSBP {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return &SSBP{ways: ways, entries: make([]ssbpEntry, 0, ways), rng: rng}
+	return &SSBP{entries: make([]ssbpEntry, 0, SSBPWays), rng: rng}
 }
 
 func (s *SSBP) find(tag uint16) int {
@@ -71,7 +66,7 @@ func (s *SSBP) Put(tag uint16, c3, c4 int) {
 		return
 	}
 	e := ssbpEntry{tag: tag, c3: c3, c4: c4}
-	if len(s.entries) < s.ways {
+	if len(s.entries) < SSBPWays {
 		s.entries = append(s.entries, e)
 		return
 	}
@@ -87,9 +82,6 @@ func (s *SSBP) Contains(tag uint16) bool { return s.find(tag) >= 0 }
 
 // Len returns the number of live entries.
 func (s *SSBP) Len() int { return len(s.entries) }
-
-// Ways returns the physical capacity.
-func (s *SSBP) Ways() int { return s.ways }
 
 // Flush empties the predictor. The hardware only does this when a process
 // sleeps (Section IV-A); the flush-on-context-switch mitigation of Section

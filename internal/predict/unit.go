@@ -57,10 +57,8 @@ func (s Stats) TypeCount(t ExecType) uint64 { return s.Types[t] }
 
 // Config configures the AMD unit.
 type Config struct {
-	// PSFPSize and SSBPWays override the reverse-engineered defaults when
-	// non-zero.
+	// PSFPSize overrides the reverse-engineered PSFP capacity when non-zero.
 	PSFPSize int
-	SSBPWays int
 	// Seed drives SSBP victim selection.
 	Seed int64
 	// SSBD is Speculative Store Bypass Disable (SPEC_CTRL bit 2): every load
@@ -100,7 +98,7 @@ func NewUnit(cfg Config) *Unit {
 	return &Unit{
 		cfg:  cfg,
 		psfp: NewPSFP(cfg.PSFPSize),
-		ssbp: NewSSBP(cfg.SSBPWays, rng),
+		ssbp: NewSSBP(rng),
 	}
 }
 

@@ -14,8 +14,11 @@ import (
 
 // Fig2Row summarizes one execution type observed in the Fig 2 experiment.
 type Fig2Row struct {
-	Type       predict.ExecType
-	Class      TimingClass
+	Type  predict.ExecType
+	Class TimingClass
+	// PMC is the verdict ClassifyPMC gives every execution of the type, or
+	// PMCUnknown when the executions' verdicts differ.
+	PMC        PMCClass
 	Count      int
 	MeanCycles uint64
 	PMCPerExec map[string]float64
@@ -28,12 +31,14 @@ type Fig2Row struct {
 type Fig2Result struct {
 	Rows        []Fig2Row
 	TimingAgree float64 // fraction of executions whose timing class matches ground truth
+	PMCAgree    float64 // fraction of executions whose PMC verdict matches ground truth
 }
 
 // Fig2 runs the paper's Fig 2 experiment: repeated (40n,40a) sequences, one
 // timing and PMC sample per stld execution, grouped by ground-truth type.
 // Four repetitions saturate C4 so the S2 states (types B and F) appear
-// alongside the rest.
+// alongside the rest. Each execution is typed twice, from its timing and
+// from its PMC delta, and both are scored against ground truth.
 func Fig2(cfg kernel.Config) Fig2Result {
 	l := NewLab(cfg)
 	s := l.PlaceStld()
@@ -74,17 +79,21 @@ func Fig2(cfg kernel.Config) Fig2Result {
 		samples = append(samples, sample{ob, counters.Delta(before)})
 	}
 	byType := map[predict.ExecType][]sample{}
-	agree := 0
+	agree, pmcAgree := 0, 0
 	for _, sm := range samples {
 		byType[sm.ob.TrueType] = append(byType[sm.ob.TrueType], sm)
 		if sm.ob.Class == ClassOf(sm.ob.TrueType) {
 			agree++
+		}
+		if ClassifyPMC(sm.pmc).Matches(sm.ob.TrueType) {
+			pmcAgree++
 		}
 	}
 	events := []pmc.Event{pmc.SQStallCycles, pmc.StoreToLoadForwarding,
 		pmc.LdDispatch, pmc.ITLBHit4K, pmc.RetiredOps}
 	var res Fig2Result
 	res.TimingAgree = float64(agree) / float64(len(samples))
+	res.PMCAgree = float64(pmcAgree) / float64(len(samples))
 	var keys []predict.ExecType
 	for t := range byType {
 		keys = append(keys, t)
@@ -92,10 +101,13 @@ func Fig2(cfg kernel.Config) Fig2Result {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, t := range keys {
 		ss := byType[t]
-		row := Fig2Row{Type: t, Class: ClassOf(t), Count: len(ss),
-			PMCPerExec: map[string]float64{}, MinCycles: ^uint64(0)}
+		row := Fig2Row{Type: t, Class: ClassOf(t), PMC: ClassifyPMC(ss[0].pmc),
+			Count: len(ss), PMCPerExec: map[string]float64{}, MinCycles: ^uint64(0)}
 		var sum uint64
 		for _, sm := range ss {
+			if ClassifyPMC(sm.pmc) != row.PMC {
+				row.PMC = PMCUnknown
+			}
 			sum += sm.ob.Cycles
 			if sm.ob.Cycles < row.MinCycles {
 				row.MinCycles = sm.ob.Cycles
@@ -118,11 +130,12 @@ func Fig2(cfg kernel.Config) Fig2Result {
 
 func (r Fig2Result) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Fig 2 — execution types of (40n,40a)x4; timing/ground-truth agreement %.1f%%\n", 100*r.TimingAgree)
-	fmt.Fprintf(&sb, "%-4s %-9s %5s %8s %8s %8s\n", "type", "class", "count", "mean", "min", "max")
+	fmt.Fprintf(&sb, "Fig 2 — execution types of (40n,40a)x4; ground-truth agreement: timing %.1f%%, PMC %.1f%%\n",
+		100*r.TimingAgree, 100*r.PMCAgree)
+	fmt.Fprintf(&sb, "%-4s %-9s %-4s %5s %8s %8s %8s\n", "type", "class", "pmc", "count", "mean", "min", "max")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-4s %-9s %5d %8d %8d %8d\n",
-			row.Type, row.Class, row.Count, row.MeanCycles, row.MinCycles, row.MaxCycles)
+		fmt.Fprintf(&sb, "%-4s %-9s %-4s %5d %8d %8d %8d\n",
+			row.Type, row.Class, row.PMC, row.Count, row.MeanCycles, row.MinCycles, row.MaxCycles)
 	}
 	return sb.String()
 }

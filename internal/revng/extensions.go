@@ -145,34 +145,6 @@ func PSFPSizeAblation(cfg kernel.Config, sizes []int) []AblationPoint {
 	return out
 }
 
-// SSBPWaysAblation sweeps the SSBP physical capacity and re-measures the
-// Fig 5 eviction rates at set sizes 16 and 32 — showing how the modeled
-// 10-way store was fitted to the paper's curve.
-func SSBPWaysAblation(cfg kernel.Config, ways []int, trials int) []SSBPWaysPoint {
-	var out []SSBPWaysPoint
-	for _, w := range ways {
-		rate := func(k int) float64 {
-			ev := 0
-			for t := 0; t < trials; t++ {
-				tcfg := cfg
-				tcfg.Seed = cfg.Seed + int64(t*131+w)
-				tcfg.PredictorConfig = predict.Config{SSBPWays: w}
-				ev += fig5SSBPTrial(tcfg, new(harness.Arena), k, t)
-			}
-			return float64(ev) / float64(trials)
-		}
-		out = append(out, SSBPWaysPoint{Ways: w, RateAt16: rate(16), RateAt32: rate(32)})
-	}
-	return out
-}
-
-// SSBPWaysPoint is one configuration of the SSBP capacity sweep.
-type SSBPWaysPoint struct {
-	Ways     int
-	RateAt16 float64
-	RateAt32 float64
-}
-
 // AblationString renders a sweep.
 func AblationString(name string, points []AblationPoint) string {
 	var sb strings.Builder

@@ -47,26 +47,3 @@ func TestPSFPSizeAblation(t *testing.T) {
 		t.Error("empty report")
 	}
 }
-
-// TestSSBPWaysAblation: the eviction curve tracks the configured physical
-// capacity — larger stores evict later (the Fig 5 fitting knob).
-func TestSSBPWaysAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("capacity sweep is slow")
-	}
-	points := SSBPWaysAblation(baseCfg(), []int{6, 10, 20}, 10)
-	if len(points) != 3 {
-		t.Fatalf("points: %d", len(points))
-	}
-	// Rates at a fixed set size fall as capacity grows.
-	if !(points[0].RateAt16 >= points[1].RateAt16 && points[1].RateAt16 >= points[2].RateAt16) {
-		t.Errorf("eviction@16 not monotone in capacity: %+v", points)
-	}
-	// The default 10-way store matches the paper's anchors.
-	if points[1].RateAt16 <= 0.3 {
-		t.Errorf("10-way eviction@16 = %v, want the paper's >50%% ballpark", points[1].RateAt16)
-	}
-	if points[1].RateAt32 < 0.7 {
-		t.Errorf("10-way eviction@32 = %v, want ~90%%", points[1].RateAt32)
-	}
-}

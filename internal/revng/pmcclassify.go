@@ -90,11 +90,3 @@ func ClassifyPMC(d pmc.Counters) PMCClass {
 	}
 	return PMCUnknown
 }
-
-// RunPMC executes the stld once and classifies it from the PMC delta alone.
-func (s *Stld) RunPMC(aliasing bool) (Observation, PMCClass) {
-	counters := s.lab.K.CPU(s.cpu).Core.PMC()
-	before := counters.Snapshot()
-	ob := s.Run(aliasing)
-	return ob, ClassifyPMC(counters.Delta(before))
-}

@@ -7,6 +7,15 @@ import (
 	"zenspec/internal/predict"
 )
 
+// runPMC executes the stld once and classifies it from the PMC delta alone,
+// the way Fig2 types each execution.
+func runPMC(s *Stld, aliasing bool) (Observation, PMCClass) {
+	counters := s.lab.K.CPU(s.cpu).Core.PMC()
+	before := counters.Snapshot()
+	ob := s.Run(aliasing)
+	return ob, ClassifyPMC(counters.Delta(before))
+}
+
 // TestPMCClassifierMatchesGroundTruth: over long random sequences, the
 // counter-based classifier always agrees with the simulator's ground truth,
 // which is the Fig 2 attribution methodology validated end to end.
@@ -19,7 +28,7 @@ func TestPMCClassifierMatchesGroundTruth(t *testing.T) {
 		if i%97 == 0 {
 			l.Tick() // occasional preemption diversifies the visited states
 		}
-		ob, cls := s.RunPMC(r.Intn(2) == 0)
+		ob, cls := runPMC(s, r.Intn(2) == 0)
 		if !cls.Matches(ob.TrueType) {
 			t.Fatalf("step %d: PMC says %v, ground truth %v (%d cycles)",
 				i, cls, ob.TrueType, ob.Cycles)
@@ -33,13 +42,13 @@ func TestPMCClassifierMatchesGroundTruth(t *testing.T) {
 		s.Run(false)
 	}
 	for _, a := range Seq(7, -1, -6) {
-		ob, cls := s.RunPMC(a)
+		ob, cls := runPMC(s, a)
 		if !cls.Matches(ob.TrueType) {
 			t.Fatalf("scripted: PMC says %v, truth %v", cls, ob.TrueType)
 		}
 		counts[cls]++
 	}
-	ob, cls := s.RunPMC(false) // PSF enabled, non-aliasing: type D
+	ob, cls := runPMC(s, false) // PSF enabled, non-aliasing: type D
 	if !cls.Matches(ob.TrueType) {
 		t.Fatalf("D step: PMC says %v, truth %v", cls, ob.TrueType)
 	}
@@ -59,9 +68,9 @@ func TestPMCClassifierMatchesGroundTruth(t *testing.T) {
 func TestPMCClassifierSplitsTimingTies(t *testing.T) {
 	l := NewLab(baseCfg())
 	s := l.PlaceStld()
-	s.Phi(Seq(7, -1))            // predicted aliasing
-	obA, clsA := s.RunPMC(true)  // truth aliasing: A (stall + STLF)
-	obE, clsE := s.RunPMC(false) // truth non-aliasing: E (stall + cache)
+	s.Phi(Seq(7, -1))             // predicted aliasing
+	obA, clsA := runPMC(s, true)  // truth aliasing: A (stall + STLF)
+	obE, clsE := runPMC(s, false) // truth non-aliasing: E (stall + cache)
 	if clsA != PMCStallForward {
 		t.Errorf("aliasing stall classified %v", clsA)
 	}

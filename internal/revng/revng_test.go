@@ -88,9 +88,15 @@ func TestFig2(t *testing.T) {
 	if res.TimingAgree < 0.999 {
 		t.Errorf("timing agreement %.3f, want ~1 in a deterministic sim", res.TimingAgree)
 	}
+	if res.PMCAgree != 1 {
+		t.Errorf("PMC agreement %.3f, want 1: the counters type every execution", res.PMCAgree)
+	}
 	byType := map[predict.ExecType]Fig2Row{}
 	for _, row := range res.Rows {
 		byType[row.Type] = row
+		if !row.PMC.Matches(row.Type) {
+			t.Errorf("type %v rows carry PMC verdict %v", row.Type, row.PMC)
+		}
 	}
 	// (40n,40a)x2 must produce at least H, G, E and the trained aliasing
 	// types; rollback rows must exceed 240 cycles.
