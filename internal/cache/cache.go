@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"zenspec/internal/obs"
 )
@@ -159,12 +160,16 @@ func (l *level) flushAll() {
 
 func (l *level) contains(line uint64) bool { return l.setOf(line).find(line) >= 0 }
 
-func (l *level) count() int {
-	n := 0
-	for i := range l.sets {
-		n += len(l.sets[i].lines)
+// clone copies the level; each non-empty set gets its own lines, so a fill
+// in the copy never writes into the original.
+func (l *level) clone() *level {
+	c := newLevel(l.cfg)
+	for i, s := range l.sets {
+		if len(s.lines) > 0 {
+			c.sets[i].lines = slices.Clone(s.lines)
+		}
 	}
-	return n
+	return c
 }
 
 // Stats counts hierarchy events.
@@ -309,26 +314,12 @@ func (h *Hierarchy) Cached(pa uint64) bool {
 	return h.l1.contains(line) || h.l2.contains(line) || h.l3.contains(line)
 }
 
-// HitLatency returns the latency an access to pa would observe right now,
-// without changing any state. Side-channel probes use Access; this is for
-// assertions in tests.
-func (h *Hierarchy) HitLatency(pa uint64) int {
-	line := LineOf(pa)
-	switch {
-	case h.l1.contains(line):
-		return h.cfg.L1.Latency
-	case h.l2.contains(line):
-		return h.cfg.L2.Latency
-	case h.l3.contains(line):
-		return h.cfg.L3.Latency
-	}
-	return h.cfg.MemLatency
-}
-
 // Stats returns a copy of the event counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// Lines returns the number of resident lines per level, for tests.
-func (h *Hierarchy) Lines() (l1, l2, l3 int) {
-	return h.l1.count(), h.l2.count(), h.l3.count()
+// Clone returns a copy of the hierarchy's resident lines, in LRU order, and
+// its statistics, with no bus attached. It only reads h, so clones of one
+// hierarchy may be taken concurrently.
+func (h *Hierarchy) Clone() *Hierarchy {
+	return &Hierarchy{cfg: h.cfg, l1: h.l1.clone(), l2: h.l2.clone(), l3: h.l3.clone(), stats: h.stats}
 }

@@ -85,29 +85,18 @@ func TestTouchWarmsWithoutCountingAccess(t *testing.T) {
 	}
 }
 
-func TestHitLatencyIsNonDestructive(t *testing.T) {
-	h := New(DefaultConfig())
-	if h.HitLatency(0x4000) != 200 {
-		t.Error("cold HitLatency should be memory latency")
-	}
-	if h.Stats().Accesses != 0 {
-		t.Error("HitLatency must not record accesses")
-	}
-	h.Access(0x4000)
-	if h.HitLatency(0x4000) != 4 {
-		t.Error("warm HitLatency should be L1 latency")
-	}
-}
-
 func TestFlushAll(t *testing.T) {
 	h := New(small())
 	for i := uint64(0); i < 16; i++ {
 		h.Access(i * 64)
 	}
 	h.FlushAll()
-	l1, l2, l3 := h.Lines()
-	if l1+l2+l3 != 0 {
-		t.Errorf("lines after FlushAll = %d,%d,%d", l1, l2, l3)
+	for _, l := range []*level{h.l1, h.l2, h.l3} {
+		for _, s := range l.sets {
+			if len(s.lines) != 0 {
+				t.Fatalf("set holds %d lines after FlushAll", len(s.lines))
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 
 	"zenspec/internal/cache"
 	"zenspec/internal/fault"
@@ -146,12 +147,7 @@ func New(cfg Config) *Kernel {
 		bus:    obs.NewBus(),
 	}
 	k.caches.AttachBus(k.bus)
-	pcfg := cfg.Pipeline
-	pcfg.TimerQuantum = cfg.TimerQuantum
-	// Browser-profile jitter and injected fault jitter compose: both are
-	// independent noise sources on the same timer.
-	pcfg.TimerJitter = cfg.TimerJitter + cfg.Faults.TimerJitter
-	pcfg.TimerSeed = cfg.Seed
+	pcfg := cfg.pipelineConfig()
 	if cfg.Faults.MachineActive() {
 		k.inj = cfg.Faults.Injector(cfg.Seed)
 		k.inj.AttachBus(k.bus)
@@ -178,6 +174,70 @@ func New(cfg Config) *Kernel {
 		k.bus.Subscribe(cfg.Observer, obs.Options{Classes: cfg.ObserverClasses})
 	}
 	return k
+}
+
+// pipelineConfig is the core configuration New gives every hardware thread.
+func (cfg Config) pipelineConfig() pipeline.Config {
+	pcfg := cfg.Pipeline
+	pcfg.TimerQuantum = cfg.TimerQuantum
+	// Browser-profile jitter and injected fault jitter compose: both are
+	// independent noise sources on the same timer.
+	pcfg.TimerJitter = cfg.TimerJitter + cfg.Faults.TimerJitter
+	pcfg.TimerSeed = cfg.Seed
+	return pcfg
+}
+
+// Clone returns a machine in k's simulated state — memory, page tables,
+// caches, TLBs, predictor entries and stats, PMCs, cycle counts, processes
+// and the bus clock — under cfg, whose generators restart as New(cfg) seeds
+// them: each SSBP from cfg.Seed+i, each timer jitter stream from cfg.Seed+1.
+// cfg may differ from k's configuration only in Seed, Parallelism,
+// Pipeline.Stop and the trial-level rates of Faults, and neither may set an
+// observer, salts or a machine fault plan. The clone then equals New(cfg)
+// driven as k was, provided nothing k ran drew from a generator; the caller
+// vouches for that. Host caches start empty. Clone only reads k, so clones
+// of one machine may be taken concurrently.
+func (k *Kernel) Clone(cfg Config) *Kernel {
+	if cfg.SMTThreads == 0 {
+		cfg.SMTThreads = 2
+	}
+	c := &Kernel{
+		cfg:    cfg,
+		phys:   k.phys.Clone(),
+		caches: k.caches.Clone(),
+		nextID: k.nextID,
+		bus:    obs.NewBus(),
+	}
+	c.bus.StampCycle(k.bus.Now())
+	c.caches.AttachBus(c.bus)
+	c.procs = make([]*Process, len(k.procs))
+	for i, p := range k.procs {
+		q := *p
+		q.AS = p.AS.Clone()
+		q.kernel = c
+		c.procs[i] = &q
+	}
+	pcfg := cfg.pipelineConfig()
+	for i, cpu := range k.cpus {
+		unit := cpu.Unit.Clone(cfg.Seed + int64(i))
+		unit.AttachBus(c.bus, i)
+		core := cpu.Core.Clone(pcfg, c.phys, c.caches, unit)
+		core.AttachBus(c.bus, i)
+		nc := &CPU{ID: i, Core: core, Unit: unit, salts: maps.Clone(cpu.salts), epoch: cpu.epoch}
+		if cpu.current != nil {
+			nc.current = c.Process(cpu.current.ID)
+		}
+		c.cpus = append(c.cpus, nc)
+	}
+	return c
+}
+
+// Process returns the process with the given ID, or nil.
+func (k *Kernel) Process(id int) *Process {
+	if id < 1 || id > len(k.procs) {
+		return nil
+	}
+	return k.procs[id-1]
 }
 
 // Bus returns the machine's event bus.

@@ -7,7 +7,11 @@
 // physical addresses with chosen predictor-hash values.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"slices"
+)
 
 // Page geometry.
 const (
@@ -136,8 +140,20 @@ func (p *Physical) AllocFrameAt(pfn uint64) error {
 // Allocated reports whether a frame exists.
 func (p *Physical) Allocated(pfn uint64) bool { return p.frames[pfn] != nil }
 
-// NumFrames returns the number of allocated frames.
-func (p *Physical) NumFrames() int { return len(p.frames) }
+// Clone returns a deep copy: every frame with its bytes and Version, and
+// the allocation cursor. It only reads p, so clones of one Physical may be
+// taken concurrently.
+func (p *Physical) Clone() *Physical {
+	c := &Physical{frames: make(map[uint64]*Frame, len(p.frames)), nextFree: p.nextFree}
+	frames := make([]Frame, len(p.frames))
+	i := 0
+	for pfn, f := range p.frames {
+		frames[i] = *f
+		c.frames[pfn] = &frames[i]
+		i++
+	}
+	return c
+}
 
 func (p *Physical) frame(pa uint64) *Frame {
 	return p.frames[PFNOf(pa)]
@@ -274,6 +290,12 @@ func NewAddrSpace() *AddrSpace {
 // affected, and faults are never cached.
 func (a *AddrSpace) TranslationEpoch() uint64 { return a.epoch }
 
+// Clone returns a copy of the page table and its translation epoch. It only
+// reads a.
+func (a *AddrSpace) Clone() *AddrSpace {
+	return &AddrSpace{pages: maps.Clone(a.pages), epoch: a.epoch}
+}
+
 // Map installs a mapping from the virtual page containing va to pfn.
 func (a *AddrSpace) Map(va, pfn uint64, perm Perm) {
 	vpn := VPN(va)
@@ -342,6 +364,15 @@ type TLB struct {
 // NewTLB returns a TLB with the given number of entries.
 func NewTLB(size int) *TLB {
 	return &TLB{size: size, order: make([]uint64, size), entries: make(map[uint64]uint64, size)}
+}
+
+// Clone returns a copy with the same contents, FIFO order and last-hit
+// memo. It only reads t.
+func (t *TLB) Clone() *TLB {
+	c := *t
+	c.order = slices.Clone(t.order)
+	c.entries = maps.Clone(t.entries)
+	return &c
 }
 
 // Lookup returns the cached pfn for va's page.

@@ -20,8 +20,8 @@ func TestAllocFrameUnique(t *testing.T) {
 		}
 		seen[pfn] = true
 	}
-	if p.NumFrames() != 100 {
-		t.Errorf("NumFrames = %d, want 100", p.NumFrames())
+	if len(p.frames) != 100 {
+		t.Errorf("%d frames allocated, want 100", len(p.frames))
 	}
 }
 

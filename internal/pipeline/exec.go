@@ -129,6 +129,9 @@ func (c *Core) fetchSlow(mmu MMU, st *runState, pc uint64) (isa.Inst, uint64, me
 	}
 	align := off & (isa.InstBytes - 1)
 	*e.insts = undecodedPage
+	if e.nops != nil {
+		*e.nops = [pageInsts]uint16{}
+	}
 	e.insts[off>>3] = isa.Decode(fr.Data[off : off+isa.InstBytes])
 	e.vpn = vpn
 	e.paBase = pa &^ uint64(mem.PageMask)
@@ -137,6 +140,28 @@ func (c *Core) fetchSlow(mmu MMU, st *runState, pc uint64) (isa.Inst, uint64, me
 	e.align = align
 	e.frame = fr
 	return e.insts[off>>3], pa, mem.FaultNone
+}
+
+// nopRun returns the length of the run of NOP slots starting at slot i,
+// which holds a NOP: the run ends before the first other op or at the
+// page's last slot. The first call at a slot finds the run from the frame's
+// op bytes, without decoding (a slot decodes to NOP exactly when its op
+// byte is NOP, a valid opcode), and records it; later calls read the record
+// until a refill clears it. The record array is allocated with the first
+// run, so pages without NOPs never pay for it.
+func (e *fetchPage) nopRun(i uint64) uint64 {
+	if e.nops == nil {
+		e.nops = new([pageInsts]uint16)
+	} else if n := e.nops[i]; n != 0 {
+		return uint64(n)
+	}
+	last := (mem.PageSize - isa.InstBytes - e.align) / isa.InstBytes
+	j := i + 1
+	for j <= last && isa.Op(e.frame.Data[e.align+j*isa.InstBytes]) == isa.NOP {
+		j++
+	}
+	e.nops[i] = uint16(j - i)
+	return j - i
 }
 
 func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
@@ -183,24 +208,13 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 				}
 				if in.Op == isa.NOP && !instOn {
 					// Padding retires a run at a time (runState.retireNOPs).
-					// The run is the NOP slots that follow on this page, cut
-					// at maxInsts and at the next Stop poll so both land on
-					// the same instruction as they would one NOP at a time.
+					// The run is the NOP slots that follow on this page, as
+					// nopRun recorded them, cut at maxInsts and at the next
+					// Stop poll so both land on the same instruction as they
+					// would one NOP at a time.
 					// Every fetch after the first hits the ITLB entry the
 					// first one just checked or filled.
-					n := uint64(1)
-					lim := min(maxInsts-st.insts, stopCheckInterval-st.insts%stopCheckInterval)
-					last := (mem.PageSize - isa.InstBytes - e.align) / isa.InstBytes
-					for i := off>>3 + 1; n < lim && i <= last; i++ {
-						if e.insts[i].Op == opUndecoded {
-							o := e.align + i*isa.InstBytes
-							e.insts[i] = isa.Decode(e.frame.Data[o : o+isa.InstBytes])
-						}
-						if e.insts[i].Op != isa.NOP {
-							break
-						}
-						n++
-					}
+					n := min(e.nopRun(off>>3), maxInsts-st.insts, stopCheckInterval-st.insts%stopCheckInterval)
 					c.pmcs.Add(pmc.ITLBHit4K, n-1)
 					st.pc += n * isa.InstBytes
 					st.insts += n

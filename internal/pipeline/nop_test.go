@@ -59,6 +59,17 @@ func (p *nopPair) mapProgram(va uint64, code []byte) {
 	}
 }
 
+// poke writes one byte at va on both cores.
+func (p *nopPair) poke(va uint64, b byte) {
+	for _, e := range []*env{p.fast, p.ref} {
+		pa, f := e.as.Translate(va, mem.AccessRead)
+		if f != mem.FaultNone {
+			panic("poke translate")
+		}
+		e.phys.WriteBytes(pa, []byte{b})
+	}
+}
+
 // runCatch runs once, turning a Stop cancellation into a flag.
 func runCatch(e *env, entry uint64, regs [isa.NumRegs]uint64, maxInsts uint64) (res RunResult, out [isa.NumRegs]uint64, cancelled bool) {
 	defer func() {
@@ -232,6 +243,72 @@ func TestNOPRunsMatchStepping(t *testing.T) {
 		}
 	})
 
+	// The cases below re-enter pages whose NOP runs the fast core has
+	// already found (fetchPage.nopRun): a run must be found again after a
+	// write, per entry slot and per alignment, and a recorded run must still
+	// be cut at maxInsts and at the Stop poll.
+	t.Run("write-into-padding", func(t *testing.T) {
+		p := newNOPPair(t, Config{}, -1)
+		p.mapProgram(codeBase, nops(asm.NewBuilder(), 300).Halt().MustAssemble(codeBase))
+		p.check(t, codeBase, stldRegs(false), 0)
+		p.poke(codeBase+120*isa.InstBytes, byte(isa.HALT))
+		if res := p.check(t, codeBase, stldRegs(false), 0); res.Insts != 121 {
+			t.Fatalf("ran %d instructions after a HALT was written into slot 120", res.Insts)
+		}
+		p.poke(codeBase+120*isa.InstBytes, byte(isa.NOP))
+		p.check(t, codeBase, stldRegs(false), 0)
+	})
+
+	t.Run("cuts-then-rerun", func(t *testing.T) {
+		// Entered mid-page, so the fifth Stop poll (the second of the third
+		// run, at instruction 1024) lands inside a run on the third page.
+		entry := uint64(codeBase + 100*isa.InstBytes)
+		p := newNOPPair(t, Config{}, 5)
+		p.mapProgram(entry, nops(asm.NewBuilder(), 1500).Halt().MustAssemble(entry))
+		p.check(t, entry, stldRegs(false), 0)
+		if res := p.check(t, entry, stldRegs(false), 700); res.Stop != StopInstLimit || res.Insts != 700 {
+			t.Fatalf("maxInsts 700 stopped with %v after %d instructions", res.Stop, res.Insts)
+		}
+		p.check(t, entry, stldRegs(false), 0)
+		if p.fast.core.runSt.insts != stopCheckInterval {
+			t.Fatalf("cancelled at instruction %d, want %d", p.fast.core.runSt.insts, stopCheckInterval)
+		}
+		if res := p.check(t, entry, stldRegs(false), 0); res.Stop != StopHalt {
+			t.Fatalf("re-run stopped with %v", res.Stop)
+		}
+	})
+
+	t.Run("second-slot-and-alignment", func(t *testing.T) {
+		// Every instruction is a NOP whose fourth byte is a NOP opcode too,
+		// so the page also reads as NOPs at alignment 3. At alignment 0,
+		// HALTs sit in slots 100 and 300; at alignment 3, in slot 150. Each
+		// entry meets a run shorter than one recorded before it at another
+		// slot or alignment.
+		code := make([]byte, 310*isa.InstBytes)
+		for i := 0; i < len(code); i += isa.InstBytes {
+			code[i], code[i+3] = byte(isa.NOP), byte(isa.NOP)
+		}
+		code[100*isa.InstBytes] = byte(isa.HALT)
+		code[300*isa.InstBytes] = byte(isa.HALT)
+		code[150*isa.InstBytes+3] = byte(isa.HALT)
+		p := newNOPPair(t, Config{}, -1)
+		p.mapProgram(codeBase, code)
+		slot := func(align, i uint64) uint64 { return codeBase + align + i*isa.InstBytes }
+		for _, tc := range []struct{ entry, insts uint64 }{
+			{slot(0, 0), 101},
+			{slot(0, 50), 51},
+			{slot(0, 101), 200},
+			{slot(0, 0), 101},
+			{slot(3, 101), 50},
+			{slot(3, 0), 151},
+			{slot(0, 0), 101},
+		} {
+			if res := p.check(t, tc.entry, stldRegs(false), 0); res.Stop != StopHalt || res.Insts != tc.insts {
+				t.Fatalf("entry %#x: %v after %d instructions, want halt after %d", tc.entry, res.Stop, res.Insts, tc.insts)
+			}
+		}
+	})
+
 	t.Run("transient-window", func(t *testing.T) {
 		// An aliasing bypass (type G) runs the NOPs behind the load
 		// transiently, then again architecturally after the replay.
@@ -302,30 +379,41 @@ func nopProgram(ops []byte, base uint64) []byte {
 }
 
 // FuzzNOPRuns searches for a program, placement and core shape on which
-// closed-form NOP retirement leaves any state different from stepping.
+// closed-form NOP retirement leaves any state different from stepping. Each
+// program runs three times; a non-zero poke writes a HALT over instruction
+// poke-1 (mod the program length) before the third.
 func FuzzNOPRuns(f *testing.F) {
 	// Seeds mirror TestNOPRunsMatchStepping's cases.
 	stldLike := []byte{0xf0, 0xf0, 0xf0, 0x7b, 0x04, 0x05, 0x00}
-	f.Add(stldLike, uint16(0x100), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), true)
-	f.Add([]byte{0x9b, 0x20, 0x06, 0xf8, 0x00}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), false)
-	f.Add([]byte{0x06, 0x60}, uint16(mem.PageSize-80), uint8(16), uint8(0), uint8(0), uint16(0), int8(-1), false)
-	f.Add([]byte{0x06, 0x60}, uint16(mem.PageSize-80), uint8(2), uint8(4), uint8(1), uint16(0), int8(-1), false)
-	f.Add([]byte{0x06, 0x0b, 0x07, 0x60}, uint16(0), uint8(4), uint8(0), uint8(0), uint16(0), int8(-1), false)
-	f.Add([]byte{0x30}, uint16(mem.PageSize-80), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), false)
-	f.Add([]byte{0x28}, uint16(mem.PageSize-317), uint8(0), uint8(0), uint8(2), uint16(0), int8(-1), false)
-	f.Add([]byte{0xf8, 0xf8, 0x08}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(300), int8(-1), false)
-	f.Add([]byte{0xf8, 0xf8, 0xf8, 0xf8, 0xf8}, uint16(8), uint8(0), uint8(0), uint8(0), uint16(0), int8(0), false)
-	f.Add([]byte{0xf8, 0xf8, 0xf8, 0xf8, 0xf8}, uint16(8), uint8(0), uint8(0), uint8(0), uint16(0), int8(2), false)
-	f.Add([]byte{0x9b, 0x04, 0x05, 0x48, 0x1f, 0x48, 0x06}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), true)
-	f.Fuzz(func(t *testing.T, ops []byte, place uint16, rob, width, itlb uint8, maxInsts uint16, stopAt int8, aliasing bool) {
+	f.Add(stldLike, uint16(0x100), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), uint16(0), true)
+	f.Add([]byte{0x9b, 0x20, 0x06, 0xf8, 0x00}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), uint16(0), false)
+	f.Add([]byte{0x06, 0x60}, uint16(mem.PageSize-80), uint8(16), uint8(0), uint8(0), uint16(0), int8(-1), uint16(0), false)
+	f.Add([]byte{0x06, 0x60}, uint16(mem.PageSize-80), uint8(2), uint8(4), uint8(1), uint16(0), int8(-1), uint16(0), false)
+	f.Add([]byte{0x06, 0x0b, 0x07, 0x60}, uint16(0), uint8(4), uint8(0), uint8(0), uint16(0), int8(-1), uint16(0), false)
+	f.Add([]byte{0x30}, uint16(mem.PageSize-80), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), uint16(0), false)
+	f.Add([]byte{0x28}, uint16(mem.PageSize-317), uint8(0), uint8(0), uint8(2), uint16(0), int8(-1), uint16(0), false)
+	f.Add([]byte{0xf8, 0xf8, 0x08}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(300), int8(-1), uint16(0), false)
+	f.Add([]byte{0xf8, 0xf8, 0xf8, 0xf8, 0xf8}, uint16(8), uint8(0), uint8(0), uint8(0), uint16(0), int8(0), uint16(0), false)
+	f.Add([]byte{0xf8, 0xf8, 0xf8, 0xf8, 0xf8}, uint16(8), uint8(0), uint8(0), uint8(0), uint16(0), int8(2), uint16(0), false)
+	f.Add([]byte{0x9b, 0x04, 0x05, 0x48, 0x1f, 0x48, 0x06}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), uint16(0), true)
+	f.Add([]byte{0xf8, 0xf8, 0x08}, uint16(0), uint8(0), uint8(0), uint8(0), uint16(0), int8(-1), uint16(200), false)
+	f.Add([]byte{0xf8, 0xf8, 0xf8}, uint16(mem.PageSize-317), uint8(0), uint8(0), uint8(0), uint16(700), int8(-1), uint16(400), false)
+	f.Fuzz(func(t *testing.T, ops []byte, place uint16, rob, width, itlb uint8, maxInsts uint16, stopAt int8, poke uint16, aliasing bool) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
 		cfg := Config{ROBSize: int(rob), FetchWidth: int(width % 9), ITLBSize: int(itlb % 4)}
 		entry := codeBase + uint64(place)%mem.PageSize
 		p := newNOPPair(t, cfg, int(stopAt))
-		p.mapProgram(entry, nopProgram(ops, entry))
+		code := nopProgram(ops, entry)
+		p.mapProgram(entry, code)
 		for i := 0; i < 3; i++ {
+			if i == 2 && poke != 0 {
+				// A HALT written over one instruction: the NOP runs found
+				// by the runs before must be found again.
+				slot := uint64(poke-1) % uint64(len(code)/isa.InstBytes)
+				p.poke(entry+slot*isa.InstBytes, byte(isa.HALT))
+			}
 			if res := p.check(t, entry, stldRegs(aliasing), uint64(maxInsts)); res.Stop == StopFault {
 				t.Fatalf("generated program faulted: %+v", res)
 			}

@@ -265,6 +265,9 @@ const xlatCacheSize = 256
 // and a fetch at a different alignment refills the page. Slot i covers bytes
 // [align+i*8, align+i*8+8); the partial tail slot of a misaligned page is
 // never filled and never served (the fast path bounds the offset).
+//
+// nops records, per slot, the length of the NOP run that starts there
+// (0 = not yet found; see nopRun). A refill clears it with the slots.
 type fetchPage struct {
 	vpn    uint64
 	paBase uint64 // page-aligned physical base
@@ -273,6 +276,7 @@ type fetchPage struct {
 	align  uint64 // pc mod InstBytes this page was decoded at
 	frame  *mem.Frame
 	insts  *[pageInsts]isa.Inst
+	nops   *[pageInsts]uint16
 }
 
 // pageInsts is the number of fixed-size instruction slots in one page.
@@ -315,6 +319,22 @@ func New(cfg Config, phys *mem.Physical, ch *cache.Hierarchy, dis predict.Disamb
 		bp:     newBranchPredictor(),
 		jitter: rand.New(rand.NewSource(cfg.TimerSeed + 1)),
 	}
+}
+
+// Clone returns a core on phys, ch and dis carrying c's simulated state:
+// its cycle, PMCs, TLBs and branch predictor. cfg must equal c's
+// configuration but for Stop and TimerSeed; the jitter stream restarts from
+// cfg.TimerSeed as New seeds it. Host caches (decoded pages, translations,
+// pooled run state) start empty, and no bus is attached. Clone only reads
+// c, so clones of one core may be taken concurrently.
+func (c *Core) Clone(cfg Config, phys *mem.Physical, ch *cache.Hierarchy, dis predict.Disambiguator) *Core {
+	pmcs := c.pmcs.Snapshot()
+	n := New(cfg, phys, ch, dis, &pmcs)
+	n.dtlb = c.dtlb.Clone()
+	n.itlb = c.itlb.Clone()
+	*n.bp = *c.bp
+	n.cycle = c.cycle
+	return n
 }
 
 // PMC returns the core's performance counters.

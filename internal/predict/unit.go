@@ -102,6 +102,18 @@ func NewUnit(cfg Config) *Unit {
 	}
 }
 
+// Clone returns a copy of u's entries, in PSFP LRU order and SSBP slot
+// order, with its stats and config, whose SSBP replacement generator
+// restarts from seed as NewUnit seeds it. The copy has no bus attached. It
+// only reads u, so clones of one unit may be taken concurrently.
+func (u *Unit) Clone(seed int64) *Unit {
+	c := &Unit{cfg: u.cfg, stats: u.stats}
+	c.cfg.Seed = seed
+	c.psfp = &PSFP{size: u.psfp.size, entries: append(make([]psfpEntry, 0, u.psfp.size), u.psfp.entries...)}
+	c.ssbp = &SSBP{entries: append(make([]ssbpEntry, 0, SSBPWays), u.ssbp.entries...), rng: rand.New(rand.NewSource(seed))}
+	return c
+}
+
 // Name implements Disambiguator.
 func (u *Unit) Name() string { return "amd-psfp-ssbp" }
 

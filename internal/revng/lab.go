@@ -10,8 +10,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"zenspec/internal/asm"
+	"zenspec/internal/fault"
 	"zenspec/internal/isa"
 	"zenspec/internal/kernel"
 	"zenspec/internal/mem"
@@ -121,8 +123,78 @@ type Lab struct {
 	tickVA   uint64
 }
 
-// NewLab boots a fresh machine and calibrates the timing classifier.
+// NewLab returns a lab on a fresh machine with a calibrated timing
+// classifier. When the calibration cannot depend on cfg's seed — no
+// observer, no timer jitter, no machine fault plan and no salts — the lab is
+// a copy of one calibrated lab per machine shape (shapeOf), with its
+// generators seeded from cfg as kernel.New seeds them. Any other cfg boots
+// and calibrates: a jittered timer draws from its generator while
+// calibrating, salts hash the calibration stld to seed-dependent entries,
+// and an observer must see calibration's events. Both paths give the same
+// lab.
 func NewLab(cfg kernel.Config) *Lab {
+	if cfg.Observer != nil || cfg.TimerJitter != 0 || cfg.Faults.MachineActive() ||
+		cfg.SaltPerDomain || cfg.RotateSalt {
+		return bootLab(cfg)
+	}
+	return labTemplate(cfg).copyFor(cfg)
+}
+
+// shapeOf renders the part of cfg that calibration can depend on, as a
+// comparable key: all of it but Seed, Parallelism, Pipeline.Stop, the
+// observer and the fault plan. A field added to kernel.Config is keyed
+// until it is excluded here.
+func shapeOf(cfg kernel.Config) string {
+	cfg.Seed, cfg.Parallelism, cfg.Pipeline.Stop = 0, 0, nil
+	cfg.Observer, cfg.ObserverClasses, cfg.Faults = nil, nil, fault.Plan{}
+	return fmt.Sprintf("%+v", cfg)
+}
+
+// templates holds one calibrated lab per machine shape. A template is built
+// on first use, never handed out and never run; labs copy it concurrently.
+// Templates live as long as the process, one per shape it asks for.
+var templates sync.Map // shapeOf(cfg) → *template
+
+type template struct {
+	once sync.Once
+	lab  *Lab
+}
+
+// labTemplate returns the calibrated template for cfg's shape, booting it
+// on first use. It boots without cfg's Stop, so a cancelled trial cannot
+// leave the template half built, and it keeps a copy of the booted lab, so
+// the decoded pages and run state the calibration warmed are not kept.
+func labTemplate(cfg kernel.Config) *Lab {
+	key := shapeOf(cfg)
+	v, ok := templates.Load(key)
+	if !ok {
+		v, _ = templates.LoadOrStore(key, new(template))
+	}
+	t := v.(*template)
+	t.once.Do(func() {
+		cfg.Pipeline.Stop = nil
+		t.lab = bootLab(cfg).copyFor(cfg)
+	})
+	return t.lab
+}
+
+// copyFor returns a copy of the freshly calibrated lab l running under cfg
+// (see kernel.Kernel.Clone).
+func (l *Lab) copyFor(cfg kernel.Config) *Lab {
+	k := l.K.Clone(cfg)
+	return &Lab{
+		K:         k,
+		P:         k.Process(l.P.ID),
+		Cls:       l.Cls,
+		faulted:   l.faulted,
+		nextVA:    l.nextVA,
+		nextFrame: l.nextFrame,
+		dataVA:    l.dataVA,
+	}
+}
+
+// bootLab boots a fresh machine and calibrates the timing classifier.
+func bootLab(cfg kernel.Config) *Lab {
 	k := kernel.New(cfg)
 	p := k.NewProcess("revng", kernel.DomainUser)
 	l := &Lab{
@@ -351,9 +423,14 @@ func (l *Lab) Tick() {
 	l.K.RunOn(0, l.tickProc, l.tickVA, 0)
 }
 
+// maxSeqSteps bounds the length of a sequence ParseSeq expands: the count
+// of one token is unbounded text, and each step costs a simulated run.
+const maxSeqSteps = 1 << 16
+
 // ParseSeq parses the paper's textual φ notation, e.g. "7n 1a 7n 1a" or
 // "7n,a": each token is an optional count followed by n (non-aliasing) or a
-// (aliasing).
+// (aliasing). A sequence longer than maxSeqSteps steps is refused before
+// anything is allocated for it.
 func ParseSeq(s string) ([]bool, error) {
 	var out []bool
 	for _, tok := range strings.Fields(strings.ReplaceAll(s, ",", " ")) {
@@ -368,6 +445,9 @@ func ParseSeq(s string) ([]bool, error) {
 			if err != nil || count < 0 {
 				return nil, fmt.Errorf("revng: bad count in token %q", tok)
 			}
+		}
+		if count > maxSeqSteps-len(out) {
+			return nil, fmt.Errorf("revng: sequence longer than %d steps at token %q", maxSeqSteps, tok)
 		}
 		for i := 0; i < count; i++ {
 			out = append(out, kind == 'a')

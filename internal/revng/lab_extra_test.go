@@ -1,6 +1,8 @@
 package revng
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"zenspec/internal/kernel"
@@ -172,6 +174,22 @@ func TestParseSeq(t *testing.T) {
 	}
 	if out, err := ParseSeq(""); err != nil || len(out) != 0 {
 		t.Error("empty sequence should parse to nothing")
+	}
+	if out, err := ParseSeq(fmt.Sprintf("%dn", maxSeqSteps-1) + " a"); err != nil || len(out) != maxSeqSteps {
+		t.Errorf("a sequence of exactly %d steps: %d steps, %v", maxSeqSteps, len(out), err)
+	}
+	// Counts past the cap, alone or summed over tokens, are refused before
+	// anything is expanded: a count of 1e11 would take 100 GB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, long := range []string{"99999999999n", fmt.Sprintf("%dn", maxSeqSteps+1), "40000n 40000a"} {
+		if _, err := ParseSeq(long); err == nil {
+			t.Errorf("ParseSeq(%q) should fail", long)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing long sequences allocated %d bytes", grew)
 	}
 }
 

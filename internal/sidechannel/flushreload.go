@@ -103,9 +103,6 @@ func median3(v [3]uint64) uint64 {
 	return b
 }
 
-// Threshold returns the calibrated hit/miss boundary in cycles.
-func (f *FlushReload) Threshold() uint64 { return f.threshold }
-
 // slot returns the address of probe slot v.
 func (f *FlushReload) slot(v int) uint64 { return f.ProbeVA + uint64(v)*f.Stride }
 

@@ -19,18 +19,18 @@ func setup(t *testing.T, cfg kernel.Config) (*kernel.Kernel, *kernel.Process, *F
 
 func TestCalibration(t *testing.T) {
 	_, _, fr := setup(t, kernel.Config{Seed: 1})
-	if fr.Threshold() == 0 {
+	if fr.threshold == 0 {
 		t.Fatal("threshold not calibrated")
 	}
 	// A warm line must time under the threshold, a flushed one over it.
 	va := fr.ProbeVA + 5*fr.Stride
 	fr.P.WarmLine(va)
-	if got := fr.Time(va); got >= fr.Threshold() {
-		t.Errorf("warm line timed %d >= threshold %d", got, fr.Threshold())
+	if got := fr.Time(va); got >= fr.threshold {
+		t.Errorf("warm line timed %d >= threshold %d", got, fr.threshold)
 	}
 	fr.P.FlushLine(va)
-	if got := fr.Time(va); got < fr.Threshold() {
-		t.Errorf("flushed line timed %d < threshold %d", got, fr.Threshold())
+	if got := fr.Time(va); got < fr.threshold {
+		t.Errorf("flushed line timed %d < threshold %d", got, fr.threshold)
 	}
 }
 

@@ -161,36 +161,54 @@ func TestObserverNeverChangesTrialResults(t *testing.T) {
 }
 
 // TestObserverStableJSONAcrossWorkers runs a registry subset bare at one
-// worker, then with an attached observer at 1, 2 and 8 workers, and requires
-// every StableJSON rendering to be byte-identical to the bare baseline.
+// worker, then with an attached observer at several worker counts, and
+// requires every StableJSON rendering to be byte-identical to the bare
+// baseline. Under the default fault plan every lab boots and calibrates;
+// without faults the bare runs copy calibrated labs and the observed runs
+// boot them (revng.NewLab), so the second case also checks that both ways
+// give the same lab.
 func TestObserverStableJSONAcrossWorkers(t *testing.T) {
-	ids := []string{"table1", "fig4", "fault-harness"}
 	plan, err := ParseFaultPlan("default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable := func(workers int, o Observer) []byte {
-		cfg := Config{Seed: 42, Parallelism: workers, Faults: plan, Observer: o}
-		suite, err := RunExperiments(cfg, true, ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := suite.StableJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	baseline := stable(1, nil)
-	var seen atomic.Uint64
-	count := ObserverFunc(func(Event) { seen.Add(1) })
-	for _, workers := range []int{1, 2, 8} {
-		if got := stable(workers, count); !bytes.Equal(got, baseline) {
-			t.Errorf("StableJSON with observer at %d workers differs from bare baseline", workers)
-		}
-	}
-	if seen.Load() == 0 {
-		t.Error("observer saw no events; the invariance check is vacuous")
+	for _, tc := range []struct {
+		name    string
+		ids     []string
+		faults  FaultPlan
+		workers []int
+	}{
+		{"default-faults", []string{"table1", "fig4", "fault-harness"}, plan, []int{1, 2, 8}},
+		{"no-faults", []string{"table1", "fig4", "fig5", "spectre-stl"}, FaultPlan{}, []int{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stable := func(workers int, o Observer) []byte {
+				cfg := Config{Seed: 42, Parallelism: workers, Faults: tc.faults, Observer: o}
+				suite, err := RunExperiments(cfg, true, tc.ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := suite.StableJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			baseline := stable(1, nil)
+			var seen atomic.Uint64
+			count := ObserverFunc(func(Event) { seen.Add(1) })
+			for _, workers := range tc.workers {
+				if got := stable(workers, nil); !bytes.Equal(got, baseline) {
+					t.Errorf("bare StableJSON at %d workers differs from bare baseline", workers)
+				}
+				if got := stable(workers, count); !bytes.Equal(got, baseline) {
+					t.Errorf("StableJSON with observer at %d workers differs from bare baseline", workers)
+				}
+			}
+			if seen.Load() == 0 {
+				t.Error("observer saw no events; the invariance check is vacuous")
+			}
+		})
 	}
 }
 

@@ -100,6 +100,18 @@ trap 'rm -f "$suite_json" "$fault_json" "$trace_json"' EXIT
 go run ./cmd/experiments -quick -json > "$suite_json"
 go run ./cmd/experiments -validate "$suite_json"
 
+echo "== quick stable report digest (seed 42) =="
+# The quick suite's StableJSON at seed 42 is pinned by its sha256. A change
+# that moves any quick report fails here until
+# testdata/quick_stable_seed42.sha256 is updated, and CHANGES.md says why.
+quick_sum=$(go run ./cmd/experiments -seed 42 -quick -stable | sha256sum | cut -d' ' -f1)
+want_sum=$(cat testdata/quick_stable_seed42.sha256)
+if [ "$quick_sum" != "$want_sum" ]; then
+    echo "experiments -seed 42 -quick -stable hashes to $quick_sum;" >&2
+    echo "testdata/quick_stable_seed42.sha256 pins $want_sum" >&2
+    exit 1
+fi
+
 echo "== faulted suite smoke (quick, default plan, JSON) =="
 # The degraded report (injected trial faults) must still validate: every
 # experiment in band, failures accounted for as retries/recoveries.

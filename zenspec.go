@@ -351,7 +351,10 @@ func Assemble(src string, base uint64) ([]byte, error) {
 // Disassemble renders machine code as text, one instruction per line.
 func Disassemble(code []byte, base uint64) []string { return asm.Disassemble(code, base) }
 
-// NewLab boots a machine wrapped in the reverse-engineering fixture.
+// NewLab returns a machine with a calibrated timing classifier, wrapped in
+// the reverse-engineering fixture. A lab whose calibration cannot depend on
+// the seed (no observer, timer jitter, machine fault plan or salts) is a
+// copy of one calibrated lab per machine shape; the others boot.
 func NewLab(cfg Config) *Lab { return revng.NewLab(cfg.kernelConfig()) }
 
 // Seq builds a φ input sequence: positive counts are non-aliasing (n) runs,
