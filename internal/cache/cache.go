@@ -201,9 +201,9 @@ func (h *Hierarchy) fillInto(l *level, name string, line uint64) {
 	victim, evicted := l.fill(line)
 	if h.bus.On(obs.ClassCache) {
 		now := h.bus.Now()
-		h.bus.Emit(obs.CacheEvent{Cycle: now, Kind: "fill", Level: name, Line: line})
+		obs.Emit(h.bus, obs.CacheEvent{Cycle: now, Kind: "fill", Level: name, Line: line})
 		if evicted {
-			h.bus.Emit(obs.CacheEvent{Cycle: now, Kind: "evict", Level: name, Line: line, Victim: victim})
+			obs.Emit(h.bus, obs.CacheEvent{Cycle: now, Kind: "evict", Level: name, Line: line, Victim: victim})
 		}
 	}
 }
@@ -262,7 +262,7 @@ func (h *Hierarchy) Flush(pa uint64) {
 	h.l2.invalidate(line)
 	h.l3.invalidate(line)
 	if h.bus.On(obs.ClassCache) {
-		h.bus.Emit(obs.CacheEvent{Cycle: h.bus.Now(), Kind: "flush", Line: line})
+		obs.Emit(h.bus, obs.CacheEvent{Cycle: h.bus.Now(), Kind: "flush", Line: line})
 	}
 }
 

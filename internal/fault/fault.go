@@ -189,7 +189,7 @@ func (in *Injector) AttachBus(b *obs.Bus) { in.bus = b }
 
 func (in *Injector) emit(kind string, count int) {
 	if in.bus.On(obs.ClassFault) {
-		in.bus.Emit(obs.FaultEvent{Cycle: in.bus.Now(), Kind: kind, Count: count})
+		obs.Emit(in.bus, obs.FaultEvent{Cycle: in.bus.Now(), Kind: kind, Count: count})
 	}
 }
 

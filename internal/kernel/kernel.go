@@ -305,7 +305,7 @@ func (k *Kernel) NewProcess(name string, d Domain) *Process {
 // live entry count is still observable.
 func (k *Kernel) emitFlush(cpu *CPU, predictor string, entries int, cause string) {
 	if entries > 0 && k.bus.On(obs.ClassPredict) {
-		k.bus.Emit(obs.PredictorFlushEvent{
+		obs.Emit(k.bus, obs.PredictorFlushEvent{
 			CPU: cpu.ID, Cycle: k.bus.Now(),
 			Predictor: predictor, Entries: entries, Cause: cause,
 		})
@@ -343,7 +343,7 @@ func (k *Kernel) switchTo(cpu *CPU, p *Process) {
 		if from := cpu.current; from != nil {
 			ev.FromPID, ev.FromName, ev.FromDomain = from.ID, from.Name, from.Domain.String()
 		}
-		k.bus.Emit(ev)
+		obs.Emit(k.bus, ev)
 	}
 	cpu.current = p
 }

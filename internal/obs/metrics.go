@@ -3,9 +3,9 @@ package obs
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"zenspec/internal/pmc"
 )
@@ -16,77 +16,164 @@ import (
 // and histogram bucket sums commute, which keeps Snapshot deterministic at any
 // worker count.
 //
+// Every counter the simulator's events produce has a fixed id, and a registry
+// counts into one array indexed by it. Names are attached only when Snapshot
+// or Counter reads the array, so folding an event hashes no string.
+//
 // Bus.Subscribe gives each bus a shard of its own: a registry kept in this
 // one, which only that machine feeds, so parallel machines never wait on
 // each other's lock. Snapshot and Counter add the shards up.
 type Metrics struct {
-	mu       sync.Mutex
-	counters map[string]uint64
-	hists    map[string]*Histogram
-	// retired and transient count instruction events outside the mutex and
-	// the map: every simulated instruction lands here. Snapshot and Counter
-	// report them as inst.retired and inst.transient.
-	retired, transient atomic.Uint64
+	mu sync.Mutex
+	tally
 	// shards grows only, so a subscription cancelled keeps its counts.
 	shards []*Metrics
 }
 
-// Counter names of the values the simulator emits, built once by the first
-// NewMetrics, so that folding an event concatenates no string and a process
-// that never observes pays nothing at start-up.
-var (
-	namesOnce sync.Once
-	pmcNames  [pmc.NumEvents]string // pmcNames[e] is the counter of pmc event e
-	squashNames, trainNames, evictNames, flushNames,
-	cacheFillNames, cacheEvictNames, faultNames *nameTable
+// tally is what one registry or shard counts, and what Snapshot sums them
+// into.
+type tally struct {
+	counts [numCounters]uint64
+	hists  [numHists]Histogram
+	// other counts, by name, the values outside the fixed table (a predictor
+	// or a cache level the simulator does not model); nil until one arrives.
+	other map[string]uint64
+}
+
+// Counter ids. A run of ids indexed by a value (a squash kind, a train type,
+// a predictor, a cache level, a fault kind, a pmc event) follows the value's
+// order.
+const (
+	cInstRetired = iota
+	cInstTransient
+	cSquashTotal
+	cSquashBranch // + SquashKind
+	cSquashBypass
+	cSquashPSF
+	cSquashFault
+	cForwardPSF
+	cForwardSTLF
+	cPredictQueries
+	cPredictPSFPHit
+	cPredictAliasing
+	cPredictPSF
+	cPSFPTrain
+	cTrainA // + train type - 'A'
+	cTrainB
+	cTrainC
+	cTrainD
+	cTrainE
+	cTrainF
+	cTrainG
+	cTrainH
+	cPSFPAlloc
+	cSSBPTransition
+	cSSBPStateChange
+	cPSFPEvict // + place in predictors
+	cSSBPEvict
+	cPSFPFlush // + place in predictors
+	cSSBPFlush
+	cFillL1 // + place in levels
+	cFillL2
+	cFillL3
+	cEvictL1 // + place in levels
+	cEvictL2
+	cEvictL3
+	cCacheFlush
+	cProbeHit
+	cProbeMiss
+	cContextSwitch
+	cDomainChange
+	cFaultInjected
+	cFaultPSFPEvict // + place in faultKinds
+	cFaultSSBPFlip
+	cFaultSpuriousTrain
+	cFaultCacheEvict
+	cFaultTrialError
+	cFaultTrialPanic
+	cFaultTrialOverrun
+	cPMC        // + pmc.Event
+	numCounters = cPMC + pmc.NumEvents
 )
 
-func buildNames() {
-	for i := range pmcNames {
-		pmcNames[i] = "pmc." + pmc.Event(i).Key()
-	}
-	squashNames = newNameTable("squash.", "", SquashBranch.String(), SquashBypass.String(), SquashPSF.String(), SquashFault.String())
-	trainNames = newNameTable("predict.train_type_", "", "A", "B", "C", "D", "E", "F", "G", "H")
-	evictNames = newNameTable("predict.", "_evict", "psfp", "ssbp")
-	flushNames = newNameTable("predict.", "_flush", "psfp", "ssbp")
-	cacheFillNames = newNameTable("cache.fill.", "", "L1", "L2", "L3")
-	cacheEvictNames = newNameTable("cache.evict.", "", "L1", "L2", "L3")
-	faultNames = newNameTable("fault.", "", "psfp-evict", "ssbp-flip", "spurious-train", "cache-evict", "trial-error", "trial-panic", "trial-overrun")
+// counterNames names every counter id below cPMC; pmc counters are named
+// "pmc.<key>" by counterName.
+var counterNames = [cPMC]string{
+	cInstRetired:        "inst.retired",
+	cInstTransient:      "inst.transient",
+	cSquashTotal:        "squash.total",
+	cSquashBranch:       "squash.branch",
+	cSquashBypass:       "squash.stl-bypass",
+	cSquashPSF:          "squash.psf-forward",
+	cSquashFault:        "squash.fault-window",
+	cForwardPSF:         "forward.psf",
+	cForwardSTLF:        "forward.stlf",
+	cPredictQueries:     "predict.queries",
+	cPredictPSFPHit:     "predict.psfp_hit",
+	cPredictAliasing:    "predict.aliasing",
+	cPredictPSF:         "predict.psf",
+	cPSFPTrain:          "predict.psfp_train",
+	cTrainA:             "predict.train_type_A",
+	cTrainB:             "predict.train_type_B",
+	cTrainC:             "predict.train_type_C",
+	cTrainD:             "predict.train_type_D",
+	cTrainE:             "predict.train_type_E",
+	cTrainF:             "predict.train_type_F",
+	cTrainG:             "predict.train_type_G",
+	cTrainH:             "predict.train_type_H",
+	cPSFPAlloc:          "predict.psfp_alloc",
+	cSSBPTransition:     "predict.ssbp_transition",
+	cSSBPStateChange:    "predict.ssbp_state_change",
+	cPSFPEvict:          "predict.psfp_evict",
+	cSSBPEvict:          "predict.ssbp_evict",
+	cPSFPFlush:          "predict.psfp_flush",
+	cSSBPFlush:          "predict.ssbp_flush",
+	cFillL1:             "cache.fill.L1",
+	cFillL2:             "cache.fill.L2",
+	cFillL3:             "cache.fill.L3",
+	cEvictL1:            "cache.evict.L1",
+	cEvictL2:            "cache.evict.L2",
+	cEvictL3:            "cache.evict.L3",
+	cCacheFlush:         "cache.flush",
+	cProbeHit:           "probe.hit",
+	cProbeMiss:          "probe.miss",
+	cContextSwitch:      "kernel.context_switch",
+	cDomainChange:       "kernel.domain_change",
+	cFaultInjected:      "fault.injected",
+	cFaultPSFPEvict:     "fault.psfp-evict",
+	cFaultSSBPFlip:      "fault.ssbp-flip",
+	cFaultSpuriousTrain: "fault.spurious-train",
+	cFaultCacheEvict:    "fault.cache-evict",
+	cFaultTrialError:    "fault.trial-error",
+	cFaultTrialPanic:    "fault.trial-panic",
+	cFaultTrialOverrun:  "fault.trial-overrun",
 }
 
-// nameTable maps a value v to its counter name prefix+v+suffix.
-type nameTable struct {
-	prefix, suffix string
-	values, names  []string
+// counterName returns counter id's name.
+func counterName(id int) string {
+	if id >= cPMC {
+		return "pmc." + pmc.Event(id-cPMC).Key()
+	}
+	return counterNames[id]
 }
 
-func newNameTable(prefix, suffix string, values ...string) *nameTable {
-	t := &nameTable{prefix: prefix, suffix: suffix, values: values, names: make([]string, len(values))}
-	for i, v := range values {
-		t.names[i] = prefix + v + suffix
-	}
-	return t
-}
+// Histogram ids and names.
+const (
+	hSquashWindowInsts = iota
+	hSquashWindowCycles
+	hProbeCycles
+	numHists
+)
 
-// name returns v's counter name, prebuilt unless v is outside the table.
-func (t *nameTable) name(v string) string {
-	for i, known := range t.values {
-		if known == v {
-			return t.names[i]
-		}
-	}
-	return t.prefix + v + t.suffix
+var histNames = [numHists]string{
+	hSquashWindowInsts:  "squash.window_insts",
+	hSquashWindowCycles: "squash.window_cycles",
+	hProbeCycles:        "probe.cycles",
 }
 
 // NewMetrics returns an empty registry subscribed to nothing; attach it with
 // Bus.Subscribe or a Config.Observer field.
-func NewMetrics() *Metrics {
-	namesOnce.Do(buildNames)
-	return &Metrics{
-		counters: make(map[string]uint64),
-		hists:    make(map[string]*Histogram),
-	}
-}
+func NewMetrics() *Metrics { return &Metrics{} }
 
 // shard returns an empty registry kept in m, for one bus to feed.
 func (m *Metrics) shard() *Metrics {
@@ -95,30 +182,6 @@ func (m *Metrics) shard() *Metrics {
 	m.shards = append(m.shards, s)
 	m.mu.Unlock()
 	return s
-}
-
-// Inc adds n to the named counter.
-func (m *Metrics) Inc(name string, n uint64) {
-	m.mu.Lock()
-	m.counters[name] += n
-	m.mu.Unlock()
-}
-
-// Observe records v in the named histogram.
-func (m *Metrics) Observe(name string, v uint64) {
-	m.mu.Lock()
-	m.observe(name, v)
-	m.mu.Unlock()
-}
-
-// observe is Observe with m.mu held.
-func (m *Metrics) observe(name string, v uint64) {
-	h := m.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		m.hists[name] = h
-	}
-	h.add(v)
 }
 
 // HandleInsts implements InstObserver: a batch adds to each instruction
@@ -130,97 +193,132 @@ func (m *Metrics) HandleInsts(evs []InstEvent) {
 			transient++
 		}
 	}
-	if transient != 0 {
-		m.transient.Add(transient)
-	}
-	if retired := uint64(len(evs)) - transient; retired != 0 {
-		m.retired.Add(retired)
-	}
+	m.mu.Lock()
+	m.counts[cInstTransient] += transient
+	m.counts[cInstRetired] += uint64(len(evs)) - transient
+	m.mu.Unlock()
 }
 
-// HandleEvent implements Observer.
+// HandleEvent implements Observer. It neither keeps e nor passes it on, so a
+// caller that converts a concrete event to hand it here keeps the conversion
+// on its stack: that is how Emit reaches a registry without boxing.
 func (m *Metrics) HandleEvent(e Event) {
-	if ev, ok := e.(InstEvent); ok {
-		m.HandleInsts([]InstEvent{ev})
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.counters
+	c := &m.counts
 	switch ev := e.(type) {
+	case InstEvent:
+		if ev.Transient {
+			c[cInstTransient]++
+		} else {
+			c[cInstRetired]++
+		}
 	case SquashEvent:
-		c["squash.total"]++
-		c[squashNames.name(ev.Kind.String())]++
-		m.observe("squash.window_insts", uint64(ev.Insts))
+		c[cSquashTotal]++
+		if ev.Kind <= SquashFault {
+			c[cSquashBranch+int(ev.Kind)]++
+		} else {
+			m.incOther("squash." + ev.Kind.String())
+		}
+		m.hists[hSquashWindowInsts].add(uint64(ev.Insts))
 		if ev.Verify > ev.Start {
-			m.observe("squash.window_cycles", uint64(ev.Verify-ev.Start))
+			m.hists[hSquashWindowCycles].add(uint64(ev.Verify - ev.Start))
 		}
 	case ForwardEvent:
 		if ev.PSF {
-			c["forward.psf"]++
+			c[cForwardPSF]++
 		} else {
-			c["forward.stlf"]++
+			c[cForwardSTLF]++
 		}
 	case PredictEvent:
-		c["predict.queries"]++
+		c[cPredictQueries]++
 		if ev.PSFPHit {
-			c["predict.psfp_hit"]++
+			c[cPredictPSFPHit]++
 		}
 		if ev.Aliasing {
-			c["predict.aliasing"]++
+			c[cPredictAliasing]++
 		}
 		if ev.PSF {
-			c["predict.psf"]++
+			c[cPredictPSF]++
 		}
 	case PSFPTrainEvent:
-		c["predict.psfp_train"]++
-		c[trainNames.name(ev.Type)]++
+		c[cPSFPTrain]++
+		if t := ev.Type; len(t) == 1 && t[0] >= 'A' && t[0] <= 'H' {
+			c[cTrainA+int(t[0]-'A')]++
+		} else {
+			m.incOther("predict.train_type_" + t)
+		}
 		if ev.Allocated {
-			c["predict.psfp_alloc"]++
+			c[cPSFPAlloc]++
 		}
 	case SSBPTransitionEvent:
-		c["predict.ssbp_transition"]++
+		c[cSSBPTransition]++
 		if ev.StateBefore != ev.StateAfter {
-			c["predict.ssbp_state_change"]++
+			c[cSSBPStateChange]++
 		}
 	case PredictorEvictEvent:
-		c[evictNames.name(ev.Predictor)]++
+		m.inc(cPSFPEvict, predictors, ev.Predictor, "predict.", "_evict")
 	case PredictorFlushEvent:
-		c[flushNames.name(ev.Predictor)]++
+		m.inc(cPSFPFlush, predictors, ev.Predictor, "predict.", "_flush")
 	case CacheEvent:
 		switch ev.Kind {
 		case "fill":
-			c[cacheFillNames.name(ev.Level)]++
+			m.inc(cFillL1, levels, ev.Level, "cache.fill.", "")
 		case "evict":
-			c[cacheEvictNames.name(ev.Level)]++
+			m.inc(cEvictL1, levels, ev.Level, "cache.evict.", "")
 		case "flush":
-			c["cache.flush"]++
+			c[cCacheFlush]++
 		}
 	case ProbeEvent:
 		if ev.Hit {
-			c["probe.hit"]++
+			c[cProbeHit]++
 		} else {
-			c["probe.miss"]++
+			c[cProbeMiss]++
 		}
-		m.observe("probe.cycles", ev.Cycles)
+		m.hists[hProbeCycles].add(ev.Cycles)
 	case ContextSwitchEvent:
-		c["kernel.context_switch"]++
+		c[cContextSwitch]++
 		if ev.FromDomain != ev.ToDomain {
-			c["kernel.domain_change"]++
+			c[cDomainChange]++
 		}
 	case FaultEvent:
-		c["fault.injected"]++
-		c[faultNames.name(ev.Kind)]++
+		c[cFaultInjected]++
+		m.inc(cFaultPSFPEvict, faultKinds, ev.Kind, "fault.", "")
 	case PMCEvent:
 		// Bridge the Fig 2 PMC namespace into the registry: one monotonic
 		// counter per pmc event key, summed over runs (commutative, so the
 		// snapshot stays deterministic at any worker count).
-		for i, name := range pmcNames {
-			if n := ev.Counts.Get(pmc.Event(i)); n != 0 {
-				c[name] += n
-			}
+		for i := range pmc.NumEvents {
+			c[cPMC+i] += ev.Counts.Get(pmc.Event(i))
 		}
 	}
+}
+
+// The values that index the runs of counter ids, in id order.
+var (
+	predictors = []string{"psfp", "ssbp"}
+	levels     = []string{"L1", "L2", "L3"}
+	faultKinds = []string{"psfp-evict", "ssbp-flip", "spurious-train", "cache-evict", "trial-error", "trial-panic", "trial-overrun"}
+)
+
+// inc adds one to the counter of value v in the run of ids from first, in
+// the order of values; a v outside values counts under prefix+v+suffix
+// instead. m.mu is held.
+func (m *Metrics) inc(first int, values []string, v, prefix, suffix string) {
+	if i := slices.Index(values, v); i >= 0 {
+		m.counts[first+i]++
+	} else {
+		m.incOther(prefix + v + suffix)
+	}
+}
+
+// incOther adds one to the named counter outside the fixed table. m.mu is
+// held.
+func (m *Metrics) incOther(name string) {
+	if m.other == nil {
+		m.other = make(map[string]uint64)
+	}
+	m.other[name]++
 }
 
 // Histogram is a power-of-two-bucketed histogram: bucket i counts values v
@@ -242,6 +340,16 @@ func (h *Histogram) add(v uint64) {
 		h.Max = v
 	}
 	h.Buckets[bits.Len64(v)]++
+}
+
+// merge folds o into h.
+func (h *Histogram) merge(o *Histogram) {
+	h.Count += o.Count
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+	for i, n := range o.Buckets {
+		h.Buckets[i] += n
+	}
 }
 
 // HistogramSnapshot is the JSON form of a Histogram: sparse buckets keyed by
@@ -266,51 +374,72 @@ type MetricsSnapshot struct {
 // Snapshot copies the registry, its shards folded in. Derived rates (e.g.
 // PSFP hit rate) are left to consumers: predict.psfp_hit / predict.queries.
 func (m *Metrics) Snapshot() *MetricsSnapshot {
+	var sum tally
 	m.mu.Lock()
-	s := m.snapshotLocked()
+	sum.add(&m.tally)
 	shards := m.shards
 	m.mu.Unlock()
 	for _, sh := range shards {
-		s.Merge(sh.Snapshot())
+		sh.mu.Lock()
+		sum.add(&sh.tally)
+		sh.mu.Unlock()
 	}
-	return s
+	return sum.snapshot()
 }
 
-// snapshotLocked copies m's own counts, without its shards. m.mu is held.
-func (m *Metrics) snapshotLocked() *MetricsSnapshot {
+// add folds o into t.
+func (t *tally) add(o *tally) {
+	for id, n := range o.counts {
+		t.counts[id] += n
+	}
+	for id := range o.hists {
+		t.hists[id].merge(&o.hists[id])
+	}
+	for name, n := range o.other {
+		if t.other == nil {
+			t.other = make(map[string]uint64, len(o.other))
+		}
+		t.other[name] += n
+	}
+}
+
+// snapshot names t's counters and histograms: those that are not zero.
+func (t *tally) snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{}
-	retired, transient := m.retired.Load(), m.transient.Load()
-	if len(m.counters) > 0 || retired != 0 || transient != 0 {
-		s.Counters = make(map[string]uint64, len(m.counters)+2)
-		for k, v := range m.counters {
-			s.Counters[k] = v
-		}
-		if retired != 0 {
-			s.Counters["inst.retired"] += retired
-		}
-		if transient != 0 {
-			s.Counters["inst.transient"] += transient
+	for id, n := range t.counts {
+		if n != 0 {
+			if s.Counters == nil {
+				s.Counters = make(map[string]uint64)
+			}
+			s.Counters[counterName(id)] = n
 		}
 	}
-	if len(m.hists) > 0 {
-		s.Histograms = make(map[string]*HistogramSnapshot, len(m.hists))
-		for k, h := range m.hists {
-			hs := &HistogramSnapshot{Count: h.Count, Sum: h.Sum, Max: h.Max}
-			for i, n := range h.Buckets {
-				if n == 0 {
-					continue
-				}
-				if hs.Buckets == nil {
-					hs.Buckets = make(map[string]uint64)
-				}
-				var bound uint64
-				if i > 0 {
-					bound = 1<<uint(i) - 1
-				}
-				hs.Buckets[fmt.Sprintf("%d", bound)] = n
-			}
-			s.Histograms[k] = hs
+	for name, n := range t.other {
+		if s.Counters == nil {
+			s.Counters = make(map[string]uint64)
 		}
+		s.Counters[name] += n
+	}
+	for id := range t.hists {
+		h := &t.hists[id]
+		if h.Count == 0 {
+			continue
+		}
+		if s.Histograms == nil {
+			s.Histograms = make(map[string]*HistogramSnapshot, numHists)
+		}
+		hs := &HistogramSnapshot{Count: h.Count, Sum: h.Sum, Max: h.Max, Buckets: make(map[string]uint64)}
+		for i, n := range h.Buckets {
+			if n == 0 {
+				continue
+			}
+			var bound uint64
+			if i > 0 {
+				bound = 1<<uint(i) - 1
+			}
+			hs.Buckets[fmt.Sprintf("%d", bound)] = n
+		}
+		s.Histograms[histNames[id]] = hs
 	}
 	return s
 }
@@ -357,18 +486,30 @@ func (s *MetricsSnapshot) Merge(other *MetricsSnapshot) {
 // Counter returns the named counter's value (0 when absent), its shards'
 // counts included.
 func (m *Metrics) Counter(name string) uint64 {
+	id := -1
+	for i := range numCounters {
+		if counterName(i) == name {
+			id = i
+		}
+	}
 	m.mu.Lock()
-	n := m.counters[name]
+	n := m.counter(id, name)
 	shards := m.shards
 	m.mu.Unlock()
-	switch name {
-	case "inst.retired":
-		n += m.retired.Load()
-	case "inst.transient":
-		n += m.transient.Load()
-	}
 	for _, sh := range shards {
-		n += sh.Counter(name)
+		sh.mu.Lock()
+		n += sh.counter(id, name)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// counter returns t's count of the named counter, whose id is -1 when the
+// name is outside the table.
+func (t *tally) counter(id int, name string) uint64 {
+	n := t.other[name]
+	if id >= 0 {
+		n += t.counts[id]
 	}
 	return n
 }

@@ -159,8 +159,11 @@ const instMask = uint32(1) << ClassInst
 type subscriber struct {
 	obs  Observer
 	inst InstObserver // non-nil when obs also implements the fast path
-	mask uint32
-	id   uint64
+	// metrics is obs when it is a registry shard, which Emit hands events
+	// without boxing them.
+	metrics *Metrics
+	mask    uint32
+	id      uint64
 	// sent is how many of the bus's staged instruction events this
 	// subscriber has received.
 	sent int
@@ -208,10 +211,14 @@ func (b *Bus) On(c Class) bool {
 	return b != nil && b.mask&(1<<c) != 0
 }
 
-// Emit delivers e to every subscriber whose mask includes its class, each
-// after the instruction events staged for it. Callers guard with On, so Emit
-// may assume b is non-nil.
-func (b *Bus) Emit(e Event) {
+// Emit delivers e to every subscriber of b whose mask includes its class,
+// each after the instruction events staged for it. Callers guard with On, so
+// Emit may assume b is non-nil.
+//
+// A metrics registry's shard gets the event by a static call that keeps no
+// reference to it, so the conversion to Event stays on this stack; only
+// other observers get it boxed.
+func Emit[E Event](b *Bus, e E) {
 	m := uint32(1) << e.EventClass()
 	for i := range b.subs {
 		s := &b.subs[i]
@@ -219,7 +226,11 @@ func (b *Bus) Emit(e Event) {
 			if s.sent != len(b.staged) && s.mask&instMask != 0 {
 				b.catchUp(s)
 			}
-			s.obs.HandleEvent(e)
+			if s.metrics != nil {
+				s.metrics.HandleEvent(e)
+			} else {
+				s.obs.HandleEvent(e)
+			}
 		}
 	}
 }
@@ -319,11 +330,13 @@ func (b *Bus) add(o Observer, mask uint32, id uint64) {
 	if mask == 0 {
 		return
 	}
+	var shard *Metrics
 	if m, ok := o.(*Metrics); ok {
-		o = m.shard()
+		shard = m.shard()
+		o = shard
 	}
 	inst, _ := o.(InstObserver)
-	b.subs = append(b.subs, subscriber{obs: o, inst: inst, mask: mask, id: id, sent: len(b.staged)})
+	b.subs = append(b.subs, subscriber{obs: o, inst: inst, metrics: shard, mask: mask, id: id, sent: len(b.staged)})
 }
 
 func (b *Bus) recomputeMask() {

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestSubscribeFilterAndCancel(t *testing.T) {
 		t.Fatal("On(ClassInst) = true with squash-only subscriber")
 	}
 
-	b.Emit(SquashEvent{CPU: 1, Kind: SquashBypass, Insts: 3})
-	b.Emit(InstEvent{CPU: 1}) // filtered out
+	Emit(b, SquashEvent{CPU: 1, Kind: SquashBypass, Insts: 3})
+	Emit(b, InstEvent{CPU: 1}) // filtered out
 	if len(got) != 1 {
 		t.Fatalf("got %d events, want 1", len(got))
 	}
@@ -74,8 +75,8 @@ func TestEmptyOptionsMeansAllClasses(t *testing.T) {
 			t.Fatalf("On(%v) = false with unfiltered subscriber", c)
 		}
 	}
-	b.Emit(InstEvent{})
-	b.Emit(FaultEvent{Kind: "psfp-evict"})
+	Emit(b, InstEvent{})
+	Emit(b, FaultEvent{Kind: "psfp-evict"})
 	if n != 2 {
 		t.Fatalf("delivered %d events, want 2", n)
 	}
@@ -135,12 +136,14 @@ func TestMulti(t *testing.T) {
 	mk := func(name string) logObs { return logObs{name, &log, &batches, &vals} }
 	// The bus subscribes the members one by one, in argument order, a Multi
 	// nested in a Multi included: InstObserver members get the staged batch,
-	// plain ones each event by value.
-	m = Multi(instLogObs{mk("a")}, mk("b"), Multi(mk("c"), instLogObs{mk("d")}))
+	// plain ones each event by value. A registry among them gets its events
+	// unboxed and logs nothing.
+	reg := NewMetrics()
+	m = Multi(instLogObs{mk("a")}, mk("b"), reg, Multi(mk("c"), instLogObs{mk("d")}))
 	b := NewBus()
 	cancel := b.Subscribe(m, Options{})
-	if b.Subscribers() != 4 {
-		t.Fatalf("a composition of four adds %d subscribers, want 4", b.Subscribers())
+	if b.Subscribers() != 5 {
+		t.Fatalf("a composition of five adds %d subscribers, want 5", b.Subscribers())
 	}
 	ev := InstEvent{CPU: 1, PC: 0x400000, Dispatch: 7, Transient: true}
 	b.EmitInst(&ev)
@@ -165,7 +168,7 @@ func TestMulti(t *testing.T) {
 
 	// Other classes fan out through HandleEvent, in the same order.
 	log = log[:0]
-	b.Emit(SquashEvent{Kind: SquashPSF})
+	Emit(b, SquashEvent{Kind: SquashPSF})
 	want = []string{"a:event", "b:event", "c:event", "d:event"}
 	if fmt.Sprint(log) != fmt.Sprint(want) {
 		t.Fatalf("Emit through Multi called %v, want %v", log, want)
@@ -178,6 +181,15 @@ func TestMulti(t *testing.T) {
 	want = []string{"a:insts", "b:event", "c:event", "d:insts"}
 	if fmt.Sprint(log) != fmt.Sprint(want) || b.Subscribers() != 0 || b.On(ClassSquash) {
 		t.Fatalf("cancel delivered %v and left %d subscriptions; want %v and none", log, b.Subscribers(), want)
+	}
+
+	// The registry counted what the same events fold to one at a time.
+	serial := NewMetrics()
+	for _, e := range []Event{ev, SquashEvent{Kind: SquashPSF}, ev} {
+		serial.HandleEvent(e)
+	}
+	if got, exp := reg.Snapshot(), serial.Snapshot(); !reflect.DeepEqual(got, exp) || got.Counters["squash.psf-forward"] != 1 {
+		t.Fatalf("registry member counted %v, want %v", got.Counters, exp.Counters)
 	}
 }
 
@@ -197,9 +209,9 @@ func TestFilter(t *testing.T) {
 	b := NewBus()
 	b.Subscribe(Filter(inst, []Class{ClassInst, ClassSquash}), Options{})
 	b.EmitInst(&ev)
-	b.Emit(CacheEvent{Kind: "fill"})
+	Emit(b, CacheEvent{Kind: "fill"})
 	b.EmitInst(&ev)
-	b.Emit(SquashEvent{})
+	Emit(b, SquashEvent{})
 	if want := "[i:insts i:event]"; fmt.Sprint(log) != want || len(batches) != 1 || len(batches[0]) != 2 {
 		t.Fatalf("filtered InstObserver log %v batches %v, want %s with one batch of 2", log, batches, want)
 	}
@@ -280,10 +292,10 @@ func TestMetricsFold(t *testing.T) {
 	m.HandleEvent(PMCEvent{Counts: pc})
 	m.HandleEvent(PSFPTrainEvent{Type: "D"})
 	m.HandleEvent(PredictorEvictEvent{Predictor: "psfp"})
-	m.HandleEvent(PredictorEvictEvent{Predictor: "btb"}) // outside the name table
-	// Counts stored with Inc under an instruction counter's name add to
-	// the instruction events.
-	m.Inc("inst.retired", 10)
+	m.HandleEvent(PredictorEvictEvent{Predictor: "btb"}) // outside the fixed table
+	for range 10 {
+		m.HandleEvent(InstEvent{})
+	}
 	m.HandleInsts([]InstEvent{{}})
 
 	want := map[string]uint64{
@@ -346,7 +358,7 @@ func TestMetricsFold(t *testing.T) {
 }
 
 // TestMetricsFoldAllocFree pins that folding an event builds no counter
-// name: every value the simulator emits has its name prebuilt.
+// name: every value the simulator emits has a counter id.
 func TestMetricsFoldAllocFree(t *testing.T) {
 	m := NewMetrics()
 	var pc pmc.Counters
@@ -358,7 +370,6 @@ func TestMetricsFoldAllocFree(t *testing.T) {
 		PredictorFlushEvent{Predictor: "psfp"}, SquashEvent{Kind: SquashPSF},
 		PMCEvent{Counts: pc}, ProbeEvent{Cycles: 3}, FaultEvent{Kind: "ssbp-flip"},
 	} {
-		m.HandleEvent(e) // first sight creates the map entry
 		if n := testing.AllocsPerRun(100, func() { m.HandleEvent(e) }); n != 0 {
 			t.Errorf("folding %T allocates %.1f objects, want 0", e, n)
 		}
@@ -368,7 +379,7 @@ func TestMetricsFoldAllocFree(t *testing.T) {
 // TestMetricsConcurrentFold emits one event mix from several goroutines into
 // one registry while another goroutine reads it, and requires the final
 // snapshot to equal a serial fold of the same events. Under -race it also
-// checks that the instruction counters outside the mutex are race-free.
+// checks that folds racing snapshots and counter reads are race-free.
 func TestMetricsConcurrentFold(t *testing.T) {
 	var pc pmc.Counters
 	pc.Add(pmc.LdDispatch, 3)
@@ -476,7 +487,7 @@ func TestMetricsShardsFoldExactly(t *testing.T) {
 					if ie, ok := e.(InstEvent); ok {
 						b.EmitInst(&ie)
 					} else {
-						b.Emit(e)
+						Emit(b, e)
 					}
 				}
 			}

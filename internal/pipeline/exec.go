@@ -347,7 +347,7 @@ func (c *Core) stageInst(st *runState, pc, ipa uint64, in isa.Inst, transient bo
 // the refetch delay charged after verify.
 func (c *Core) emitSquash(kind obs.SquashKind, pc uint64, start, verify, penalty int64, insts int) {
 	if c.bus.On(obs.ClassSquash) {
-		c.bus.Emit(obs.SquashEvent{CPU: c.cpuID, Kind: kind, PC: pc, Start: start, Verify: verify, Penalty: penalty, Insts: insts})
+		obs.Emit(c.bus, obs.SquashEvent{CPU: c.cpuID, Kind: kind, PC: pc, Start: start, Verify: verify, Penalty: penalty, Insts: insts})
 	}
 }
 
@@ -798,7 +798,7 @@ func (c *Core) resolvedLoad(st *runState, pa uint64, t int64) (uint64, int64) {
 			c.pmcs.Inc(pmc.StoreToLoadForwarding)
 			done := max64(t, a.dataTime) + forwardLatency
 			if c.bus.On(obs.ClassForward) {
-				c.bus.Emit(obs.ForwardEvent{CPU: c.cpuID, Cycle: done, StoreIPA: a.ipa, VA: a.va})
+				obs.Emit(c.bus, obs.ForwardEvent{CPU: c.cpuID, Cycle: done, StoreIPA: a.ipa, VA: a.va})
 			}
 			return a.newVal, done
 		}
@@ -857,7 +857,7 @@ func (c *Core) psfLoad(mmu MMU, st *runState, in isa.Inst, q predict.Query, S, U
 	c.pmcs.Inc(pmc.PSFForwards)
 	fwdDone := max64(tA, S.dataTime) + forwardLatency
 	if c.bus.On(obs.ClassForward) {
-		c.bus.Emit(obs.ForwardEvent{CPU: c.cpuID, Cycle: fwdDone, StoreIPA: S.ipa, LoadIPA: q.LoadIPA, VA: va, PSF: true})
+		obs.Emit(c.bus, obs.ForwardEvent{CPU: c.cpuID, Cycle: fwdDone, StoreIPA: S.ipa, LoadIPA: q.LoadIPA, VA: va, PSF: true})
 	}
 
 	ty := c.dis.Verify(q, U != nil)

@@ -386,7 +386,7 @@ func (c *Core) Run(mmu MMU, entry uint64, regs *[isa.NumRegs]uint64, maxInsts ui
 	if pmcOn {
 		// One counter readout per run — the delta a PMC-instrumented harness
 		// would take around a measured region.
-		c.bus.Emit(obs.PMCEvent{CPU: c.cpuID, Cycle: c.cycle, Counts: c.pmcs.Delta(pmcStart)})
+		obs.Emit(c.bus, obs.PMCEvent{CPU: c.cpuID, Cycle: c.cycle, Counts: c.pmcs.Delta(pmcStart)})
 	}
 	return res
 }

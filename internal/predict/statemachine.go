@@ -22,9 +22,11 @@ const (
 	numTypes
 )
 
+// String returns the type's letter, a slice of a constant: naming the type of
+// every verification an observed run reports allocates nothing.
 func (t ExecType) String() string {
 	if t < numTypes {
-		return string(rune('A' + t))
+		return "ABCDEFGH"[t : t+1]
 	}
 	return fmt.Sprintf("type?%d", uint8(t))
 }

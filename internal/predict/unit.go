@@ -127,7 +127,7 @@ func (u *Unit) AttachBus(b *obs.Bus, cpu int) {
 	u.cpu = cpu
 	u.psfp.onEvict = func(e psfpEntry) {
 		if u.bus.On(obs.ClassPredict) {
-			u.bus.Emit(obs.PredictorEvictEvent{
+			obs.Emit(u.bus, obs.PredictorEvictEvent{
 				CPU: u.cpu, Cycle: u.bus.Now(), Predictor: "psfp",
 				StoreTag: e.storeTag, LoadTag: e.loadTag,
 				Counters: obs.Counters{C0: e.c0, C1: e.c1, C2: e.c2},
@@ -136,7 +136,7 @@ func (u *Unit) AttachBus(b *obs.Bus, cpu int) {
 	}
 	u.ssbp.onEvict = func(e ssbpEntry) {
 		if u.bus.On(obs.ClassPredict) {
-			u.bus.Emit(obs.PredictorEvictEvent{
+			obs.Emit(u.bus, obs.PredictorEvictEvent{
 				CPU: u.cpu, Cycle: u.bus.Now(), Predictor: "ssbp",
 				LoadTag:  e.tag,
 				Counters: obs.Counters{C3: e.c3, C4: e.c4},
@@ -174,7 +174,7 @@ func (u *Unit) Predict(q Query) Prediction {
 	if u.bus.On(obs.ClassPredict) {
 		st, lt := u.hash(q.StoreIPA), u.hash(q.LoadIPA)
 		cs := pred.Counters
-		u.bus.Emit(obs.PredictEvent{
+		obs.Emit(u.bus, obs.PredictEvent{
 			CPU: u.cpu, Cycle: u.bus.Now(),
 			StoreIPA: q.StoreIPA, LoadIPA: q.LoadIPA,
 			Aliasing: pred.Aliasing, PSF: pred.PSF,
@@ -217,13 +217,13 @@ func (u *Unit) Verify(q Query, aliasing bool) ExecType {
 		now := u.bus.Now()
 		before := obs.Counters{C0: c.C0, C1: c.C1, C2: c.C2, C3: c.C3, C4: c.C4}
 		after := obs.Counters{C0: n.C0, C1: n.C1, C2: n.C2, C3: n.C3, C4: n.C4}
-		u.bus.Emit(obs.PSFPTrainEvent{
+		obs.Emit(u.bus, obs.PSFPTrainEvent{
 			CPU: u.cpu, Cycle: now, StoreTag: st, LoadTag: lt,
 			Type: t.String(), Aliasing: aliasing,
 			Before: before, After: after,
 			Allocated: !present && t == TypeG,
 		})
-		u.bus.Emit(obs.SSBPTransitionEvent{
+		obs.Emit(u.bus, obs.SSBPTransitionEvent{
 			CPU: u.cpu, Cycle: now, LoadTag: lt,
 			Type: t.String(), Aliasing: aliasing,
 			Before: before, After: after,

@@ -85,16 +85,17 @@ func opRanks() *[256]uint8 {
 // concurrent HandleEvent calls; share one Profile across parallel trials.
 type Profile struct {
 	mu sync.Mutex
-	// Sites are stored by value in the parallel keys and sites slices, so a
-	// profile of many sites holds no per-site heap object and nothing for the
-	// garbage collector to scan. pages indexes them by code page: entry
-	// PC%pageSize of page PC/pageSize holds the slot, plus one, of the newest
-	// site at that PC (0 is none), and next[slot] the slot, plus one, of the
-	// site before it at the same PC, which has another opcode.
-	pages map[uint64]*sitePage
-	next  []int32
-	keys  []Key
-	sites []site
+	// Sites are stored by value in fixed-size chunks, so a profile of many
+	// sites holds no per-site heap object, nothing for the garbage collector
+	// to scan, and adding a site never copies the ones before it. Slot i
+	// lives in chunks[i/chunkSize] at offset i%chunkSize; n counts the slots.
+	// pages indexes them by code page: entry PC%pageSize of page PC/pageSize
+	// holds the slot, plus one, of the newest site at that PC (0 is none),
+	// and a slot's next entry the slot, plus one, of the site before it at
+	// the same PC, which has another opcode.
+	pages  map[uint64]*sitePage
+	chunks []*siteChunk
+	n      int32
 	// lastPN and lastPage cache the page of the previous fold, so code that
 	// stays on one page skips the map.
 	lastPN   uint64
@@ -110,6 +111,24 @@ const (
 // sitePage indexes the sites of one code page by byte offset: code sliding
 // runs instructions at every byte.
 type sitePage [pageSize]int32
+
+const (
+	chunkBits = 12
+	chunkSize = 1 << chunkBits
+)
+
+// siteChunk holds chunkSize slots as parallel arrays: each slot's key, its
+// accumulated site and its same-PC link.
+type siteChunk struct {
+	keys  [chunkSize]Key
+	sites [chunkSize]site
+	next  [chunkSize]int32
+}
+
+// at returns the chunk holding slot i and i's offset in it.
+func (p *Profile) at(i int32) (*siteChunk, int32) {
+	return p.chunks[i>>chunkBits], i & (chunkSize - 1)
+}
 
 // New returns an empty profile. Attach it with Bus.Subscribe (classes inst
 // and squash) or through the facade's Config.Profile.
@@ -154,7 +173,7 @@ func (p *Profile) fold(ev *obs.InstEvent) {
 	if retire < 0 || ev.Transient {
 		retire = 0
 	}
-	s := &p.sites[p.slot(ev.PC, ev.Inst.Op)]
+	s := p.siteOf(ev.PC, ev.Inst.Op)
 	if ev.Transient {
 		s.transient++
 	} else {
@@ -167,9 +186,8 @@ func (p *Profile) fold(ev *obs.InstEvent) {
 	s.retire += retire
 }
 
-// slot returns the slot of site (pc, op), adding the site on first sight.
-// p.mu is held.
-func (p *Profile) slot(pc uint64, op isa.Op) int32 {
+// siteOf returns site (pc, op), adding it on first sight. p.mu is held.
+func (p *Profile) siteOf(pc uint64, op isa.Op) *site {
 	if pn := pc >> pageBits; pn != p.lastPN {
 		pg := p.pages[pn]
 		if pg == nil {
@@ -179,17 +197,23 @@ func (p *Profile) slot(pc uint64, op isa.Op) int32 {
 		p.lastPN, p.lastPage = pn, pg
 	}
 	head := &p.lastPage[pc&(pageSize-1)]
-	for i := *head - 1; i >= 0; i = p.next[i] - 1 {
-		if p.keys[i].Op == op {
-			return i
+	for i := *head - 1; i >= 0; {
+		c, o := p.at(i)
+		if c.keys[o].Op == op {
+			return &c.sites[o]
 		}
+		i = c.next[o] - 1
 	}
-	i := int32(len(p.keys))
-	p.keys = append(p.keys, Key{pc, op})
-	p.sites = append(p.sites, site{})
-	p.next = append(p.next, *head)
+	i := p.n
+	if i&(chunkSize-1) == 0 {
+		p.chunks = append(p.chunks, new(siteChunk))
+	}
+	p.n++
+	c, o := p.at(i)
+	c.keys[o] = Key{pc, op}
+	c.next[o] = *head
 	*head = i + 1
-	return i
+	return &c.sites[o]
 }
 
 // HandleEvent implements obs.Observer.
@@ -268,20 +292,24 @@ func (p *Profile) Snapshot() *Snapshot {
 	}
 	slices.Sort(pns)
 	rank := opRanks()
-	byRank := func(a, b int32) int { return cmp.Compare(rank[p.keys[a].Op], rank[p.keys[b].Op]) }
-	out.Samples = make([]Sample, 0, len(p.keys))
+	op := func(i int32) isa.Op { c, o := p.at(i); return c.keys[o].Op }
+	byRank := func(a, b int32) int { return cmp.Compare(rank[op(a)], rank[op(b)]) }
+	out.Samples = make([]Sample, 0, p.n)
 	var atPC []int32
 	for _, pn := range pns {
 		for _, head := range p.pages[pn] {
 			atPC = atPC[:0]
-			for i := head - 1; i >= 0; i = p.next[i] - 1 {
+			for i := head - 1; i >= 0; {
 				atPC = append(atPC, i)
+				c, o := p.at(i)
+				i = c.next[o] - 1
 			}
 			if len(atPC) > 1 {
 				slices.SortFunc(atPC, byRank)
 			}
 			for _, i := range atPC {
-				k, s := p.keys[i], &p.sites[i]
+				c, o := p.at(i)
+				k, s := c.keys[o], &c.sites[o]
 				x := Sample{
 					PC: k.PC, Op: k.Op.String(),
 					Count: s.count, Transient: s.transient,

@@ -10,14 +10,19 @@ import (
 
 	"zenspec/internal/isa"
 	"zenspec/internal/obs"
+	"zenspec/internal/pmc"
 )
 
 func telemetryFixture() *Telemetry {
 	t := NewTelemetry()
 	m := obs.NewMetrics()
-	m.Inc("pmc.sq_stall_cycles", 120)
-	m.Inc("squash.total", 3)
-	m.Observe("probe.cycles", 42)
+	var counts pmc.Counters
+	counts.Add(pmc.SQStallCycles, 120)
+	m.HandleEvent(obs.PMCEvent{Counts: counts})
+	for range 3 {
+		m.HandleEvent(obs.SquashEvent{Kind: obs.SquashBypass, Insts: 2})
+	}
+	m.HandleEvent(obs.ProbeEvent{Hit: true, Cycles: 42})
 	t.SetMetrics(m)
 	p := New()
 	p.HandleEvent(inst(0x400028, isa.LOAD, 10, 12, 40, 20, 0, 45))
@@ -48,11 +53,18 @@ zenspec_trials_done 3
 zenspec_trials_total 12
 # TYPE zenspec_pmc_sq_stall_cycles counter
 zenspec_pmc_sq_stall_cycles 120
+# TYPE zenspec_probe_hit counter
+zenspec_probe_hit 1
+# TYPE zenspec_squash_stl_bypass counter
+zenspec_squash_stl_bypass 3
 # TYPE zenspec_squash_total counter
 zenspec_squash_total 3
 # TYPE zenspec_probe_cycles summary
 zenspec_probe_cycles_count 1
 zenspec_probe_cycles_sum 42
+# TYPE zenspec_squash_window_insts summary
+zenspec_squash_window_insts_count 3
+zenspec_squash_window_insts_sum 6
 `
 	if body != want {
 		t.Fatalf("scrape differs:\n%s\nwant:\n%s", body, want)

@@ -122,7 +122,7 @@ func (f *FlushReload) FlushAll() {
 func (f *FlushReload) emitProbe(slot int, va, t uint64, hit bool) {
 	bus := f.K.Bus()
 	if bus.On(obs.ClassProbe) {
-		bus.Emit(obs.ProbeEvent{
+		obs.Emit(bus, obs.ProbeEvent{
 			CPU: f.CPU, Cycle: bus.Now(), Slot: slot, VA: va,
 			Cycles: t, Threshold: f.threshold, Hit: hit,
 		})

@@ -112,6 +112,20 @@ if [ "$quick_sum" != "$want_sum" ]; then
     exit 1
 fi
 
+echo "== quick observed report digest (seed 42, metrics + profile) =="
+# The same pin for the observed experiments with both observers on, so the
+# micro (metrics registry) and profile sections of the report are held byte
+# for byte too. A change that moves them fails here until
+# testdata/quick_observed_seed42.sha256 is updated, and CHANGES.md says why.
+obs_sum=$(go run ./cmd/experiments -seed 42 -quick -only spectre-stl,defenses,sandbox-escape \
+    -metrics -profile -stable | sha256sum | cut -d' ' -f1)
+want_obs_sum=$(cat testdata/quick_observed_seed42.sha256)
+if [ "$obs_sum" != "$want_obs_sum" ]; then
+    echo "experiments -seed 42 -quick -only spectre-stl,defenses,sandbox-escape -metrics -profile -stable" >&2
+    echo "hashes to $obs_sum; testdata/quick_observed_seed42.sha256 pins $want_obs_sum" >&2
+    exit 1
+fi
+
 echo "== faulted suite smoke (quick, default plan, JSON) =="
 # The degraded report (injected trial faults) must still validate: every
 # experiment in band, failures accounted for as retries/recoveries.
