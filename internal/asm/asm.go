@@ -193,24 +193,12 @@ func (b *Builder) JmpAbs(va uint64) *Builder {
 	return b.emit(isa.Inst{Op: isa.JMP, Imm: int32(va)})
 }
 
-// Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.insts) }
-
 // Size returns the assembled size in bytes.
 func (b *Builder) Size() int { return len(b.insts) * isa.InstBytes }
 
 // Offset returns the byte offset from the start of the program at which the
 // next instruction will be placed.
 func (b *Builder) Offset() int { return b.Size() }
-
-// LabelOffset returns the byte offset of a previously defined label.
-func (b *Builder) LabelOffset(name string) (int, bool) {
-	idx, ok := b.labels[name]
-	if !ok {
-		return 0, false
-	}
-	return idx * isa.InstBytes, true
-}
 
 // Assemble resolves labels against the given base virtual address and returns
 // the machine code.

@@ -62,15 +62,17 @@ func TestDuplicateLabelErrors(t *testing.T) {
 	}
 }
 
+// TestLabelOffset: a jump to a label resolves to the label's byte offset
+// from the assembly base; a jump to an undefined label fails to assemble.
 func TestLabelOffset(t *testing.T) {
+	const base = 0x400000
 	b := NewBuilder()
-	b.Nop().Nop().Label("here").Halt()
-	off, ok := b.LabelOffset("here")
-	if !ok || off != 2*isa.InstBytes {
-		t.Errorf("LabelOffset = %d,%v; want %d,true", off, ok, 2*isa.InstBytes)
+	b.Jmp("here").Nop().Label("here").Halt()
+	if in := isa.Decode(b.MustAssemble(base)); uint64(in.Imm) != base+2*isa.InstBytes {
+		t.Errorf("jmp here = %v; want target %#x", in, base+2*isa.InstBytes)
 	}
-	if _, ok := b.LabelOffset("missing"); ok {
-		t.Error("missing label reported present")
+	if _, err := NewBuilder().Jmp("missing").Assemble(base); err == nil {
+		t.Error("jump to a missing label assembled")
 	}
 }
 
@@ -146,8 +148,8 @@ func TestBuildStldLayout(t *testing.T) {
 	if ld.Op != isa.LOAD {
 		t.Errorf("LoadOff points at %v", ld)
 	}
-	if s.Distance() != isa.InstBytes {
-		t.Errorf("default distance %d, want %d", s.Distance(), isa.InstBytes)
+	if d := s.LoadOff - s.StoreOff; d != isa.InstBytes {
+		t.Errorf("default distance %d, want %d", d, isa.InstBytes)
 	}
 	// 20 imuls by default.
 	imuls := 0
@@ -163,7 +165,7 @@ func TestBuildStldLayout(t *testing.T) {
 
 func TestBuildStldPadding(t *testing.T) {
 	s := BuildStld(StldOptions{Imuls: 4, PadStart: 3, PadBetween: 5})
-	if got := s.Distance(); got != 6*isa.InstBytes {
+	if got := s.LoadOff - s.StoreOff; got != 6*isa.InstBytes {
 		t.Errorf("distance %d, want %d", got, 6*isa.InstBytes)
 	}
 	if isa.Decode(s.Code[s.StoreOff:]).Op != isa.STORE {

@@ -40,16 +40,6 @@ func Parse(src string) (*Builder, error) {
 	return b, nil
 }
 
-// MustParse panics on parse errors; for static program text in tests and
-// examples.
-func MustParse(src string) *Builder {
-	b, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 var regNames = map[string]isa.Reg{
 	"rax": isa.RAX, "rcx": isa.RCX, "rdx": isa.RDX, "rbx": isa.RBX,
 	"rsp": isa.RSP, "rbp": isa.RBP, "rsi": isa.RSI, "rdi": isa.RDI,

@@ -7,6 +7,16 @@ import (
 	"zenspec/internal/isa"
 )
 
+// mustParse parses static program text, failing the test on an error.
+func mustParse(t *testing.T, src string) *Builder {
+	t.Helper()
+	b, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestParseBasicProgram(t *testing.T) {
 	b, err := Parse(`
 		; a comment
@@ -36,7 +46,7 @@ func TestParseBasicProgram(t *testing.T) {
 }
 
 func TestParseMemoryOperands(t *testing.T) {
-	b := MustParse(`
+	b := mustParse(t, `
 		load  rax, [rsi]
 		load  rbx, [rsi+8]
 		store [rdi-16], rax
@@ -58,7 +68,7 @@ func TestParseMemoryOperands(t *testing.T) {
 }
 
 func TestParseLabelsAndBranches(t *testing.T) {
-	b := MustParse(`
+	b := mustParse(t, `
 		movi rcx, 5
 	loop:
 		sub rcx, rcx, 1
@@ -80,7 +90,7 @@ func TestParseLabelsAndBranches(t *testing.T) {
 }
 
 func TestParseAllMnemonics(t *testing.T) {
-	b := MustParse(`
+	b := mustParse(t, `
 		nop
 		mfence
 		lfence
@@ -96,8 +106,8 @@ func TestParseAllMnemonics(t *testing.T) {
 		imul rax, rax, rcx
 		halt
 	`)
-	if b.Len() != 14 {
-		t.Errorf("%d instructions", b.Len())
+	if n := len(b.insts); n != 14 {
+		t.Errorf("%d instructions", n)
 	}
 }
 
@@ -130,7 +140,7 @@ func TestParseErrors(t *testing.T) {
 func TestParsedProgramRoundTripsThroughBuilder(t *testing.T) {
 	// The text form and the fluent form of the stld must produce identical
 	// machine code.
-	text := MustParse(`
+	text := mustParse(t, `
 		rdpru r10
 		movi r12, 1
 		mov  rbx, rdi

@@ -97,8 +97,3 @@ func buildStld(opts StldOptions) Stld {
 	// assemble position-independent at 0.
 	return Stld{Code: b.MustAssemble(0), StoreOff: storeOff, LoadOff: loadOff}
 }
-
-// Distance returns the byte distance between the load and store instructions,
-// the quantity that must match between two stlds for a PSFP collision to be
-// findable (Section IV-B2).
-func (s Stld) Distance() int { return s.LoadOff - s.StoreOff }

@@ -152,12 +152,6 @@ func (l *level) fill(line uint64) (uint64, bool) {
 
 func (l *level) invalidate(line uint64) bool { return l.setOf(line).remove(line) }
 
-func (l *level) flushAll() {
-	for i := range l.sets {
-		l.sets[i].lines = l.sets[i].lines[:0]
-	}
-}
-
 func (l *level) contains(line uint64) bool { return l.setOf(line).find(line) >= 0 }
 
 // clone copies the level; each non-empty set gets its own lines, so a fill
@@ -285,27 +279,6 @@ func (h *Hierarchy) FlushRandom(pick func(int) int, n int) int {
 		flushed++
 	}
 	return flushed
-}
-
-// FlushAll empties the hierarchy.
-func (h *Hierarchy) FlushAll() {
-	h.l1.flushAll()
-	h.l2.flushAll()
-	h.l3.flushAll()
-}
-
-// Contains reports whether pa's line is present at the given level.
-func (h *Hierarchy) Contains(pa uint64, lvl Level) bool {
-	line := LineOf(pa)
-	switch lvl {
-	case L1:
-		return h.l1.contains(line)
-	case L2:
-		return h.l2.contains(line)
-	case L3:
-		return h.l3.contains(line)
-	}
-	return false
 }
 
 // Cached reports whether pa's line is present at any level.

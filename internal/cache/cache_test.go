@@ -49,10 +49,10 @@ func TestL1EvictionFallsToL2(t *testing.T) {
 	h.Access(0x000)
 	h.Access(0x080)
 	h.Access(0x100) // evicts 0x000 from L1
-	if h.Contains(0x000, L1) {
+	if h.l1.contains(LineOf(0x000)) {
 		t.Fatal("0x000 should be evicted from L1")
 	}
-	if !h.Contains(0x000, L2) {
+	if !h.l2.contains(LineOf(0x000)) {
 		t.Fatal("0x000 should remain in L2")
 	}
 	if lat, lvl := h.Access(0x000); lvl != L2 || lat != 12 {
@@ -66,10 +66,10 @@ func TestLRUOrder(t *testing.T) {
 	h.Access(0x080)
 	h.Access(0x000) // make 0x080 the LRU
 	h.Access(0x100) // should evict 0x080
-	if !h.Contains(0x000, L1) {
+	if !h.l1.contains(LineOf(0x000)) {
 		t.Error("recently-used line evicted")
 	}
-	if h.Contains(0x080, L1) {
+	if h.l1.contains(LineOf(0x080)) {
 		t.Error("LRU line not evicted")
 	}
 }
@@ -82,21 +82,6 @@ func TestTouchWarmsWithoutCountingAccess(t *testing.T) {
 	}
 	if lat, lvl := h.Access(0x3000); lvl != L1 || lat != 4 {
 		t.Errorf("access after touch = %d,%v", lat, lvl)
-	}
-}
-
-func TestFlushAll(t *testing.T) {
-	h := New(small())
-	for i := uint64(0); i < 16; i++ {
-		h.Access(i * 64)
-	}
-	h.FlushAll()
-	for _, l := range []*level{h.l1, h.l2, h.l3} {
-		for _, s := range l.sets {
-			if len(s.lines) != 0 {
-				t.Fatalf("set holds %d lines after FlushAll", len(s.lines))
-			}
-		}
 	}
 }
 
@@ -125,7 +110,7 @@ func TestInclusionProperty(t *testing.T) {
 		h.Access(lines[r.Intn(len(lines))])
 	}
 	for _, pa := range lines {
-		if h.Contains(pa, L1) && (!h.Contains(pa, L2) || !h.Contains(pa, L3)) {
+		if h.l1.contains(LineOf(pa)) && (!h.l2.contains(LineOf(pa)) || !h.l3.contains(LineOf(pa))) {
 			t.Fatalf("line %#x in L1 but not in outer levels", pa)
 		}
 	}

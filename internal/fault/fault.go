@@ -156,15 +156,6 @@ func (p Plan) String() string {
 	return "fault-plan" + string(b)
 }
 
-// Stats counts what an injector actually did.
-type Stats struct {
-	RunBoundaries  uint64 `json:"run_boundaries"`
-	PSFPEvictions  uint64 `json:"psfp_evictions"`
-	SSBPFlips      uint64 `json:"ssbp_flips"`
-	SpuriousTrains uint64 `json:"spurious_trains"`
-	CacheEvictions uint64 `json:"cache_evictions"`
-}
-
 // Targets is the machine state an injector perturbs at a run boundary.
 type Targets struct {
 	PSFP  *predict.PSFP
@@ -176,10 +167,9 @@ type Targets struct {
 // owns one; its RNG stream is consumed serially by that machine's run
 // boundaries, keeping injections reproducible at any worker count.
 type Injector struct {
-	plan  Plan
-	rng   *rand.Rand
-	stats Stats
-	bus   *obs.Bus
+	plan Plan
+	rng  *rand.Rand
+	bus  *obs.Bus
 }
 
 // AttachBus connects the injector to an event bus: every machine-level
@@ -205,23 +195,17 @@ func (p Plan) Injector(stream int64) *Injector {
 	return &Injector{plan: p, rng: rand.New(rand.NewSource(int64(h.Sum64() & (1<<63 - 1))))}
 }
 
-// Stats returns what has been injected so far.
-func (in *Injector) Stats() Stats { return in.stats }
-
 // RunBoundary rolls the machine-level faults once — called by the kernel
 // between program runs, where co-resident activity would strike on hardware.
 func (in *Injector) RunBoundary(t Targets) {
-	in.stats.RunBoundaries++
 	if p := in.plan.PSFPEvictRate; p > 0 && t.PSFP != nil && in.rng.Float64() < p {
 		if n := t.PSFP.Len(); n > 0 && t.PSFP.EvictAt(in.rng.Intn(n)) {
-			in.stats.PSFPEvictions++
 			in.emit("psfp-evict", 1)
 		}
 	}
 	if p := in.plan.SSBPFlipRate; p > 0 && t.SSBP != nil && in.rng.Float64() < p {
 		// Knock C3 down by 1..4: the drain other pairs' type-F stalls cause.
 		if n := t.SSBP.Len(); n > 0 && t.SSBP.FlipAt(in.rng.Intn(n), -(1+in.rng.Intn(4))) {
-			in.stats.SSBPFlips++
 			in.emit("ssbp-flip", 1)
 		}
 	}
@@ -233,7 +217,6 @@ func (in *Injector) RunBoundary(t Targets) {
 			t.PSFP.Put(uint16(in.rng.Intn(4096)), uint16(in.rng.Intn(4096)),
 				1+in.rng.Intn(4), in.rng.Intn(13), 0)
 		}
-		in.stats.SpuriousTrains++
 		in.emit("spurious-train", 1)
 	}
 	if p := in.plan.CacheEvictRate; p > 0 && t.Cache != nil && in.rng.Float64() < p {
@@ -241,9 +224,7 @@ func (in *Injector) RunBoundary(t Targets) {
 		if lines <= 0 {
 			lines = 1
 		}
-		flushed := t.Cache.FlushRandom(in.rng.Intn, lines)
-		in.stats.CacheEvictions += uint64(flushed)
-		if flushed > 0 {
+		if flushed := t.Cache.FlushRandom(in.rng.Intn, lines); flushed > 0 {
 			in.emit("cache-evict", flushed)
 		}
 	}

@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
 	"zenspec/internal/cache"
+	"zenspec/internal/obs"
 	"zenspec/internal/predict"
 )
 
@@ -60,11 +62,19 @@ func TestScaleClamps(t *testing.T) {
 	}
 }
 
-// drive runs n boundaries against a freshly populated machine and returns the
-// stats — a deterministic injector yields identical stats for identical
-// (plan, stream) pairs and different stats for different streams.
-func drive(p Plan, stream int64, n int) Stats {
+// drive runs n boundaries against a freshly populated machine and returns
+// the Count its bus saw injected per kind of obs.FaultEvent — a
+// deterministic injector yields identical counts for identical (plan,
+// stream) pairs and different counts for different streams.
+func drive(p Plan, stream int64, n int) map[string]int {
 	in := p.Injector(stream)
+	got := map[string]int{}
+	bus := obs.NewBus()
+	bus.Subscribe(obs.ObserverFunc(func(ev obs.Event) {
+		f := ev.(obs.FaultEvent)
+		got[f.Kind] += f.Count
+	}), obs.Options{Classes: []obs.Class{obs.ClassFault}})
+	in.AttachBus(bus)
 	psfp := predict.NewPSFP(0)
 	ssbp := predict.NewSSBP(nil)
 	h := cache.New(cache.DefaultConfig())
@@ -76,27 +86,29 @@ func drive(p Plan, stream int64, n int) Stats {
 	for i := 0; i < n; i++ {
 		in.RunBoundary(Targets{PSFP: psfp, SSBP: ssbp, Cache: h})
 	}
-	return in.Stats()
+	return got
 }
 
 func TestInjectorDeterminism(t *testing.T) {
 	p := Default()
 	a := drive(p, 7, 4000)
 	b := drive(p, 7, 4000)
-	if a != b {
-		t.Fatalf("same (plan, stream) diverged: %+v vs %+v", a, b)
+	if !maps.Equal(a, b) {
+		t.Fatalf("same (plan, stream) diverged: %v vs %v", a, b)
 	}
-	if c := drive(p, 8, 4000); c == a {
-		t.Fatalf("different streams injected identically: %+v", c)
+	if c := drive(p, 8, 4000); maps.Equal(c, a) {
+		t.Fatalf("different streams injected identically: %v", c)
 	}
-	if a.PSFPEvictions == 0 || a.SSBPFlips == 0 || a.SpuriousTrains == 0 || a.CacheEvictions == 0 {
-		t.Fatalf("default plan left a fault class idle over 4000 boundaries: %+v", a)
+	for _, kind := range []string{"psfp-evict", "ssbp-flip", "spurious-train", "cache-evict"} {
+		if a[kind] == 0 {
+			t.Fatalf("default plan left %s idle over 4000 boundaries: %v", kind, a)
+		}
 	}
 	// Plan seed decorrelates injection streams even for the same machine seed.
 	q := p
 	q.Seed = 99
-	if d := drive(q, 7, 4000); d == a {
-		t.Fatalf("plan seed ignored: %+v", d)
+	if d := drive(q, 7, 4000); maps.Equal(d, a) {
+		t.Fatalf("plan seed ignored: %v", d)
 	}
 }
 

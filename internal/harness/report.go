@@ -86,9 +86,6 @@ func (r *Report) RecordTrials(s TrialStats) {
 	}
 }
 
-// Degraded reports whether the experiment fought through faults or retries.
-func (r Report) Degraded() bool { return r.Status == StatusDegraded }
-
 // Add records a metric with its inclusive pass band [min, max].
 func (r *Report) Add(name string, value, min, max float64) {
 	r.Metrics = append(r.Metrics, Metric{
@@ -134,18 +131,6 @@ type SuiteReport struct {
 	// what it survived; omitted for clean runs.
 	Faults      *fault.Plan `json:"faults,omitempty"`
 	Experiments []Report    `json:"experiments"`
-}
-
-// Degraded lists the IDs of experiments that fought through faults or
-// retries (independent of whether they still passed their bands).
-func (s SuiteReport) Degraded() []string {
-	var ids []string
-	for _, r := range s.Experiments {
-		if r.Degraded() || r.Status == StatusFailed {
-			ids = append(ids, r.ID)
-		}
-	}
-	return ids
 }
 
 // AllPass reports whether every experiment landed inside its paper band.

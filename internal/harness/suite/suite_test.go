@@ -208,8 +208,10 @@ func TestSuiteDegradedReport(t *testing.T) {
 	if d.Trouble == nil || d.Trouble.Failed != 1 || d.Trouble.FirstError == "" {
 		t.Fatalf("missing failure provenance: %+v", d.Trouble)
 	}
-	if got := rep.Degraded(); len(got) != 1 || got[0] != "doomed" {
-		t.Fatalf("suite degraded list %v, want [doomed]", got)
+	for _, e := range rep.Experiments {
+		if troubled := e.Status != harness.StatusClean; troubled != (e.ID == "doomed") {
+			t.Fatalf("%s has status %q; want only doomed to fight through faults", e.ID, e.Status)
+		}
 	}
 	if rep.AllPass() {
 		t.Fatal("suite passed with a failing row")

@@ -46,14 +46,14 @@ func driveMachine(t *testing.T, k *Kernel) machineTrace {
 		res.Stlds = append([]pipeline.StldEvent(nil), res.Stlds...)
 		tr.Runs = append(tr.Runs, res)
 		tr.Regs = append(tr.Regs, p.Regs)
-		tr.Data = append(tr.Data, p.Read64(dataBase), p.Read64(dataBase+8))
+		tr.Data = append(tr.Data, read64(p, dataBase), read64(p, dataBase+8))
 	}
 	for i := 0; i < 2; i++ {
 		run(0, user, i == 1)
 		run(1, kern, i == 0)
 		run(1, kern, true)
 	}
-	for i := 0; i < k.NumCPUs(); i++ {
+	for i := range k.cpus {
 		tr.PMCs = append(tr.PMCs, k.CPU(i).Core.PMC().Snapshot())
 		tr.Cycles = append(tr.Cycles, k.CPU(i).Core.Cycle())
 		tr.Stats = append(tr.Stats, k.CPU(i).Unit.Stats())

@@ -120,9 +120,6 @@ type CPU struct {
 	epoch   uint64
 }
 
-// Current returns the process last run on this thread.
-func (c *CPU) Current() *Process { return c.current }
-
 // Kernel is the machine plus operating system model.
 type Kernel struct {
 	cfg    Config
@@ -265,27 +262,6 @@ func (k *Kernel) Caches() *cache.Hierarchy { return k.caches }
 
 // CPU returns hardware thread i.
 func (k *Kernel) CPU(i int) *CPU { return k.cpus[i] }
-
-// NumCPUs returns the hardware thread count.
-func (k *Kernel) NumCPUs() int { return len(k.cpus) }
-
-// Config returns the boot configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
-// SetSSBD toggles SSBD on every hardware thread at run time (the
-// SPEC_CTRL write the OS performs).
-func (k *Kernel) SetSSBD(on bool) {
-	for _, c := range k.cpus {
-		c.Unit.SetSSBD(on)
-	}
-}
-
-// SetPSFD toggles the (ineffective) PSFD bit on every hardware thread.
-func (k *Kernel) SetPSFD(on bool) {
-	for _, c := range k.cpus {
-		c.Unit.SetPSFD(on)
-	}
-}
 
 // NewProcess creates a process in the given security domain.
 func (k *Kernel) NewProcess(name string, d Domain) *Process {

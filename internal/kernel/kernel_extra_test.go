@@ -65,9 +65,9 @@ func TestRotateSaltChangesSelectionEverySwitch(t *testing.T) {
 	var hashes []uint16
 	for i := 0; i < 4; i++ {
 		k.Run(a, codeBase, 0)
-		hashes = append(hashes, k.CPU(0).Unit.HashIPA(0x123456))
+		hashes = append(hashes, loadTag(k, 0x123456))
 		k.Run(bp, codeBase, 0)
-		hashes = append(hashes, k.CPU(0).Unit.HashIPA(0x123456))
+		hashes = append(hashes, loadTag(k, 0x123456))
 	}
 	distinct := map[uint16]bool{}
 	for _, h := range hashes {
@@ -88,11 +88,11 @@ func TestMmapSharedDataVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Write64(dataBase+8, 0xfeed)
-	if got := b.Read64(0x9000000 + 8); got != 0xfeed {
+	if got := read64(b, 0x9000000+8); got != 0xfeed {
 		t.Errorf("shared read %#x", got)
 	}
 	b.Write64(0x9000000+16, 0xbeef)
-	if got := a.Read64(dataBase + 16); got != 0xbeef {
+	if got := read64(a, dataBase+16); got != 0xbeef {
 		t.Errorf("reverse shared read %#x", got)
 	}
 }
@@ -130,10 +130,10 @@ func TestKernelStrings(t *testing.T) {
 	if p.String() == "" {
 		t.Error("process String")
 	}
-	if k.Config().SMTThreads != 2 {
+	if k.cfg.SMTThreads != 2 {
 		t.Error("default SMT threads")
 	}
-	if k.CPU(0).Current() != nil {
+	if k.CPU(0).current != nil {
 		t.Error("fresh CPU should have no current process")
 	}
 }

@@ -1,17 +1,48 @@
 package kernel
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"zenspec/internal/asm"
 	"zenspec/internal/isa"
 	"zenspec/internal/mem"
+	"zenspec/internal/obs"
 	"zenspec/internal/pipeline"
 	"zenspec/internal/predict"
 )
 
 const codeBase = 0x400000
 const dataBase = 0x10000
+
+// loadTag is the SSBP entry CPU 0's unit selects for a load at ipa, read
+// from the transition event a non-aliasing verification emits.
+func loadTag(k *Kernel, ipa uint64) uint16 {
+	var tag uint16
+	cancel := k.Bus().Subscribe(obs.ObserverFunc(func(ev obs.Event) {
+		if tr, ok := ev.(obs.SSBPTransitionEvent); ok {
+			tag = tr.LoadTag
+		}
+	}), obs.Options{Classes: []obs.Class{obs.ClassPredict}})
+	defer cancel()
+	k.CPU(0).Unit.Verify(predict.Query{LoadIPA: ipa}, false)
+	return tag
+}
+
+// read64 reads the little-endian word at va through p's page table, a byte
+// at a time, so the word may cross a page.
+func read64(p *Process, va uint64) uint64 {
+	var b [8]byte
+	for i := range b {
+		pa, f := p.AS.Translate(va+uint64(i), mem.AccessRead)
+		if f != mem.FaultNone {
+			panic(fmt.Sprintf("read64: unmapped va %#x", va+uint64(i)))
+		}
+		p.kernel.phys.ReadInto(pa, b[i:i+1])
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
 
 // trainStld trains a process's stld pair to a recognizable predictor state:
 // (7n,a)x3 leaves C3=15, C4=3 in SSBP and C0=4, C1=16, C2=2 in PSFP.
@@ -206,29 +237,21 @@ func TestSaltPerDomainChangesSelection(t *testing.T) {
 	user.MapCode(codeBase, b.MustAssemble(codeBase))
 	vm.MapCode(codeBase, b.MustAssemble(codeBase))
 	k.Run(user, codeBase, 0)
-	h1 := k.CPU(0).Unit.HashIPA(0x12345)
+	h1 := loadTag(k, 0x12345)
 	k.Run(vm, codeBase, 0)
-	h2 := k.CPU(0).Unit.HashIPA(0x12345)
+	h2 := loadTag(k, 0x12345)
 	if h1 == h2 {
 		t.Error("per-domain salt did not change selection")
 	}
 }
 
-// TestSSBDAppliesToAllThreads: the kernel SPEC_CTRL write reaches both SMT
-// threads.
+// TestSSBDAppliesToAllThreads: SSBD set at boot reaches both SMT threads,
+// which then verify every non-aliasing stld as an E (Section VI-A).
 func TestSSBDAppliesToAllThreads(t *testing.T) {
-	k := New(Config{Seed: 1})
-	k.SetSSBD(true)
-	for i := 0; i < k.NumCPUs(); i++ {
-		if !k.CPU(i).Unit.SSBD() {
-			t.Errorf("cpu %d missing SSBD", i)
-		}
-	}
-	k.SetSSBD(false)
-	k.SetPSFD(true)
-	for i := 0; i < k.NumCPUs(); i++ {
-		if k.CPU(i).Unit.SSBD() || !k.CPU(i).Unit.PSFD() {
-			t.Errorf("cpu %d flags wrong", i)
+	k := New(Config{Seed: 1, SSBD: true})
+	for i, cpu := range k.cpus {
+		if got := cpu.Unit.Verify(predict.Query{}, false); got != predict.TypeE {
+			t.Errorf("cpu %d verified a non-aliasing stld as %v, want E", i, got)
 		}
 	}
 }
@@ -238,7 +261,7 @@ func TestProcessMemoryHelpers(t *testing.T) {
 	p := k.NewProcess("m", DomainUser)
 	p.MapData(dataBase, 2*mem.PageSize)
 	p.Write64(dataBase+mem.PageSize-4, 0xdeadbeefcafe) // crosses a page
-	if got := p.Read64(dataBase + mem.PageSize - 4); got != 0xdeadbeefcafe {
+	if got := read64(p, dataBase+mem.PageSize-4); got != 0xdeadbeefcafe {
 		t.Errorf("cross-page rw: %#x", got)
 	}
 	p.WarmLine(dataBase)

@@ -111,24 +111,6 @@ func (p *Process) WriteBytes(va uint64, b []byte) {
 	}
 }
 
-// ReadBytes reads through the page table.
-func (p *Process) ReadBytes(va uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; {
-		pa, f := p.AS.Translate(va+uint64(i), mem.AccessRead)
-		if f != mem.FaultNone {
-			panic(fmt.Sprintf("kernel: ReadBytes unmapped va %#x", va+uint64(i)))
-		}
-		chunk := int(mem.PageSize - mem.PageOffset(va+uint64(i)))
-		if chunk > n-i {
-			chunk = n - i
-		}
-		copy(out[i:i+chunk], p.kernel.phys.ReadBytes(pa, chunk))
-		i += chunk
-	}
-	return out
-}
-
 // Write64 writes an 8-byte value at va.
 func (p *Process) Write64(va, v uint64) {
 	var b [8]byte
@@ -136,16 +118,6 @@ func (p *Process) Write64(va, v uint64) {
 		b[i] = byte(v >> (8 * i))
 	}
 	p.WriteBytes(va, b[:])
-}
-
-// Read64 reads an 8-byte value at va.
-func (p *Process) Read64(va uint64) uint64 {
-	b := p.ReadBytes(va, 8)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }
 
 // FlushLine flushes va's cache line (a host-side clflush for harness setup).

@@ -70,9 +70,6 @@ func (s *Scheduler) Spawn(p *Process, entry uint64) *Task {
 	return t
 }
 
-// Tasks returns the scheduled tasks.
-func (s *Scheduler) Tasks() []*Task { return s.tasks }
-
 // Runnable reports whether any task still wants CPU.
 func (s *Scheduler) Runnable() bool {
 	for _, t := range s.tasks {

@@ -44,7 +44,7 @@ func TestSchedulerInterleavesTasks(t *testing.T) {
 		if task.Slices < 2 {
 			t.Errorf("task %d ran in %d slices; the quantum should preempt it", i, task.Slices)
 		}
-		if got := task.Proc.Read64(dataBase); got != 100 {
+		if got := read64(task.Proc, dataBase); got != 100 {
 			t.Errorf("task %d counted to %d, want 100", i, got)
 		}
 		if task.Insts == 0 {
@@ -126,7 +126,7 @@ func TestTaskStateStrings(t *testing.T) {
 	}
 	k := New(Config{Seed: 1})
 	sched := k.NewScheduler(0, 0)
-	if len(sched.Tasks()) != 0 || sched.Runnable() {
+	if len(sched.tasks) != 0 || sched.Runnable() {
 		t.Error("fresh scheduler state")
 	}
 }

@@ -166,18 +166,11 @@ func (p *Physical) FrameAt(pa uint64) *Frame {
 	return p.frames[PFNOf(pa)]
 }
 
-// ReadBytes copies n bytes starting at physical address pa into a new slice.
-// Reads of unallocated memory return zeros, like reads of uninitialized RAM.
-// Accesses may cross frame boundaries (instruction fetch at arbitrary byte
-// offsets requires this).
-func (p *Physical) ReadBytes(pa uint64, n int) []byte {
-	out := make([]byte, n)
-	p.ReadInto(pa, out)
-	return out
-}
-
-// ReadInto fills out with the bytes starting at pa without allocating; the
-// hot fetch path uses it with a stack buffer. Semantics match ReadBytes.
+// ReadInto fills out with the bytes starting at physical address pa without
+// allocating; the hot fetch path uses it with a stack buffer. Reads of
+// unallocated memory return zeros, like reads of uninitialized RAM. Accesses
+// may cross frame boundaries (instruction fetch at arbitrary byte offsets
+// requires this).
 func (p *Physical) ReadInto(pa uint64, out []byte) {
 	n := len(out)
 	for i := 0; i < n; {
@@ -427,6 +420,3 @@ func (t *TLB) Flush() {
 	clear(t.entries)
 	t.lastOK = false
 }
-
-// Len returns the number of cached translations.
-func (t *TLB) Len() int { return len(t.entries) }

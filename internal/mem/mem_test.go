@@ -53,7 +53,8 @@ func TestReadWriteBytesCrossFrame(t *testing.T) {
 	pa := uint64(2*PageSize) - 3 // spans two frames
 	data := []byte{1, 2, 3, 4, 5, 6, 7}
 	p.WriteBytes(pa, data)
-	got := p.ReadBytes(pa, len(data))
+	got := make([]byte, len(data))
+	p.ReadInto(pa, got)
 	if !bytes.Equal(got, data) {
 		t.Errorf("cross-frame read = %v, want %v", got, data)
 	}
@@ -61,7 +62,8 @@ func TestReadWriteBytesCrossFrame(t *testing.T) {
 
 func TestReadUnallocatedIsZero(t *testing.T) {
 	p := NewPhysical()
-	got := p.ReadBytes(0x5000, 16)
+	got := make([]byte, 16)
+	p.ReadInto(0x5000, got)
 	for _, b := range got {
 		if b != 0 {
 			t.Fatalf("unallocated read returned %v", got)
@@ -125,8 +127,8 @@ func TestTLBFIFOEviction(t *testing.T) {
 	if pfn, ok := tlb.Lookup(0x3fff); !ok || pfn != 3 {
 		t.Error("lookup within page should hit")
 	}
-	if tlb.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tlb.Len())
+	if n := len(tlb.entries); n != 2 {
+		t.Errorf("%d entries, want 2", n)
 	}
 }
 
@@ -137,11 +139,11 @@ func TestTLBReinsertDoesNotGrow(t *testing.T) {
 	if pfn, _ := tlb.Lookup(0x1000); pfn != 5 {
 		t.Error("reinsert should update pfn")
 	}
-	if tlb.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tlb.Len())
+	if n := len(tlb.entries); n != 1 {
+		t.Errorf("%d entries, want 1", n)
 	}
 	tlb.Flush()
-	if tlb.Len() != 0 {
+	if len(tlb.entries) != 0 {
 		t.Error("flush should empty TLB")
 	}
 	// Reinsert after flush works.

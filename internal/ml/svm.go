@@ -102,9 +102,6 @@ func (m *SVM) Predict(x []float64) int {
 	return best
 }
 
-// Classes returns the number of classes.
-func (m *SVM) Classes() int { return m.classes }
-
 // Accuracy scores the classifier on a labeled set.
 func (m *SVM) Accuracy(x [][]float64, y []int) float64 {
 	if len(x) == 0 {

@@ -104,7 +104,7 @@ func TestSVMDeterministic(t *testing.T) {
 			t.Fatal("same seed must give identical models")
 		}
 	}
-	if m1.Classes() != 2 {
+	if m1.classes != 2 {
 		t.Error("Classes")
 	}
 }

@@ -110,15 +110,10 @@ func TestEventExhaustiveness(t *testing.T) {
 	}
 }
 
-// TestClassNamesExhaustive asserts every class has a String name and that
-// AllClasses covers the full space.
+// TestClassNamesExhaustive asserts every class has a distinct String name.
 func TestClassNamesExhaustive(t *testing.T) {
-	all := AllClasses()
-	if len(all) != int(NumClasses) {
-		t.Fatalf("AllClasses returned %d classes, want %d", len(all), NumClasses)
-	}
 	seen := map[string]bool{}
-	for _, c := range all {
+	for c := range NumClasses {
 		s := c.String()
 		if s == "class?" {
 			t.Errorf("class %d has no String name", c)

@@ -483,37 +483,6 @@ func (s *MetricsSnapshot) Merge(other *MetricsSnapshot) {
 	}
 }
 
-// Counter returns the named counter's value (0 when absent), its shards'
-// counts included.
-func (m *Metrics) Counter(name string) uint64 {
-	id := -1
-	for i := range numCounters {
-		if counterName(i) == name {
-			id = i
-		}
-	}
-	m.mu.Lock()
-	n := m.counter(id, name)
-	shards := m.shards
-	m.mu.Unlock()
-	for _, sh := range shards {
-		sh.mu.Lock()
-		n += sh.counter(id, name)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// counter returns t's count of the named counter, whose id is -1 when the
-// name is outside the table.
-func (t *tally) counter(id int, name string) uint64 {
-	n := t.other[name]
-	if id >= 0 {
-		n += t.counts[id]
-	}
-	return n
-}
-
 // Text renders the snapshot as sorted "name value" lines for terminal output.
 func (s *MetricsSnapshot) Text() string {
 	if s == nil {

@@ -87,15 +87,6 @@ func (c Class) String() string {
 	return "class?"
 }
 
-// AllClasses returns every event class, in declaration order.
-func AllClasses() []Class {
-	out := make([]Class, NumClasses)
-	for i := range out {
-		out[i] = Class(i)
-	}
-	return out
-}
-
 // Event is one structured simulation event. Concrete types live in events.go;
 // consumers type-switch on them.
 type Event interface {
@@ -345,15 +336,6 @@ func (b *Bus) recomputeMask() {
 		m |= s.mask
 	}
 	b.mask = m
-}
-
-// Subscribers returns the number of live subscribers: one per subscription,
-// or per member of a subscribed composition.
-func (b *Bus) Subscribers() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.subs)
 }
 
 // StampCycle records the emitter-side cycle clock. The pipeline stamps it at

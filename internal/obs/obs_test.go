@@ -13,13 +13,10 @@ import (
 
 func TestNilBusIsDisabled(t *testing.T) {
 	var b *Bus
-	for _, c := range AllClasses() {
+	for c := range NumClasses {
 		if b.On(c) {
 			t.Fatalf("nil bus On(%v) = true", c)
 		}
-	}
-	if b.Subscribers() != 0 {
-		t.Fatalf("nil bus Subscribers = %d", b.Subscribers())
 	}
 	b.StampCycle(100) // must not panic
 	if b.Now() != 0 {
@@ -29,7 +26,7 @@ func TestNilBusIsDisabled(t *testing.T) {
 
 func TestEmptyBusIsDisabled(t *testing.T) {
 	b := NewBus()
-	for _, c := range AllClasses() {
+	for c := range NumClasses {
 		if b.On(c) {
 			t.Fatalf("empty bus On(%v) = true", c)
 		}
@@ -61,7 +58,7 @@ func TestSubscribeFilterAndCancel(t *testing.T) {
 
 	cancel()
 	cancel() // idempotent
-	if b.Subscribers() != 0 || b.On(ClassSquash) {
+	if len(b.subs) != 0 || b.On(ClassSquash) {
 		t.Fatal("cancel did not detach subscription")
 	}
 }
@@ -70,7 +67,7 @@ func TestEmptyOptionsMeansAllClasses(t *testing.T) {
 	b := NewBus()
 	n := 0
 	b.Subscribe(ObserverFunc(func(Event) { n++ }), Options{})
-	for _, c := range AllClasses() {
+	for c := range NumClasses {
 		if !b.On(c) {
 			t.Fatalf("On(%v) = false with unfiltered subscriber", c)
 		}
@@ -142,8 +139,8 @@ func TestMulti(t *testing.T) {
 	m = Multi(instLogObs{mk("a")}, mk("b"), reg, Multi(mk("c"), instLogObs{mk("d")}))
 	b := NewBus()
 	cancel := b.Subscribe(m, Options{})
-	if b.Subscribers() != 5 {
-		t.Fatalf("a composition of five adds %d subscribers, want 5", b.Subscribers())
+	if len(b.subs) != 5 {
+		t.Fatalf("a composition of five adds %d subscribers, want 5", len(b.subs))
 	}
 	ev := InstEvent{CPU: 1, PC: 0x400000, Dispatch: 7, Transient: true}
 	b.EmitInst(&ev)
@@ -179,8 +176,8 @@ func TestMulti(t *testing.T) {
 	b.EmitInst(&ev)
 	cancel()
 	want = []string{"a:insts", "b:event", "c:event", "d:insts"}
-	if fmt.Sprint(log) != fmt.Sprint(want) || b.Subscribers() != 0 || b.On(ClassSquash) {
-		t.Fatalf("cancel delivered %v and left %d subscriptions; want %v and none", log, b.Subscribers(), want)
+	if fmt.Sprint(log) != fmt.Sprint(want) || len(b.subs) != 0 || b.On(ClassSquash) {
+		t.Fatalf("cancel delivered %v and left %d subscriptions; want %v and none", log, len(b.subs), want)
 	}
 
 	// The registry counted what the same events fold to one at a time.
@@ -329,13 +326,12 @@ func TestMetricsFold(t *testing.T) {
 		"pmc.retired_ops":      60,
 		"pmc.bypasses":         4,
 	}
+	s := m.Snapshot()
 	for k, v := range want {
-		if got := m.Counter(k); got != v {
+		if got := s.Counters[k]; got != v {
 			t.Errorf("counter %q = %d, want %d", k, got, v)
 		}
 	}
-
-	s := m.Snapshot()
 	if len(s.Counters) != len(want) {
 		t.Errorf("snapshot has %d counters, want %d: %v", len(s.Counters), len(want), s.Counters)
 	}
@@ -422,8 +418,6 @@ func TestMetricsConcurrentFold(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			shared.Snapshot()
-			shared.Counter("inst.retired")
-			shared.Counter("cache.fill.L1")
 		}
 	}()
 	wg.Wait()
@@ -440,7 +434,7 @@ func TestMetricsConcurrentFold(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("concurrent fold differs from serial:\n got %s\nwant %s", got, want)
 	}
-	if n := shared.Counter("inst.retired"); n != workers*rounds*2 {
+	if n := shared.Snapshot().Counters["inst.retired"]; n != workers*rounds*2 {
 		t.Fatalf("inst.retired = %d, want %d", n, workers*rounds*2)
 	}
 }
@@ -511,8 +505,6 @@ func TestMetricsShardsFoldExactly(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			shared.Snapshot()
-			shared.Counter("inst.retired")
-			shared.Counter("cache.fill.L1")
 		}
 	}()
 	wg.Wait()
@@ -529,10 +521,11 @@ func TestMetricsShardsFoldExactly(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("sharded fold differs from serial:\n got %s\nwant %s", got, want)
 	}
-	if n, want := shared.Counter("inst.retired"), uint64(buses*(rounds*3+1)); n != want {
+	snap := shared.Snapshot()
+	if n, want := snap.Counters["inst.retired"], uint64(buses*(rounds*3+1)); n != want {
 		t.Fatalf("inst.retired = %d, want %d", n, want)
 	}
-	if n := shared.Counter("fault.trial-error"); n != 1 {
+	if n := snap.Counters["fault.trial-error"]; n != 1 {
 		t.Fatalf("fault.trial-error = %d, want 1", n)
 	}
 }

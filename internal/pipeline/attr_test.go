@@ -21,7 +21,7 @@ type instTap struct {
 
 func (tap *instTap) attach(c *Core) {
 	c.AttachBus(obs.NewBus(), 0)
-	c.Bus().Subscribe(obs.ObserverFunc(func(ev obs.Event) {
+	c.bus.Subscribe(obs.ObserverFunc(func(ev obs.Event) {
 		switch e := ev.(type) {
 		case obs.InstEvent:
 			tap.insts = append(tap.insts, e)
@@ -60,7 +60,7 @@ func TestAttrStampsOrdered(t *testing.T) {
 	e := newEnv(t, Config{})
 	var tap instTap
 	tap.attach(e.core)
-	b := asm.MustParse(`
+	b, err := asm.Parse(`
 		movi rdi, 0x10000
 		movi rax, 7
 		movi rcx, 5
@@ -70,6 +70,9 @@ func TestAttrStampsOrdered(t *testing.T) {
 		load rsi, [rdi+256]  ; non-aliasing: the bypass verifies clean
 		halt
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.mapCode(codeBase, b.MustAssemble(codeBase))
 	e.mapData(dataBase, mem.PageSize)
 	var regs [isa.NumRegs]uint64
@@ -171,13 +174,16 @@ func TestPMCEventMatchesCounters(t *testing.T) {
 	e := newEnv(t, Config{})
 	var tap instTap
 	tap.attach(e.core)
-	b := asm.MustParse(`
+	b, err := asm.Parse(`
 		movi rdi, 0x10000
 		movi rax, 3
 		store [rdi], rax
 		load rcx, [rdi]
 		halt
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.mapCode(codeBase, b.MustAssemble(codeBase))
 	e.mapData(dataBase, mem.PageSize)
 	var regs [isa.NumRegs]uint64

@@ -26,7 +26,3 @@ func (b *branchPredictor) update(pc uint64, taken bool) {
 		b.counters[i]--
 	}
 }
-
-// flush resets all counters (not performed by any hardware event in the
-// paper's machines; exposed for experiments).
-func (b *branchPredictor) flush() { b.counters = [1024]uint8{} }

@@ -35,37 +35,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// fetchInst translates and reads the instruction at st.pc, applying ITLB
-// timing and the Fig 2 instruction-fetch PMC event. The fast path serves the
-// decoded-page cache: a hit skips the page walk, the byte copy and the
-// decode, but still performs the exact ITLB timing and PMC accounting of a
-// full fetch, so cached and uncached runs are cycle-identical.
-func (c *Core) fetchInst(mmu MMU, st *runState) (isa.Inst, uint64, mem.Fault) {
-	pc := st.pc
-	if c.fetchOK {
-		vpn := mem.VPN(pc)
-		e := &c.fetchCache[vpn&(fetchCacheSize-1)]
-		off := mem.PageOffset(pc)
-		if e.gen == c.fetchGen && e.vpn == vpn && e.frame.Version == e.fver &&
-			off&(isa.InstBytes-1) == e.align && off <= mem.PageSize-isa.InstBytes {
-			pa := e.paBase | off
-			if _, hit := c.itlb.Lookup(pc); hit {
-				c.pmcs.Inc(pmc.ITLBHit4K)
-			} else {
-				c.itlb.Insert(pc, mem.PFNOf(pa))
-				st.fetchCycle += tlbMissPenalty
-			}
-			in := e.insts[off>>3]
-			if in.Op == opUndecoded {
-				in = isa.Decode(e.frame.Data[off : off+isa.InstBytes])
-				e.insts[off>>3] = in
-			}
-			return in, pa, mem.FaultNone
-		}
-	}
-	return c.fetchSlow(mmu, st, pc)
-}
-
 // opUndecoded marks a decoded-page slot not yet demand-decoded. isa.Decode
 // can never produce it (invalid opcodes decode to BAD), so the sentinel
 // cannot collide with real code. Slots decode on first execution rather
@@ -84,10 +53,10 @@ var undecodedPage = func() (p [pageInsts]isa.Inst) {
 }()
 
 // fetchSlow is the uncached fetch: translate, read, decode, and (when the
-// cache is armed and the fetch is cacheable) claim the page's cache slot,
-// decoding the fetched instruction and marking the rest of the page for
-// demand decode. Page-crossing (misaligned) fetches and fetches from
-// unallocated frames are never cached.
+// fetch is cacheable) claim the page's cache slot, decoding the fetched
+// instruction and marking the rest of the page for demand decode.
+// Page-crossing (misaligned) fetches and fetches from unallocated frames are
+// never cached.
 func (c *Core) fetchSlow(mmu MMU, st *runState, pc uint64) (isa.Inst, uint64, mem.Fault) {
 	pa, f := mmu.Translate(pc, mem.AccessExec)
 	if f != mem.FaultNone {
@@ -119,9 +88,6 @@ func (c *Core) fetchSlow(mmu MMU, st *runState, pc uint64) (isa.Inst, uint64, me
 		return isa.Decode(make([]byte, isa.InstBytes)), pa, mem.FaultNone
 	}
 	off := mem.PageOffset(pc)
-	if !c.fetchOK {
-		return isa.Decode(fr.Data[off : off+isa.InstBytes]), pa, mem.FaultNone
-	}
 	vpn := mem.VPN(pc)
 	e := &c.fetchCache[vpn&(fetchCacheSize-1)]
 	if e.insts == nil {
@@ -179,51 +145,49 @@ func (c *Core) mainLoop(mmu MMU, st *runState, maxInsts uint64) RunResult {
 		if stop != nil && st.insts%stopCheckInterval == 0 && stop() {
 			panic(ErrCancelled)
 		}
-		// The decoded-page hit path is open-coded here (and in runEpisode):
-		// fetchInst is too big for the inliner, and a per-instruction call
-		// was the single largest line in the fig11 profile. The logic must
-		// stay byte-for-byte equivalent to fetchInst's fast path.
+		// The decoded-page hit path is open-coded here and in runEpisode:
+		// as a function it is too big for the inliner, and a per-instruction
+		// call was the single largest line in the fig11 profile. The two
+		// copies must stay byte-for-byte equivalent.
 		var (
 			in  isa.Inst
 			ipa uint64
 			hot bool
 		)
-		if c.fetchOK {
-			vpn := mem.VPN(st.pc)
-			e := &c.fetchCache[vpn&(fetchCacheSize-1)]
-			off := mem.PageOffset(st.pc)
-			if e.gen == c.fetchGen && e.vpn == vpn && e.frame.Version == e.fver &&
-				off&(isa.InstBytes-1) == e.align && off <= mem.PageSize-isa.InstBytes {
-				ipa = e.paBase | off
-				if _, hit := c.itlb.Lookup(st.pc); hit {
-					c.pmcs.Inc(pmc.ITLBHit4K)
-				} else {
-					c.itlb.Insert(st.pc, mem.PFNOf(ipa))
-					st.fetchCycle += tlbMissPenalty
-				}
-				in = e.insts[off>>3]
-				if in.Op == opUndecoded {
-					in = isa.Decode(e.frame.Data[off : off+isa.InstBytes])
-					e.insts[off>>3] = in
-				}
-				if in.Op == isa.NOP && !instOn {
-					// Padding retires a run at a time (runState.retireNOPs).
-					// The run is the NOP slots that follow on this page, as
-					// nopRun recorded them, cut at maxInsts and at the next
-					// Stop poll so both land on the same instruction as they
-					// would one NOP at a time.
-					// Every fetch after the first hits the ITLB entry the
-					// first one just checked or filled.
-					n := min(e.nopRun(off>>3), maxInsts-st.insts, stopCheckInterval-st.insts%stopCheckInterval)
-					c.pmcs.Add(pmc.ITLBHit4K, n-1)
-					st.pc += n * isa.InstBytes
-					st.insts += n
-					st.retireNOPs(&c.cfg, int(n))
-					c.bus.StampCycle(st.lastRetire)
-					continue
-				}
-				hot = true
+		vpn := mem.VPN(st.pc)
+		e := &c.fetchCache[vpn&(fetchCacheSize-1)]
+		off := mem.PageOffset(st.pc)
+		if e.gen == c.fetchGen && e.vpn == vpn && e.frame.Version == e.fver &&
+			off&(isa.InstBytes-1) == e.align && off <= mem.PageSize-isa.InstBytes {
+			ipa = e.paBase | off
+			if _, hit := c.itlb.Lookup(st.pc); hit {
+				c.pmcs.Inc(pmc.ITLBHit4K)
+			} else {
+				c.itlb.Insert(st.pc, mem.PFNOf(ipa))
+				st.fetchCycle += tlbMissPenalty
 			}
+			in = e.insts[off>>3]
+			if in.Op == opUndecoded {
+				in = isa.Decode(e.frame.Data[off : off+isa.InstBytes])
+				e.insts[off>>3] = in
+			}
+			if in.Op == isa.NOP && !instOn {
+				// Padding retires a run at a time (runState.retireNOPs).
+				// The run is the NOP slots that follow on this page, as
+				// nopRun recorded them, cut at maxInsts and at the next
+				// Stop poll so both land on the same instruction as they
+				// would one NOP at a time.
+				// Every fetch after the first hits the ITLB entry the
+				// first one just checked or filled.
+				n := min(e.nopRun(off>>3), maxInsts-st.insts, stopCheckInterval-st.insts%stopCheckInterval)
+				c.pmcs.Add(pmc.ITLBHit4K, n-1)
+				st.pc += n * isa.InstBytes
+				st.insts += n
+				st.retireNOPs(&c.cfg, int(n))
+				c.bus.StampCycle(st.lastRetire)
+				continue
+			}
+			hot = true
 		}
 		if !hot {
 			var f mem.Fault
@@ -280,32 +244,30 @@ func (c *Core) runEpisode(mmu MMU, st *runState, verifyTime int64) ([]StldEvent,
 			break
 		}
 		// Open-coded decoded-page hit path; must stay equivalent to
-		// fetchInst's fast path (see mainLoop).
+		// mainLoop's.
 		var (
 			in  isa.Inst
 			ipa uint64
 			hot bool
 		)
-		if c.fetchOK {
-			vpn := mem.VPN(st.pc)
-			e := &c.fetchCache[vpn&(fetchCacheSize-1)]
-			off := mem.PageOffset(st.pc)
-			if e.gen == c.fetchGen && e.vpn == vpn && e.frame.Version == e.fver &&
-				off&(isa.InstBytes-1) == e.align && off <= mem.PageSize-isa.InstBytes {
-				ipa = e.paBase | off
-				if _, hit := c.itlb.Lookup(st.pc); hit {
-					c.pmcs.Inc(pmc.ITLBHit4K)
-				} else {
-					c.itlb.Insert(st.pc, mem.PFNOf(ipa))
-					st.fetchCycle += tlbMissPenalty
-				}
-				in = e.insts[off>>3]
-				if in.Op == opUndecoded {
-					in = isa.Decode(e.frame.Data[off : off+isa.InstBytes])
-					e.insts[off>>3] = in
-				}
-				hot = true
+		vpn := mem.VPN(st.pc)
+		e := &c.fetchCache[vpn&(fetchCacheSize-1)]
+		off := mem.PageOffset(st.pc)
+		if e.gen == c.fetchGen && e.vpn == vpn && e.frame.Version == e.fver &&
+			off&(isa.InstBytes-1) == e.align && off <= mem.PageSize-isa.InstBytes {
+			ipa = e.paBase | off
+			if _, hit := c.itlb.Lookup(st.pc); hit {
+				c.pmcs.Inc(pmc.ITLBHit4K)
+			} else {
+				c.itlb.Insert(st.pc, mem.PFNOf(ipa))
+				st.fetchCycle += tlbMissPenalty
 			}
+			in = e.insts[off>>3]
+			if in.Op == opUndecoded {
+				in = isa.Decode(e.frame.Data[off : off+isa.InstBytes])
+				e.insts[off>>3] = in
+			}
+			hot = true
 		}
 		if !hot {
 			var f mem.Fault
@@ -374,11 +336,9 @@ func (c *Core) xlate(mmu MMU, va uint64, write bool) (uint64, mem.Fault) {
 		k = 1
 	}
 	vpn := mem.VPN(va)
-	if c.fetchOK {
-		e := &c.xlat[k][vpn&(xlatCacheSize-1)]
-		if e.gen == c.fetchGen && e.vpn == vpn {
-			return e.pa | mem.PageOffset(va), mem.FaultNone
-		}
+	e := &c.xlat[k][vpn&(xlatCacheSize-1)]
+	if e.gen == c.fetchGen && e.vpn == vpn {
+		return e.pa | mem.PageOffset(va), mem.FaultNone
 	}
 	acc := mem.AccessRead
 	if write {
@@ -388,9 +348,7 @@ func (c *Core) xlate(mmu MMU, va uint64, write bool) (uint64, mem.Fault) {
 	if f != mem.FaultNone {
 		return 0, f
 	}
-	if c.fetchOK {
-		c.xlat[k][vpn&(xlatCacheSize-1)] = xlatEntry{vpn: vpn, pa: pa &^ uint64(mem.PageMask), gen: c.fetchGen}
-	}
+	c.xlat[k][vpn&(xlatCacheSize-1)] = xlatEntry{vpn: vpn, pa: pa &^ uint64(mem.PageMask), gen: c.fetchGen}
 	return pa, mem.FaultNone
 }
 

@@ -108,8 +108,8 @@ func (p *nopPair) check(t testing.TB, entry uint64, regs [isa.NumRegs]uint64, ma
 		t.Fatalf("run state differs:\nfast %+v\nref  %+v", *f.runSt, *r.runSt)
 	case !reflect.DeepEqual(f.itlb, r.itlb):
 		t.Fatal("ITLB state differs")
-	case f.Bus().Now() != r.Bus().Now():
-		t.Fatalf("bus clock: fast %d, reference %d", f.Bus().Now(), r.Bus().Now())
+	case f.bus.Now() != r.bus.Now():
+		t.Fatalf("bus clock: fast %d, reference %d", f.bus.Now(), r.bus.Now())
 	case p.polls[0] != p.polls[1]:
 		t.Fatalf("Stop polls: fast %d, reference %d", p.polls[0], p.polls[1])
 	}

@@ -41,14 +41,10 @@ const stopCheckInterval = 1024
 
 // MMU translates virtual addresses for the running context. *mem.AddrSpace
 // satisfies it, and *kernel.Process forwards to its address space.
+// TranslationEpoch is the counter the decoded-fetch and translation caches
+// key on: it changes whenever any translation could.
 type MMU interface {
 	Translate(va uint64, acc mem.Access) (uint64, mem.Fault)
-}
-
-// epochMMU is the optional MMU extension the decoded-fetch cache keys on: a
-// counter that changes whenever any translation could. *mem.AddrSpace and
-// *kernel.Process implement it; an MMU without it runs with the cache off.
-type epochMMU interface {
 	TranslationEpoch() uint64
 }
 
@@ -216,7 +212,6 @@ type Core struct {
 	epFree     []*runState // pool of transient-episode clones
 	fetchCache []fetchPage // direct-mapped decoded code pages
 	fetchGen   uint64      // generation tag of the current Run's MMU
-	fetchOK    bool        // cache usable for the current Run
 
 	// fetchGens maps recently seen MMUs to their generation tags so that
 	// alternating between address spaces (a context-switching attacker and
@@ -296,9 +291,6 @@ func (c *Core) AttachBus(b *obs.Bus, cpuID int) {
 	c.cpuID = cpuID
 }
 
-// Bus returns the attached event bus (nil when unattached).
-func (c *Core) Bus() *obs.Bus { return c.bus }
-
 // New assembles a core. pmcs may be nil (a private counter set is created).
 func New(cfg Config, phys *mem.Physical, ch *cache.Hierarchy, dis predict.Disambiguator, pmcs *pmc.Counters) *Core {
 	if phys == nil || ch == nil || dis == nil {
@@ -339,12 +331,6 @@ func (c *Core) Clone(cfg Config, phys *mem.Physical, ch *cache.Hierarchy, dis pr
 
 // PMC returns the core's performance counters.
 func (c *Core) PMC() *pmc.Counters { return c.pmcs }
-
-// Disambiguator returns the attached predictor unit.
-func (c *Core) Disambiguator() predict.Disambiguator { return c.dis }
-
-// Cache returns the attached hierarchy.
-func (c *Core) Cache() *cache.Hierarchy { return c.cache }
 
 // Cycle returns the current absolute cycle count.
 func (c *Core) Cycle() int64 { return c.cycle }
@@ -396,12 +382,7 @@ func (c *Core) Run(mmu MMU, entry uint64, regs *[isa.NumRegs]uint64, maxInsts ui
 // a Run, so one epoch check per Run suffices; frame content changes are
 // caught per-hit through Frame.Version.
 func (c *Core) prepFetch(mmu MMU) {
-	em, ok := mmu.(epochMMU)
-	if !ok {
-		c.fetchOK = false
-		return
-	}
-	epoch := em.TranslationEpoch()
+	epoch := mmu.TranslationEpoch()
 	if c.fetchCache == nil {
 		c.fetchCache = make([]fetchPage, fetchCacheSize)
 	}
@@ -414,7 +395,6 @@ func (c *Core) prepFetch(mmu MMU) {
 				g.epoch = epoch
 			}
 			c.fetchGen = g.gen
-			c.fetchOK = true
 			return
 		}
 	}
@@ -423,7 +403,6 @@ func (c *Core) prepFetch(mmu MMU) {
 	c.fetchGenSeq++
 	*slot = fetchGenEntry{mmu: mmu, epoch: epoch, gen: c.fetchGenSeq}
 	c.fetchGen = slot.gen
-	c.fetchOK = true
 }
 
 func (c *Core) String() string {

@@ -32,6 +32,12 @@ func newStldEnv(t testing.TB, cfg Config) *stldEnv {
 	return se
 }
 
+// setSSBD hands the core a fresh predictor unit booted with SSBD set.
+func (se *stldEnv) setSSBD() {
+	se.unit = predict.NewUnit(predict.Config{Seed: 1, SSBD: true})
+	se.core.dis = se.unit
+}
+
 // exec runs one stld: aliasing chooses the load address equal to the store
 // address. It returns the measured cycles and the trace events.
 func (se *stldEnv) exec(aliasing bool) (uint64, []StldEvent) {
@@ -219,7 +225,7 @@ func TestStldPMCPattern(t *testing.T) {
 // n is an E and every a is an A, with no rollbacks and no fast paths.
 func TestStldSSBD(t *testing.T) {
 	se := newStldEnv(t, Config{})
-	se.unit.SetSSBD(true)
+	se.setSSBD()
 	types := se.phi(boolSeq(3, -3, 2, -2))
 	for i, ty := range types {
 		want := predict.TypeE
@@ -243,7 +249,7 @@ func TestStldSSBD(t *testing.T) {
 func TestStldSSBDSlowdown(t *testing.T) {
 	se := newStldEnv(t, Config{})
 	fast, _ := se.exec(false) // H
-	se.unit.SetSSBD(true)
+	se.setSSBD()
 	slow, _ := se.exec(false) // E under SSBD
 	if slow <= fast+20 {
 		t.Errorf("SSBD slowdown invisible: %d vs %d", slow, fast)

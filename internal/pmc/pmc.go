@@ -110,9 +110,6 @@ func (c *Counters) Inc(e Event) { c.counts[e]++ }
 // Get returns an event count.
 func (c *Counters) Get(e Event) uint64 { return c.counts[e] }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() { c.counts = [numEvents]uint64{} }
-
 // Snapshot returns a copy of the current counts.
 func (c *Counters) Snapshot() Counters { return Counters{counts: c.counts} }
 

@@ -36,15 +36,6 @@ func TestDelta(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var c Counters
-	c.Inc(PSFForwards)
-	c.Reset()
-	if c.Get(PSFForwards) != 0 {
-		t.Error("reset failed")
-	}
-}
-
 func TestString(t *testing.T) {
 	var c Counters
 	c.Add(StoreToLoadForwarding, 2)

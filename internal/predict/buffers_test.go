@@ -79,8 +79,8 @@ func TestPSFPFlush(t *testing.T) {
 	if p.Len() != 0 || p.Contains(1, 1) {
 		t.Error("flush failed")
 	}
-	if p.Size() != PSFPSize {
-		t.Errorf("Size = %d", p.Size())
+	if p.size != PSFPSize {
+		t.Errorf("size = %d", p.size)
 	}
 }
 

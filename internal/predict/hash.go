@@ -26,12 +26,3 @@ func Hash48(ipa uint64) uint16 {
 	folded := ipa ^ (ipa >> 12) ^ (ipa >> 24) ^ (ipa >> 36)
 	return uint16(folded & (HashEntries - 1))
 }
-
-// CollidingOffset returns the 12-bit page offset that makes an address in the
-// physical frame pfn hash to the target value — the constructive proof from
-// Section IV-B1 that an SSBP collision exists in every executable page:
-// h_i = O_i ^ F_i ^ F_{i+12} ^ F_{i+24}, so O_i = h_i ^ (frame contribution).
-func CollidingOffset(pfn uint64, target uint16) uint16 {
-	frameBits := Hash48(pfn << 12)
-	return (target ^ frameBits) & (HashEntries - 1)
-}

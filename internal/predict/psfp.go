@@ -84,9 +84,6 @@ func (p *PSFP) Contains(storeTag, loadTag uint16) bool {
 // Len returns the number of live entries.
 func (p *PSFP) Len() int { return len(p.entries) }
 
-// Size returns the capacity.
-func (p *PSFP) Size() int { return p.size }
-
 // Flush empties the predictor — what the hardware does on a context switch
 // (Section IV-A).
 func (p *PSFP) Flush() { p.entries = p.entries[:0] }

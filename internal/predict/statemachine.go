@@ -31,21 +31,6 @@ func (t ExecType) String() string {
 	return fmt.Sprintf("type?%d", uint8(t))
 }
 
-// Rollback reports whether the type implies a pipeline flush.
-func (t ExecType) Rollback() bool { return t == TypeD || t == TypeG }
-
-// PredictedAliasing reports the prediction implied by the type.
-func (t ExecType) PredictedAliasing() bool { return t != TypeG && t != TypeH }
-
-// TruthAliasing reports the ground truth implied by the type.
-func (t ExecType) TruthAliasing() bool {
-	switch t {
-	case TypeA, TypeB, TypeC, TypeG:
-		return true
-	}
-	return false
-}
-
 // Counter saturation bounds. The paper's footnotes state C0 <= 4 and
 // C3 <= 32 always hold; the C1/C2/C4 bounds follow from the update rules
 // (C1 is set to 16 and re-raised by +4 steps; C2 is set to 2 and only
@@ -72,15 +57,6 @@ type Counters struct {
 // Zero reports whether all counters are zero (the Initialize state).
 func (c Counters) Zero() bool {
 	return c.C0 == 0 && c.C1 == 0 && c.C2 == 0 && c.C3 == 0 && c.C4 == 0
-}
-
-// Valid reports whether every counter is within its saturation bounds.
-func (c Counters) Valid() bool {
-	return c.C0 >= 0 && c.C0 <= MaxC0 &&
-		c.C1 >= 0 && c.C1 <= MaxC1 &&
-		c.C2 >= 0 && c.C2 <= MaxC2 &&
-		c.C3 >= 0 && c.C3 <= MaxC3 &&
-		c.C4 >= 0 && c.C4 <= MaxC4
 }
 
 // PredictAliasing reports whether the combined state predicts the store-load
@@ -246,15 +222,4 @@ func (c Counters) update(aliasing bool, retrainC3 func(int) int) (Counters, Exec
 	n.C1 = clamp(c.C1+4, 0, MaxC1)
 	n.C3 = clamp(c.C3-1, 0, MaxC3)
 	return n, TypeF
-}
-
-// RunSequence applies a whole sequence of inputs (true = aliasing) and
-// returns the resulting counters and per-step types — the φ(...) notation of
-// the paper as a pure function of the state machine.
-func RunSequence(c Counters, inputs []bool) (Counters, []ExecType) {
-	types := make([]ExecType, len(inputs))
-	for i, a := range inputs {
-		c, types[i] = c.Update(a)
-	}
-	return c, types
 }

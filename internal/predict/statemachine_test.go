@@ -6,6 +6,38 @@ import (
 	"testing/quick"
 )
 
+// RunSequence applies a whole sequence of inputs (true = aliasing) and
+// returns the resulting counters and per-step types — the φ(...) notation of
+// the paper as a pure function of the state machine.
+func RunSequence(c Counters, inputs []bool) (Counters, []ExecType) {
+	types := make([]ExecType, len(inputs))
+	for i, a := range inputs {
+		c, types[i] = c.Update(a)
+	}
+	return c, types
+}
+
+// PredictedAliasing reports the prediction implied by the type.
+func (t ExecType) PredictedAliasing() bool { return t != TypeG && t != TypeH }
+
+// TruthAliasing reports the ground truth implied by the type.
+func (t ExecType) TruthAliasing() bool {
+	switch t {
+	case TypeA, TypeB, TypeC, TypeG:
+		return true
+	}
+	return false
+}
+
+// Valid reports whether every counter is within its saturation bounds.
+func (c Counters) Valid() bool {
+	return c.C0 >= 0 && c.C0 <= MaxC0 &&
+		c.C1 >= 0 && c.C1 <= MaxC1 &&
+		c.C2 >= 0 && c.C2 <= MaxC2 &&
+		c.C3 >= 0 && c.C3 <= MaxC3 &&
+		c.C4 >= 0 && c.C4 <= MaxC4
+}
+
 // seq converts a compact spec like "7n 1a" into inputs; helper for the φ
 // notation. Each field is <count><n|a>.
 func seq(counts ...int) []bool {
@@ -337,9 +369,6 @@ func TestDrainTimes(t *testing.T) {
 }
 
 func TestExecTypeHelpers(t *testing.T) {
-	if !TypeD.Rollback() || !TypeG.Rollback() || TypeA.Rollback() {
-		t.Error("Rollback wrong")
-	}
 	if TypeH.String() != "H" || TypeA.String() != "A" {
 		t.Error("String wrong")
 	}

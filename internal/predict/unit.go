@@ -52,9 +52,6 @@ type Stats struct {
 	Flushes  uint64
 }
 
-// TypeCount returns how many executions of type t were verified.
-func (s Stats) TypeCount(t ExecType) uint64 { return s.Types[t] }
-
 // Config configures the AMD unit.
 type Config struct {
 	// PSFPSize overrides the reverse-engineered PSFP capacity when non-zero.
@@ -146,10 +143,6 @@ func (u *Unit) AttachBus(b *obs.Bus, cpu int) {
 }
 
 func (u *Unit) hash(ipa uint64) uint16 { return Hash48(ipa ^ u.cfg.SelectionSalt) }
-
-// HashIPA exposes the unit's selector hash (including any salt) so harnesses
-// can reason about collisions the way PTEditor-equipped attackers do.
-func (u *Unit) HashIPA(ipa uint64) uint16 { return u.hash(ipa) }
 
 // counters gathers the combined 5-counter state for a pair.
 func (u *Unit) counters(q Query) Counters {
@@ -267,20 +260,6 @@ func (u *Unit) SSBP() *SSBP { return u.ssbp }
 
 // Stats returns a copy of the event counters.
 func (u *Unit) Stats() Stats { return u.stats }
-
-// SetSSBD toggles Speculative Store Bypass Disable at run time, as the OS
-// does via SPEC_CTRL.
-func (u *Unit) SetSSBD(on bool) { u.cfg.SSBD = on }
-
-// SSBD reports whether Speculative Store Bypass Disable is set.
-func (u *Unit) SSBD() bool { return u.cfg.SSBD }
-
-// SetPSFD toggles Predictive Store Forwarding Disable. Faithful to the
-// paper's measurement, it changes nothing in the predictor behaviour.
-func (u *Unit) SetPSFD(on bool) { u.cfg.PSFD = on }
-
-// PSFD reports whether the (ineffective) PSFD bit is set.
-func (u *Unit) PSFD() bool { return u.cfg.PSFD }
 
 // SetSelectionSalt installs a hash salt (randomized-selection mitigation).
 func (u *Unit) SetSelectionSalt(s uint64) { u.cfg.SelectionSalt = s }

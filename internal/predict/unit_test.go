@@ -108,9 +108,6 @@ func TestUnitSSBD(t *testing.T) {
 	if u.PSFP().Len() != 0 || u.SSBP().Len() != 0 {
 		t.Error("SSBD must not train entries")
 	}
-	if !u.SSBD() {
-		t.Error("SSBD getter")
-	}
 }
 
 // TestUnitPSFDIneffective checks the paper's negative result: setting PSFD
@@ -125,13 +122,6 @@ func TestUnitPSFDIneffective(t *testing.T) {
 		if on.Verify(q, aliasing) != off.Verify(q, aliasing) {
 			t.Fatal("PSFD changed behaviour; the paper found it does not")
 		}
-	}
-	if !on.PSFD() {
-		t.Error("PSFD getter")
-	}
-	on.SetPSFD(false)
-	if on.PSFD() {
-		t.Error("SetPSFD")
 	}
 }
 
@@ -172,7 +162,7 @@ func TestUnitSelectionSalt(t *testing.T) {
 	plain := NewUnit(Config{Seed: 1})
 	diff := 0
 	for ipa := uint64(0); ipa < 64; ipa++ {
-		if u.HashIPA(ipa<<12) != plain.HashIPA(ipa<<12) {
+		if u.hash(ipa<<12) != plain.hash(ipa<<12) {
 			diff++
 		}
 	}
@@ -180,7 +170,7 @@ func TestUnitSelectionSalt(t *testing.T) {
 		t.Error("salt has no effect on selection")
 	}
 	plain.SetSelectionSalt(0xdeadbeef)
-	if plain.HashIPA(0x1234) != u.HashIPA(0x1234) {
+	if plain.hash(0x1234) != u.hash(0x1234) {
 		t.Error("SetSelectionSalt mismatch")
 	}
 }
@@ -195,27 +185,11 @@ func TestUnitStats(t *testing.T) {
 	if s.Predicts != 1 || s.Verifies != 2 {
 		t.Errorf("stats %+v", s)
 	}
-	if s.TypeCount(TypeH) != 1 || s.TypeCount(TypeG) != 1 {
+	if s.Types[TypeH] != 1 || s.Types[TypeG] != 1 {
 		t.Errorf("type counts %+v", s.Types)
 	}
 	if u.Name() != "amd-psfp-ssbp" {
 		t.Error("Name")
-	}
-}
-
-// TestUnitSSBDToggle: enabling SSBD at runtime freezes behaviour, disabling
-// restores training.
-func TestUnitSSBDToggle(t *testing.T) {
-	u := NewUnit(Config{Seed: 1})
-	q := mkQuery(4, 4)
-	u.SetSSBD(true)
-	u.Verify(q, true)
-	if u.PeekCounters(q) != (Counters{}) {
-		t.Error("training under SSBD")
-	}
-	u.SetSSBD(false)
-	if ty := u.Verify(q, true); ty != TypeG {
-		t.Errorf("after disabling SSBD: %v, want G", ty)
 	}
 }
 

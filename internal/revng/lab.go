@@ -475,15 +475,6 @@ func Seq(counts ...int) []bool {
 	return out
 }
 
-// Classes extracts the timing classes of a φ result.
-func Classes(obs []Observation) []TimingClass {
-	out := make([]TimingClass, len(obs))
-	for i, o := range obs {
-		out[i] = o.Class
-	}
-	return out
-}
-
 // Types extracts the ground-truth types of a φ result.
 func Types(obs []Observation) []predict.ExecType {
 	out := make([]predict.ExecType, len(obs))

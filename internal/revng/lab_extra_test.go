@@ -90,14 +90,11 @@ func TestLabAddresses(t *testing.T) {
 	}
 }
 
-// TestObservationHelpers: Classes/Types extraction.
+// TestObservationHelpers: Types extraction and the type-to-class map.
 func TestObservationHelpers(t *testing.T) {
 	obs := []Observation{
 		{Cycles: 10, Class: ClassFast, TrueType: predict.TypeH},
 		{Cycles: 300, Class: ClassRollback, TrueType: predict.TypeG},
-	}
-	if cs := Classes(obs); cs[0] != ClassFast || cs[1] != ClassRollback {
-		t.Error("Classes")
 	}
 	if ts := Types(obs); ts[0] != predict.TypeH || ts[1] != predict.TypeG {
 		t.Error("Types")

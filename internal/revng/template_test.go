@@ -71,7 +71,7 @@ func runLabScript(l *Lab) labTrace {
 		tr.Counters = append(tr.Counters, p.Counters())
 		tr.IPAs = append(tr.IPAs, [2]uint64{p.StoreIPA, p.LoadIPA})
 	}
-	for i := 0; i < l.K.NumCPUs(); i++ {
+	for i := range 2 { // every shape boots the default two hardware threads
 		cpu := l.K.CPU(i)
 		tr.SSBP = append(tr.SSBP, cpu.Unit.SSBP().Snapshot())
 		tr.PMCs = append(tr.PMCs, cpu.Core.PMC().Snapshot())

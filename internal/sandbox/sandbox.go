@@ -123,9 +123,6 @@ func (b *Builder) Const(dst Reg, imm int32) *Builder { b.a.Movi(dst, imm); retur
 // Move emits dst = src.
 func (b *Builder) Move(dst, src Reg) *Builder { b.a.Mov(dst, src); return b }
 
-// Add emits dst = x + y.
-func (b *Builder) Add(dst, x, y Reg) *Builder { b.a.Add(dst, x, y); return b }
-
 // AddImm emits dst = x + imm.
 func (b *Builder) AddImm(dst, x Reg, imm int32) *Builder { b.a.Addi(dst, x, imm); return b }
 

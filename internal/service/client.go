@@ -245,12 +245,6 @@ func (c *Client) StableReport(id string) ([]byte, error) {
 	return c.request("GET", "/v1/jobs/"+id+"/report?stable=1", nil)
 }
 
-// TextReport fetches the terminal rendering of the report.
-func (c *Client) TextReport(id string) (string, error) {
-	raw, err := c.request("GET", "/v1/jobs/"+id+"/report?text=1", nil)
-	return string(raw), err
-}
-
 // Lease claims the next pending shard over the wire; (nil, nil) means
 // nothing was available within the wait window. Part of LeaseSource.
 func (c *Client) Lease(worker string, wait time.Duration) (*Lease, error) {
@@ -283,9 +277,4 @@ func (c *Client) Heartbeat(token string, trialsDone, trialsTotal int) error {
 func (c *Client) Complete(token string, comp Completion) error {
 	_, err := c.request("POST", "/v1/leases/"+token+"/complete", comp)
 	return err
-}
-
-// Trace fetches the job's stitched Perfetto trace (Chrome trace-event JSON).
-func (c *Client) Trace(id string) ([]byte, error) {
-	return c.request("GET", "/v1/jobs/"+id+"/trace", nil)
 }

@@ -312,11 +312,6 @@ func (d *Daemon) initObs() {
 	}
 }
 
-// spanX records one completed daemon-actor span on the job's trace.
-func (d *Daemon) spanX(trace, track, name string, start time.Time, args map[string]any) {
-	d.obs.Traces().Span(trace, svcobs.ActorDaemon, track, name, start, time.Since(start), args)
-}
-
 // Obs returns the daemon's observability hub.
 func (d *Daemon) Obs() *svcobs.Hub { return d.obs }
 
@@ -933,32 +928,4 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	// daemon is done.
 	d.jnl.close()
 	return err
-}
-
-// Kill simulates a crash (the in-process stand-in for kill -9): in-flight
-// shards are cancelled and their results discarded, nothing is checkpointed,
-// and the journal is abandoned exactly as a dying process would leave it —
-// every fsynced record intact, everything after the last one lost. Open on
-// the same directory resumes from there.
-func (d *Daemon) Kill() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	d.killed = true
-	for _, li := range d.leases {
-		li.cancel.Store(true)
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-
-	d.workers.Wait()
-	close(d.stop)
-	d.monitor.Wait()
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.closed = true
-	d.jnl.close()
 }

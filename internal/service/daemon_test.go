@@ -17,6 +17,34 @@ import (
 	"zenspec/internal/obs"
 )
 
+// Kill simulates a crash (the in-process stand-in for kill -9): in-flight
+// shards are cancelled and their results discarded, nothing is checkpointed,
+// and the journal is abandoned exactly as a dying process would leave it —
+// every fsynced record intact, everything after the last one lost. Open on
+// the same directory resumes from there.
+func (d *Daemon) Kill() {
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
+	}
+	d.killed = true
+	for _, li := range d.leases {
+		li.cancel.Store(true)
+	}
+	d.cond.Broadcast()
+	d.mu.Unlock()
+
+	d.workers.Wait()
+	close(d.stop)
+	d.monitor.Wait()
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed = true
+	d.jnl.close()
+}
+
 // fakeRegistry builds a registry of trivial deterministic experiments: each
 // report carries the seed so merged output is checkable, and each boots
 // nothing, so tests stay fast.
@@ -204,10 +232,10 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	}
 	// The revocation is an observable event: counted globally and attributed
 	// to the abandoned shard's experiment.
-	if got := d.Obs().Metrics().Counter("lease_revocations_total", ""); got != 1 {
+	if got := scraped(d, "lease_revocations_total", ""); got != 1 {
 		t.Fatalf("lease_revocations_total = %d, want 1", got)
 	}
-	if got := d.Obs().Metrics().Counter("shards_abandoned_total", obs.PromLabel("exp", "a")); got != 1 {
+	if got := scraped(d, "shards_abandoned_total", obs.PromLabel("exp", "a")); got != 1 {
 		t.Fatalf(`shards_abandoned_total{exp="a"} = %d, want 1`, got)
 	}
 	// The stale completion must be refused: the token is gone and the shard

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"zenspec/internal/obs"
 	"zenspec/internal/svcobs"
 )
 
@@ -75,7 +77,7 @@ func TestSplitJobStitchedTrace(t *testing.T) {
 	}
 
 	// The stitched trace, fetched over the wire like a human would.
-	raw, err := c.Trace(id)
+	raw, err := c.request("GET", "/v1/jobs/"+id+"/trace", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +242,21 @@ func TestStableMetricsAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// scraped reads one counter series from the daemon's Prometheus exposition,
+// 0 when the series is absent.
+func scraped(d *Daemon, name, labels string) uint64 {
+	var b bytes.Buffer
+	d.Obs().Metrics().WritePrometheus(&b)
+	prefix := obs.PromSeries(svcobs.Prefix+name, labels) + " "
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, _ := strconv.ParseUint(v, 10, 64)
+			return n
+		}
+	}
+	return 0
+}
+
 // TestReadyzDrainingObserved: the draining readiness response is itself an
 // observable event — a 503 from /v1/readyz increments the (volatile) probe
 // counter and the drain is logged.
@@ -276,7 +293,7 @@ func TestReadyzDrainingObserved(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after drain = %d", resp.StatusCode)
 	}
-	if got := d.Obs().Metrics().Counter("readyz_draining_total", ""); got != 1 {
+	if got := scraped(d, "readyz_draining_total", ""); got != 1 {
 		t.Fatalf("readyz_draining_total = %d, want 1", got)
 	}
 }

@@ -121,7 +121,7 @@ func TestServerEndToEnd(t *testing.T) {
 	if rep, err := c.Report(id); err != nil || len(rep.Experiments) != 1 {
 		t.Fatalf("client report %+v err %v", rep, err)
 	}
-	if txt, err := c.TextReport(id); err != nil || !strings.Contains(txt, "boot") {
+	if txt, err := c.request("GET", "/v1/jobs/"+id+"/report?text=1", nil); err != nil || !strings.Contains(string(txt), "boot") {
 		t.Fatalf("text report %q err %v", txt, err)
 	}
 	resp, err := http.Get(base + "/v1/jobs/" + id + "/profile")

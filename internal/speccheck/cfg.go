@@ -179,14 +179,6 @@ func (g *CFG) SuccOffs(off int) []int {
 	}
 }
 
-// BlockAt returns the index of the block starting at byte offset off, or -1.
-func (g *CFG) BlockAt(off int) int {
-	if i, ok := g.blockAt[off]; ok {
-		return i
-	}
-	return -1
-}
-
 // String renders the graph for the CLI's -cfg dump: one line per block with
 // its byte range, instruction listing and successor blocks.
 func (g *CFG) String() string {

@@ -39,12 +39,12 @@ func TestBuildCFGDiamond(t *testing.T) {
 	if len(g.Blocks) != 4 {
 		t.Fatalf("blocks = %d, want 4\n%s", len(g.Blocks), g)
 	}
-	entry := g.Blocks[g.BlockAt(0)]
+	entry := g.Blocks[g.blockAt[0]]
 	if len(entry.Succs) != 2 {
 		t.Fatalf("entry successors = %v, want 2\n%s", entry.Succs, g)
 	}
-	join := g.BlockAt(4 * isa.InstBytes)
-	if join < 0 {
+	join, ok := g.blockAt[4*isa.InstBytes]
+	if !ok {
 		t.Fatal("join block not found")
 	}
 	// Both arms must flow into join.
@@ -74,11 +74,11 @@ func TestBuildCFGByteOffsetTarget(t *testing.T) {
 	// +12: halt, on the shifted grid.
 	isa.Inst{Op: isa.HALT}.Encode(code[12:])
 	g := BuildCFG(code, base)
-	tgt := g.BlockAt(12)
-	if tgt < 0 {
+	tgt, ok := g.blockAt[12]
+	if !ok {
 		t.Fatalf("no block at byte offset 12\n%s", g)
 	}
-	entry := g.Blocks[g.BlockAt(0)]
+	entry := g.Blocks[g.blockAt[0]]
 	if len(entry.Succs) != 1 || entry.Succs[0] != tgt {
 		t.Errorf("entry succs = %v, want [%d]", entry.Succs, tgt)
 	}

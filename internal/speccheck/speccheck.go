@@ -100,14 +100,6 @@ type Finding struct {
 	Depth int `json:"depth"`
 }
 
-// Chain returns the full witness chain: source, dependent loads, transmitter.
-func (f Finding) Chain() []int {
-	c := make([]int, 0, len(f.LoadOffs)+2)
-	c = append(c, f.SourceOff)
-	c = append(c, f.LoadOffs...)
-	return append(c, f.TransmitOff)
-}
-
 func (f Finding) String() string {
 	var sb strings.Builder
 	src := "store"

@@ -142,16 +142,6 @@ func CloseOver(code []byte, base uint64, src, window int) Closure {
 	return c
 }
 
-// SourceKey derives the content-addressed cache key for one source: a
-// SHA-256 over the analysis fingerprint, the source kind, the closure
-// descriptor (relative ranges, branch targets, fallback position) and the
-// raw bytes of every closure range. Equal keys imply equal analysis results
-// relative to the source.
-func SourceKey(code []byte, src int, kind byte, fp Fingerprint, c Closure) string {
-	var k Keyer
-	return k.SourceKey(code, src, kind, fp, c)
-}
-
 // Keyer computes source keys while reusing an internal scratch buffer, so a
 // scan that keys thousands of sources does not reallocate the preimage for
 // each one. The zero value is ready to use; a Keyer is not safe for
@@ -160,7 +150,11 @@ type Keyer struct {
 	buf []byte
 }
 
-// SourceKey is the method form of the package-level SourceKey.
+// SourceKey derives the content-addressed cache key for one source: a
+// SHA-256 over the analysis fingerprint, the source kind, the closure
+// descriptor (relative ranges, branch targets, fallback position) and the
+// raw bytes of every closure range. Equal keys imply equal analysis results
+// relative to the source.
 func (kr *Keyer) SourceKey(code []byte, src int, kind byte, fp Fingerprint, c Closure) string {
 	// Assemble the preimage in the scratch buffer and hash it in one pass:
 	// this runs once per source on every warm scan, and streaming many tiny

@@ -39,20 +39,20 @@ func TestSourceKeyLocality(t *testing.T) {
 	if cl.Fallback {
 		t.Fatal("tiny program degraded to fallback")
 	}
-	key := summary.SourceKey(code, src, 0, fp, cl)
+	key := new(summary.Keyer).SourceKey(code, src, 0, fp, cl)
 
 	outside := append([]byte(nil), code...)
 	copy(outside[:isa.InstBytes], inst(isa.Inst{Op: isa.NOP}))
 	copy(outside[32:], inst(isa.Inst{Op: isa.NOP}))
 	clO := summary.CloseOver(outside, 0, src, fp.Window)
-	if got := summary.SourceKey(outside, src, 0, fp, clO); got != key {
+	if got := new(summary.Keyer).SourceKey(outside, src, 0, fp, clO); got != key {
 		t.Error("edit outside the closure changed the key")
 	}
 
 	inside := append([]byte(nil), code...)
 	copy(inside[16:], inst(isa.Inst{Op: isa.NOP}))
 	clI := summary.CloseOver(inside, 0, src, fp.Window)
-	if got := summary.SourceKey(inside, src, 0, fp, clI); got == key {
+	if got := new(summary.Keyer).SourceKey(inside, src, 0, fp, clI); got == key {
 		t.Error("edit inside the closure did not change the key")
 	}
 }
@@ -74,7 +74,7 @@ func TestSourceKeyRelocatable(t *testing.T) {
 		return append(pad, body...)
 	}
 	k1 := func(code []byte, src int) string {
-		return summary.SourceKey(code, src, 0, fp, summary.CloseOver(code, 0, src, fp.Window))
+		return new(summary.Keyer).SourceKey(code, src, 0, fp, summary.CloseOver(code, 0, src, fp.Window))
 	}
 	a := build(0, 1)
 	b := build(40, 1)

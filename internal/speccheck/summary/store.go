@@ -9,55 +9,13 @@ import (
 	"sort"
 )
 
-// Store is a content-addressed byte store: keys are derived from content
-// hashes (SourceKey, HashBlock), values are opaque serialized summaries. A
-// Store may drop entries at any time (eviction, corruption); callers must
-// treat every Get miss as "recompute and Put again".
-type Store interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, val []byte)
-	// Len reports the number of live entries (best effort for disk stores).
-	Len() int
-}
-
-// MemStore is an in-memory Store with FIFO eviction once max entries are
-// exceeded (max <= 0 means unbounded).
-type MemStore struct {
-	max   int
-	m     map[string][]byte
-	order []string
-}
-
-// NewMemStore returns an empty in-memory store capped at max entries.
-func NewMemStore(max int) *MemStore {
-	return &MemStore{max: max, m: make(map[string][]byte)}
-}
-
-// Get returns the stored value for key.
-func (s *MemStore) Get(key string) ([]byte, bool) {
-	v, ok := s.m[key]
-	return v, ok
-}
-
-// Put stores val under key, evicting the oldest entries past the cap.
-func (s *MemStore) Put(key string, val []byte) {
-	if _, exists := s.m[key]; !exists {
-		s.order = append(s.order, key)
-	}
-	s.m[key] = val
-	for s.max > 0 && len(s.m) > s.max {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		delete(s.m, victim)
-	}
-}
-
-// Len reports the number of live entries.
-func (s *MemStore) Len() int { return len(s.m) }
-
-// DirStore is a persistent Store: one file per entry under dir, named by the
-// SHA-256 of the key (keys are already hash-derived, but hashing again keeps
-// file names fixed-length and filesystem-safe). Values are written with a
+// DirStore is a persistent content-addressed byte store: keys are derived
+// from content hashes (Keyer.SourceKey, HashBlock), values are opaque
+// serialized summaries. The store may drop entries at any time (eviction,
+// corruption); callers must treat every Get miss as "recompute and Put
+// again". It keeps one file per entry under dir, named by the SHA-256 of the
+// key (keys are already hash-derived, but hashing again keeps file names
+// fixed-length and filesystem-safe). Values are written with a
 // header echoing the full key, so a Get can detect both corruption and the
 // astronomically unlikely filename collision and report a miss instead of
 // returning a wrong summary; corrupt files are deleted on detection and
@@ -80,9 +38,6 @@ func NewDirStore(dir string, max int) (*DirStore, error) {
 	}
 	return &DirStore{dir: dir, max: max}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *DirStore) Dir() string { return s.dir }
 
 func (s *DirStore) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
@@ -121,15 +76,6 @@ func (s *DirStore) Put(key string, val []byte) {
 	if s.puts++; s.max > 0 && s.puts%pruneEvery == 0 {
 		s.prune()
 	}
-}
-
-// Len counts the live entry files.
-func (s *DirStore) Len() int {
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.sce"))
-	if err != nil {
-		return 0
-	}
-	return len(names)
 }
 
 // prune removes the oldest entries past the cap.

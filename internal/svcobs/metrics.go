@@ -132,23 +132,6 @@ func (r *Registry) ObserveL(name, labels string, v float64) {
 	r.mu.Unlock()
 }
 
-// Counter returns the counter series' current value (0 when absent).
-func (r *Registry) Counter(name, labels string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name][labels]
-}
-
-// HistCount returns the histogram series' observation count.
-func (r *Registry) HistCount(name, labels string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.hists[name][labels]; h != nil {
-		return h.count
-	}
-	return 0
-}
-
 // WritePrometheus writes the registry as Prometheus text exposition, every
 // name under the zenspec_service_ prefix and sorted for a stable scrape
 // layout: gauges, then counters, then histograms. It is what the daemon

@@ -86,7 +86,9 @@ func TestGaugeSampledOutsideLock(t *testing.T) {
 		close(sampling)
 		daemonMu.Lock()
 		defer daemonMu.Unlock()
-		return float64(r.Counter("jobs_submitted_total", ""))
+		r.mu.Lock() // as reading a counter would
+		defer r.mu.Unlock()
+		return float64(r.counters["jobs_submitted_total"][""])
 	})
 	daemonMu.Lock()
 	go func() {
@@ -233,8 +235,8 @@ func TestTraceLogPerfetto(t *testing.T) {
 	tl.Add(Span{Trace: "other", Actor: ActorDaemon, Name: "x", StartUS: 1})
 	tl.Add(Span{Actor: ActorDaemon, Name: "no trace id"}) // dropped
 
-	if tl.Len("tr1") != 4 {
-		t.Fatalf("Len = %d, want 4", tl.Len("tr1"))
+	if n := len(tl.traces["tr1"]); n != 4 {
+		t.Fatalf("%d spans buffered, want 4", n)
 	}
 
 	raw, err := tl.Perfetto("tr1")
@@ -285,7 +287,7 @@ func TestTraceLogPerfetto(t *testing.T) {
 		t.Fatal("Perfetto accepted unknown trace")
 	}
 	tl.Drop("tr1")
-	if tl.Len("tr1") != 0 {
+	if len(tl.traces["tr1"]) != 0 {
 		t.Fatal("Drop left spans behind")
 	}
 }
@@ -371,9 +373,6 @@ func TestRegistryExposition(t *testing.T) {
 	r.WritePrometheus(&buf)
 	if got := buf.String(); got != goldenExposition {
 		t.Fatalf("exposition differs:\n%s\nwant:\n%s", got, goldenExposition)
-	}
-	if r.HistCount("shard_wall_ms", obs.PromLabel("exp", "fig2")) != 2 {
-		t.Fatal("HistCount wrong")
 	}
 }
 

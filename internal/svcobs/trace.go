@@ -140,13 +140,6 @@ func (t *TraceLog) Spans(trace string) []Span {
 	return out
 }
 
-// Len returns the number of spans buffered for a trace.
-func (t *TraceLog) Len(trace string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.traces[trace])
-}
-
 // Perfetto renders one trace as Chrome trace-event JSON, loadable in
 // ui.perfetto.dev: one Perfetto "process" per actor (the daemon pinned
 // first), one "thread" per track within it, timestamps in real microseconds.

@@ -50,16 +50,6 @@ func CNNModels() []CNNModel {
 	}
 }
 
-// ModelIndex returns the index of a model by name, or -1.
-func ModelIndex(name string) int {
-	for i, m := range CNNModels() {
-		if m.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // AliasingSchedule draws the per-run aliasing decisions for one scheduling
 // quantum of the model: element [site][run] says whether that execution of
 // the site's store-load pair aliases.

@@ -42,15 +42,6 @@ func TestCNNModelsWellFormed(t *testing.T) {
 	}
 }
 
-func TestModelIndex(t *testing.T) {
-	if ModelIndex("vgg16") != 0 {
-		t.Error("vgg16 index")
-	}
-	if ModelIndex("nope") != -1 {
-		t.Error("missing model index")
-	}
-}
-
 func TestAliasingScheduleShape(t *testing.T) {
 	m := CNNModels()[1] // googlenet, heterogeneous
 	r := rand.New(rand.NewSource(1))

@@ -28,20 +28,10 @@ fi
 echo "== go build =="
 go build ./...
 
-echo "== every internal package runs outside its tests =="
-# An internal package that only tests import is code no command, example or
-# facade call reaches: it runs in an experiment or it goes.
-deps_txt=$(mktemp)
-go list -deps ./cmd/... ./examples/... . | LC_ALL=C sort > "$deps_txt"
-orphans=$(go list ./internal/... | LC_ALL=C sort | LC_ALL=C comm -23 - "$deps_txt")
-rm -f "$deps_txt"
-if [ -n "$orphans" ]; then
-    echo "internal packages imported by tests only:" >&2
-    echo "$orphans" >&2
-    exit 1
-fi
-
 echo "== go test -race =="
+# Among the tests, TestEveryFunctionRuns (reach_test.go) fails on any
+# function, method or internal package that no command, example or
+# perfbench reaches outside tests: it runs in an experiment or it goes.
 go test -race ./...
 
 echo "== perfbench module (vet + tests) =="

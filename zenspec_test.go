@@ -3,6 +3,8 @@ package zenspec
 import (
 	"strings"
 	"testing"
+
+	"zenspec/internal/predict"
 )
 
 func TestPlatforms(t *testing.T) {
@@ -35,8 +37,9 @@ func TestFacadeLabPhi(t *testing.T) {
 
 func TestFacadeMachine(t *testing.T) {
 	m := NewMachine(Config{Seed: 1, SSBD: true})
-	if !m.CPU(0).Unit.SSBD() {
-		t.Error("SSBD not applied")
+	// Under SSBD every non-aliasing stld verifies as an E (Section VI-A).
+	if got := m.CPU(0).Unit.Verify(predict.Query{}, false); got != predict.TypeE {
+		t.Errorf("SSBD not applied: a non-aliasing stld verified as %v", got)
 	}
 	p := m.NewProcess("x", DomainVM)
 	if p.Domain != DomainVM {
