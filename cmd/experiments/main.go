@@ -5,11 +5,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -207,7 +209,9 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "experiments: interrupted by %v after %d/%d experiments; emitting partial report\n",
 			sig, len(partial), len(suite.Experiments))
-		emit(suite, *stable, *jsonOut)
+		if code := emit(os.Stdout, suite, *stable, *jsonOut); code != 0 {
+			return code
+		}
 		return 1
 	case r := <-done:
 		suite, err = r.suite, r.err
@@ -265,7 +269,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "experiments: wrote folded flamegraph to %s\n", *flame)
 		}
 	}
-	if code := emit(suite, *stable, *jsonOut); code != 0 {
+	if code := emit(os.Stdout, suite, *stable, *jsonOut); code != 0 {
 		return code
 	}
 	if !suite.AllPass() {
@@ -307,26 +311,29 @@ func resolveNames(only string) ([]string, error) {
 	return ids, nil
 }
 
-// emit renders a suite report to stdout in the selected format and returns a
-// non-zero exit code only on render failure (band verdicts are the caller's).
-func emit(suite zenspec.ExperimentSuite, stable, jsonOut bool) int {
+// emit streams a suite report to out in the selected format, a JSON form
+// ending in a newline, and returns a non-zero exit code only when the report
+// cannot be rendered or written (band verdicts are the caller's).
+func emit(out io.Writer, suite zenspec.ExperimentSuite, stable, jsonOut bool) int {
+	w := bufio.NewWriter(out)
+	var err error
 	switch {
 	case stable:
-		b, err := suite.StableJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		fmt.Println(string(b))
+		err = suite.Stable().WriteJSON(w)
 	case jsonOut:
-		b, err := suite.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		fmt.Println(string(b))
+		err = suite.WriteJSON(w)
 	default:
-		fmt.Print(suite.Text())
+		_, err = w.WriteString(suite.Text())
+	}
+	if err == nil && (stable || jsonOut) {
+		err = w.WriteByte('\n')
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		return 2
 	}
 	return 0
 }
@@ -366,7 +373,7 @@ func submitJob(base string, spec service.JobSpec, stable, jsonOut bool) int {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
-	if code := emit(suite, stable, jsonOut); code != 0 {
+	if code := emit(os.Stdout, suite, stable, jsonOut); code != 0 {
 		return code
 	}
 	if !suite.AllPass() {

@@ -193,12 +193,9 @@ func (b *Builder) JmpAbs(va uint64) *Builder {
 	return b.emit(isa.Inst{Op: isa.JMP, Imm: int32(va)})
 }
 
-// Size returns the assembled size in bytes.
-func (b *Builder) Size() int { return len(b.insts) * isa.InstBytes }
-
 // Offset returns the byte offset from the start of the program at which the
-// next instruction will be placed.
-func (b *Builder) Offset() int { return b.Size() }
+// next instruction will be placed: the size assembled so far.
+func (b *Builder) Offset() int { return len(b.insts) * isa.InstBytes }
 
 // Assemble resolves labels against the given base virtual address and returns
 // the machine code.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -153,5 +154,18 @@ func TestStableJSONMasksHostFields(t *testing.T) {
 	}
 	if a.Experiments[0].WallMS != 12.5 {
 		t.Fatal("StableJSON must not mutate the original report")
+	}
+	var sj bytes.Buffer
+	if err := a.Stable().WriteJSON(&sj); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sj.Bytes(), aj) {
+		t.Fatalf("Stable().WriteJSON differs from StableJSON:\n%s\n%s", sj.Bytes(), aj)
+	}
+	if err := a.WriteJSON(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if a.Parallelism != 1 || a.Experiments[0].WallMS != 12.5 {
+		t.Fatal("writing the report must not mutate it")
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -170,25 +169,6 @@ func (s SuiteReport) Profile() *prof.Snapshot {
 		out.Merge(r.Profile)
 	}
 	return out
-}
-
-// JSON renders the suite report indented.
-func (s SuiteReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
-// StableJSON renders the suite with host-dependent fields (wall times and
-// the resolved worker count) zeroed: the canonical form that two runs of the
-// same seed must reproduce byte for byte at any parallelism.
-func (s SuiteReport) StableJSON() ([]byte, error) {
-	c := s
-	c.Parallelism = 0
-	c.Experiments = make([]Report, len(s.Experiments))
-	copy(c.Experiments, s.Experiments)
-	for i := range c.Experiments {
-		c.Experiments[i].WallMS = 0
-	}
-	return json.MarshalIndent(c, "", "  ")
 }
 
 // Text renders the consolidated text report: one section per experiment with

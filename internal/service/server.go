@@ -323,24 +323,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case r.URL.Query().Get("stable") != "":
-		b, err := rep.StableJSON()
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
+		rep = rep.Stable()
 	case r.URL.Query().Get("text") != "":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, rep.Text())
-	default:
-		b, err := rep.JSON()
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	// WriteJSON refuses an unencodable report before its first byte, so the
+	// typed error can still go out. Any other error is a failed write: the
+	// client is gone and there is no one left to tell.
+	if err := rep.WriteJSON(w); errors.As(err, new(*json.UnsupportedValueError)) {
+		s.fail(w, err)
 	}
 }
 

@@ -57,6 +57,12 @@ echo "== service journal replay fuzz smoke =="
 # that do not fold into the job table or do not reopen unchanged.
 go test -run=FuzzJournalOpen -fuzz=FuzzJournalOpen -fuzztime 10s ./internal/service
 
+echo "== report writer differential fuzz smoke =="
+# Ten seconds of search for a report on which the streaming JSON writer's
+# bytes, plain or stable, differ from json.MarshalIndent's, or on which it
+# refuses differently or only after writing.
+go test -run=FuzzReportJSON -fuzz=FuzzReportJSON -fuzztime 10s ./internal/harness
+
 echo "== core microbenchmark smoke (allocation invariants) =="
 # One short pass over the per-cycle hot-path benchmarks. The grep gates the
 # zero-allocation invariants at the benchmark level too (the dedicated
@@ -142,11 +148,11 @@ go run ./cmd/experiments -quick -only spectre-stl -metrics -profile \
 go tool pprof -top -nodecount=5 "$prof_pb" > /dev/null
 test -s "$prof_flame"
 
-echo "== single-program CLI smoke (zrun -profile, speccheck, -transition-table) =="
+echo "== single-program CLI smoke (zrun -profile, speccheck, -transition-table, a failed report write) =="
 # The Listing 2 chain with its addresses mapped: over three runs it halts
 # cleanly and squashes once, on the first run's store bypass; its profile
 # exports open in go tool pprof. speccheck finds the same chain statically
-# and gates with exit 1.
+# and gates with exit 1. experiments exits non-zero when stdout is full.
 cli_tmp=$(mktemp -d)
 trap 'rm -f "$suite_json" "$fault_json" "$trace_json" "$prof_pb" "$prof_flame"; rm -rf "$cli_tmp"' EXIT
 go build -o "$cli_tmp/" ./cmd/zrun ./cmd/speccheck ./cmd/experiments
@@ -173,6 +179,14 @@ if [ "$code" -ne 1 ] || ! grep -q 'stl: store@+0x0' "$cli_tmp/speccheck.out"; th
 fi
 "$cli_tmp/experiments" -transition-table > "$cli_tmp/table1.txt"
 test -s "$cli_tmp/table1.txt"
+# A report that cannot be written is an error, not a silent exit 0.
+code=0
+"$cli_tmp/experiments" -seed 42 -quick -only table1 -stable > /dev/full 2> "$cli_tmp/full.err" || code=$?
+if [ "$code" -ne 2 ] || ! grep -q '^experiments: ' "$cli_tmp/full.err"; then
+    echo "experiments -stable > /dev/full: want exit 2 and the write error, got exit $code:" >&2
+    cat "$cli_tmp/full.err" >&2
+    exit 1
+fi
 
 echo "== zenspecd service smoke (submit, byte-identical report, drain) =="
 # Start the daemon (race-instrumented) on a random port, submit a quick

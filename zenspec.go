@@ -457,8 +457,10 @@ type Experiment = harness.Experiment
 // ExperimentReport is one experiment's outcome.
 type ExperimentReport = harness.Report
 
-// ExperimentSuite is a consolidated run of registry experiments; it renders
-// itself as text, JSON, or worker-count-independent StableJSON.
+// ExperimentSuite is a consolidated run of registry experiments. It renders
+// itself as text (Text) or streams itself as indented JSON to any io.Writer
+// (WriteJSON); its Stable copy, which StableJSON renders into one buffer, is
+// the worker-count-independent form.
 type ExperimentSuite = harness.SuiteReport
 
 // ErrUnknownExperiment is wrapped into the error RunExperiments returns when
