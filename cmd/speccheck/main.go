@@ -8,6 +8,10 @@
 // incremental cache keyed by content-hashed per-source dependency closures,
 // so re-scans after local edits only recompute what the edit can affect.
 //
+// The exit code is 0 for a clean scan and 1 when there are findings (under
+// -validate, confirmed findings), so CI can gate on it. Every error, a
+// failed write of the report included, exits 2.
+//
 // Usage:
 //
 //	speccheck -bin prog.bin [-window 48] [-stride 1]
@@ -17,18 +21,21 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"zenspec"
 	"zenspec/internal/speccheck"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body returning the exit code: 1 on findings, 2 on any error.
+func run() int {
 	binFile := flag.String("bin", "", "raw machine-code file to scan")
 	asmFile := flag.String("asm", "", "assembly source to assemble and scan (default: stdin)")
 	base := flag.Uint64("base", 0x400000, "virtual address the code is linked/mapped at")
@@ -42,83 +49,96 @@ func main() {
 	cacheDir := flag.String("cache", "", "directory for the persistent incremental analysis cache")
 	flag.Parse()
 
-	code := readCode(*binFile, *asmFile, *base)
-
+	code, err := readCode(*binFile, *asmFile, *base)
+	if err != nil {
+		return fail(err)
+	}
+	// Output goes through one buffer: a failed write sticks in it and
+	// surfaces at Flush, whichever print hit it.
+	out := bufio.NewWriter(os.Stdout)
+	verdict := 0
 	if *dumpCFG {
-		fmt.Print(speccheck.BuildCFG(code, *base))
-		return
-	}
-
-	opts := speccheck.Options{
-		Window: *window,
-		Base:   *base,
-		Stride: *stride,
-		STL:    *stl,
-		CTL:    *ctl,
-	}
-	res := analyze(code, opts, *cacheDir)
-	findings := res.Findings
-
-	if *validate {
-		report := speccheck.ValidateAll(code, findings, speccheck.ValidateOptions{Base: *base})
-		if *jsonOut {
-			emitJSON(report)
-		} else {
-			fmt.Print(report)
-		}
-		if report.Confirmed() > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut {
-		if res.Findings == nil {
-			res.Findings = []speccheck.Finding{}
-		}
-		emitJSON(res)
+		fmt.Fprint(out, speccheck.BuildCFG(code, *base))
 	} else {
-		if len(findings) == 0 {
-			fmt.Println("no speculative-leak candidates")
-		} else {
-			fmt.Printf("%d finding(s):\n", len(findings))
-			for _, f := range findings {
-				fmt.Println(" ", f)
-			}
-			fmt.Println("\nEach finding is a speculation source (a bypassable store or a")
-			fmt.Println("mispredictable branch), the dependent-load chain a transient window")
-			fmt.Println("can execute, and the transmitter that encodes the value into the")
-			fmt.Println("cache. Run with -validate to replay them through the simulator.")
+		opts := speccheck.Options{Window: *window, Base: *base, Stride: *stride, STL: *stl, CTL: *ctl}
+		res, err := analyze(code, opts, *cacheDir)
+		if err != nil {
+			return fail(err)
 		}
-		if res.Truncated > 0 {
-			fmt.Printf("warning: %d source(s) hit the state budget; findings may be incomplete (raise MaxStates)\n", res.Truncated)
+		if *validate {
+			report := speccheck.ValidateAll(code, res.Findings, speccheck.ValidateOptions{Base: *base})
+			if *jsonOut {
+				err = writeJSON(out, report)
+			} else {
+				fmt.Fprint(out, report)
+			}
+			if report.Confirmed() > 0 {
+				verdict = 1
+			}
+		} else {
+			if *jsonOut {
+				if res.Findings == nil {
+					res.Findings = []speccheck.Finding{}
+				}
+				err = writeJSON(out, res)
+			} else {
+				writeText(out, res)
+			}
+			if len(res.Findings) > 0 {
+				verdict = 1 // nonzero exit for CI-style gating
+			}
+		}
+		if err != nil {
+			return fail(err)
 		}
 	}
-	if len(findings) > 0 {
-		os.Exit(1) // nonzero exit for CI-style gating
+	if err := out.Flush(); err != nil {
+		return fail(err)
+	}
+	return verdict
+}
+
+// fail reports an error on stderr and returns the error exit code.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "speccheck:", err)
+	return 2
+}
+
+// writeText renders the findings for a terminal.
+func writeText(w io.Writer, res speccheck.Result) {
+	if len(res.Findings) == 0 {
+		fmt.Fprintln(w, "no speculative-leak candidates")
+	} else {
+		fmt.Fprintf(w, "%d finding(s):\n", len(res.Findings))
+		for _, f := range res.Findings {
+			fmt.Fprintln(w, " ", f)
+		}
+		fmt.Fprintln(w, "\nEach finding is a speculation source (a bypassable store or a")
+		fmt.Fprintln(w, "mispredictable branch), the dependent-load chain a transient window")
+		fmt.Fprintln(w, "can execute, and the transmitter that encodes the value into the")
+		fmt.Fprintln(w, "cache. Run with -validate to replay them through the simulator.")
+	}
+	if res.Truncated > 0 {
+		fmt.Fprintf(w, "warning: %d source(s) hit the state budget; findings may be incomplete (raise MaxStates)\n", res.Truncated)
 	}
 }
 
 // analyze runs the whole-program engine, or the incremental cache when a
 // cache directory is configured.
-func analyze(code []byte, opts speccheck.Options, cacheDir string) speccheck.Result {
+func analyze(code []byte, opts speccheck.Options, cacheDir string) (speccheck.Result, error) {
 	if cacheDir == "" {
-		return speccheck.AnalyzeAll(code, opts)
+		return speccheck.AnalyzeAll(code, opts), nil
 	}
 	c, err := speccheck.OpenCache(cacheDir)
 	if err != nil {
-		log.Fatalf("speccheck: %v", err)
+		return speccheck.Result{}, err
 	}
-	return c.Analyze(code, opts)
+	return c.Analyze(code, opts), nil
 }
 
-func readCode(binFile, asmFile string, base uint64) []byte {
+func readCode(binFile, asmFile string, base uint64) ([]byte, error) {
 	if binFile != "" {
-		b, err := os.ReadFile(binFile)
-		if err != nil {
-			log.Fatalf("speccheck: %v", err)
-		}
-		return b
+		return os.ReadFile(binFile)
 	}
 	var src []byte
 	var err error
@@ -128,19 +148,14 @@ func readCode(binFile, asmFile string, base uint64) []byte {
 		src, err = io.ReadAll(os.Stdin)
 	}
 	if err != nil {
-		log.Fatalf("speccheck: %v", err)
+		return nil, err
 	}
-	code, err := zenspec.Assemble(string(src), base)
-	if err != nil {
-		log.Fatalf("speccheck: %v", err)
-	}
-	return code
+	return zenspec.Assemble(string(src), base)
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+// writeJSON writes v as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Fatalf("speccheck: %v", err)
-	}
+	return enc.Encode(v)
 }

@@ -99,6 +99,8 @@ func decodeErr(method, path, status string, raw []byte) error {
 	}
 	var sentinel error
 	switch ae.Code {
+	case "bad_faults":
+		sentinel = ErrBadFaults
 	case "job_not_found":
 		sentinel = ErrJobNotFound
 	case "lease_not_found":

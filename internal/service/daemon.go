@@ -382,7 +382,7 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	}
 	plan, err := fault.Parse(spec.Faults)
 	if err != nil {
-		return "", fmt.Errorf("service: faults: %w", err)
+		return "", fmt.Errorf("%w: %w", ErrBadFaults, err)
 	}
 	ctx := shardRunCtx(spec, plan, d.cfg.Parallelism)
 	defs := make([]ShardRef, 0, len(exps))

@@ -153,8 +153,10 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := d.Submit(JobSpec{Only: []string{"nope"}}); !errors.Is(err, harness.ErrUnknownExperiment) {
 		t.Fatalf("unknown experiment error = %v", err)
 	}
-	if _, err := d.Submit(JobSpec{Faults: "{broken"}); err == nil {
-		t.Fatal("bad fault plan accepted")
+	for _, plan := range []string{"bogus", "{broken"} {
+		if _, err := d.Submit(JobSpec{Faults: plan}); !errors.Is(err, ErrBadFaults) {
+			t.Fatalf("fault plan %q error = %v", plan, err)
+		}
 	}
 	if _, err := d.Status("ghost"); !errors.Is(err, ErrJobNotFound) {
 		t.Fatalf("unknown job error = %v", err)

@@ -9,6 +9,9 @@ import "errors"
 var (
 	// ErrDraining is returned by Submit and Lease once a shutdown has begun.
 	ErrDraining = errors.New("service: daemon is draining")
+	// ErrBadFaults is returned by Submit for a fault plan that is neither a
+	// preset name nor a well-formed JSON plan object.
+	ErrBadFaults = errors.New("service: malformed fault plan")
 	// ErrJobNotFound is returned for job IDs the daemon has never seen (or
 	// has archived away).
 	ErrJobNotFound = errors.New("service: job not found")

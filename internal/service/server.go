@@ -127,6 +127,8 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	status, code := http.StatusInternalServerError, "internal"
 	switch {
+	case errors.Is(err, ErrBadFaults):
+		status, code = http.StatusBadRequest, "bad_faults"
 	case errors.Is(err, ErrJobNotFound):
 		status, code = http.StatusNotFound, "job_not_found"
 	case errors.Is(err, ErrLeaseNotFound):

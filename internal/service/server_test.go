@@ -181,6 +181,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if _, err := c.Submit(JobSpec{Only: []string{"nope"}}); !errors.Is(err, harness.ErrUnknownExperiment) || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("bad submit error = %v", err)
 	}
+	for _, plan := range []string{"bogus", "{broken"} {
+		if _, err := c.Submit(JobSpec{Faults: plan}); !errors.Is(err, ErrBadFaults) || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("fault plan %q submit error = %v", plan, err)
+		}
+	}
 
 	// The meta endpoint names the protocol and the registered experiments.
 	meta, err := c.Meta()

@@ -12,16 +12,17 @@ import (
 
 // Cache is the incremental analysis front end: Analyze through a Cache
 // produces byte-identical results to the whole-program AnalyzeAll, but reuses
-// prior work at three granularities:
+// prior work at two granularities:
 //
 //   - program level: a scan of a byte-identical buffer under the same options
 //     replays the stored result after one hash of the buffer;
 //   - source level: after an edit, only sources whose dependency closure (the
 //     code their transient walk can reach, hashed with the analysis
 //     fingerprint) covers the change recompute — and the closure keys are
-//     relocation-stable, so shared gadget bytes hit across programs;
-//   - block level: the explorations that do run compose content-addressed
-//     per-block transfer summaries instead of re-walking instructions.
+//     relocation-stable, so shared gadget bytes hit across programs.
+//
+// A source that misses the source tier runs the same instruction walk as
+// AnalyzeAll. Both tiers persist when the Cache comes from OpenCache.
 //
 // A Cache is safe for concurrent use; analysis calls serialize.
 type Cache struct {
@@ -29,15 +30,7 @@ type Cache struct {
 	programs map[string]*Result
 	sources  map[string]*sourceEntry
 	disk     *summary.DirStore
-	blocks   map[[sha256.Size]byte]*blockNode
 	stats    CacheStats
-}
-
-// blockNode is one content-addressed basic block: its decoded instructions
-// and the transfer summaries recorded so far, one per entry abstraction.
-type blockNode struct {
-	insts []isa.Inst
-	sums  map[string]*summary.BlockSummary
 }
 
 // sourceEntry is one cached per-source result. All offsets are relative to
@@ -68,9 +61,6 @@ type CacheStats struct {
 	// DiskHits counts program and source hits served from the persistent
 	// store rather than this process's memory.
 	DiskHits int
-	// BlockHits / BlockMisses count block-summary reuse during the
-	// explorations that did run.
-	BlockHits, BlockMisses int
 	// StatesExplored totals the abstract states walked by cache misses;
 	// a fully warm scan explores zero.
 	StatesExplored int
@@ -84,7 +74,6 @@ func NewCache() *Cache {
 	return &Cache{
 		programs: make(map[string]*Result),
 		sources:  make(map[string]*sourceEntry),
-		blocks:   make(map[[sha256.Size]byte]*blockNode),
 	}
 }
 
@@ -110,8 +99,8 @@ func (c *Cache) Stats() CacheStats {
 
 // Analyze is AnalyzeAll through the cache: identical results, incremental
 // cost. Every source is keyed by the content hash of its dependency closure;
-// hits replay the stored relative findings, misses run the block-summary
-// engine and populate the cache for next time.
+// hits replay the stored relative findings, misses run AnalyzeAll's walk and
+// populate the cache for next time.
 func (c *Cache) Analyze(code []byte, opts Options) Result {
 	opts = opts.Normalized()
 	c.mu.Lock()
@@ -126,13 +115,7 @@ func (c *Cache) Analyze(code []byte, opts Options) Result {
 	// The engine only needs instruction decoding and successor resolution,
 	// both independent of the block layout, so skip BuildCFG's block passes.
 	g := &CFG{code: code, Base: opts.Base}
-	e := &engine{
-		g:      g,
-		opts:   opts,
-		seen:   make(map[findKey]bool),
-		cache:  c,
-		blocks: make(map[int]*blockNode),
-	}
+	e := &engine{g: g, opts: opts, seen: make(map[findKey]bool)}
 	fp := summary.Fingerprint{Window: opts.Window, MaxStates: opts.MaxStates}
 
 	var res Result
@@ -175,7 +158,7 @@ func (c *Cache) Analyze(code []byte, opts Options) Result {
 		c.stats.SourceMisses++
 
 		before := len(e.findings)
-		truncated := e.exploreSummary(kind, off)
+		truncated := e.explore(kind, off)
 		c.stats.StatesExplored += e.states
 		if truncated {
 			res.Truncated++
@@ -297,123 +280,4 @@ func (c *Cache) storeSource(key string, ent *sourceEntry) {
 			c.disk.Put(key, raw)
 		}
 	}
-}
-
-// blockFor resolves the basic block starting at off: a per-call offset memo
-// in front of the cache-wide content-hash store, so blocks with equal bytes
-// share their summaries across positions, calls, and programs.
-func (e *engine) blockFor(off int) *blockNode {
-	if bn, ok := e.blocks[off]; ok {
-		return bn
-	}
-	insts := summary.ScanBlock(e.g.code, off)
-	h := summary.HashBlock(e.g.code, off, len(insts))
-	bn := e.cache.blocks[h]
-	if bn == nil {
-		bn = &blockNode{insts: insts, sums: make(map[string]*summary.BlockSummary)}
-		e.cache.blocks[h] = bn
-	}
-	e.blocks[off] = bn
-	return bn
-}
-
-// blockSummary returns the block's transfer summary for the entry abstraction
-// of st, recording it on first use.
-func (e *engine) blockSummary(off int, st *summary.State, required int) *summary.BlockSummary {
-	bn := e.blockFor(off)
-	ek := summary.EntryKey(st, required)
-	if s, ok := bn.sums[ek]; ok {
-		e.cache.stats.BlockHits++
-		return s
-	}
-	s := summary.Record(bn.insts, st, required)
-	bn.sums[ek] = s
-	e.cache.stats.BlockMisses++
-	return s
-}
-
-// exploreSummary is explore composed from block summaries instead of
-// instruction steps. It replays, per recorded step, exactly the bookkeeping
-// the instruction-level walk performs — the push-time window guard, the
-// pop-time MaxStates check, the visited-set probe and the state count — in
-// the same order, so findings, truncation and even the exploration order are
-// identical to explore's. (The LIFO walk processes a straight-line run
-// contiguously, which is what makes block-granular replay order-preserving.)
-func (e *engine) exploreSummary(kind Kind, src int) bool {
-	required := chainDepth(kind)
-	e.states = 0
-	e.truncated = false
-	visited := make(map[string]int)
-
-	var stack []node
-	push := func(off, steps int, st *summary.State) {
-		if steps >= e.opts.Window {
-			return
-		}
-		stack = append(stack, node{off: off, steps: steps, st: st.Clone()})
-	}
-	var empty summary.State
-	if kind == KindCTL {
-		for _, succ := range e.g.SuccOffs(src) {
-			push(succ, 1, &empty)
-		}
-	} else {
-		push(src+isa.InstBytes, 1, &empty)
-	}
-
-	for len(stack) > 0 {
-		if e.states >= e.opts.MaxStates {
-			e.truncated = true
-			return true
-		}
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n.off+isa.InstBytes > len(e.g.code) || n.off < 0 {
-			continue
-		}
-		sum := e.blockSummary(n.off, &n.st, required)
-		chain := n.st.Chain
-		died := false
-		for i, rec := range sum.Steps {
-			stepsI := n.steps + i
-			if i > 0 {
-				// Instruction i would have been pushed with stepsI and
-				// popped next: replay the push-time window guard, then the
-				// pop-time budget check.
-				if stepsI >= e.opts.Window {
-					died = true
-					break
-				}
-				if e.states >= e.opts.MaxStates {
-					e.truncated = true
-					return true
-				}
-			}
-			off := n.off + i*isa.InstBytes
-			k := summary.PatchKey(off, rec.KeySuffix)
-			if prev, ok := visited[k]; ok && prev <= stepsI {
-				died = true
-				break
-			}
-			visited[k] = stepsI
-			e.states++
-			if rec.Report {
-				e.report(kind, src, chain, off)
-				died = true
-				break
-			}
-			if rec.Append {
-				chain = append(append([]int(nil), chain...), off)
-			}
-		}
-		if died || sum.End == summary.EndDead {
-			continue
-		}
-		last := n.off + (len(sum.Steps)-1)*isa.InstBytes
-		exit := summary.State{Reg: sum.ExitReg, Chain: chain, Mem: sum.ExitMem}
-		for _, succ := range e.g.SuccOffs(last) {
-			push(succ, n.steps+len(sum.Steps), &exit)
-		}
-	}
-	return false
 }

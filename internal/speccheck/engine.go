@@ -11,26 +11,19 @@ type findKey struct {
 	src, tx int
 }
 
-// engine runs the always-mispredict taint dataflow for one analysis call.
-// The abstract domain (per-register taint, witness chain, finite abstract
-// store) and the per-instruction transfer function live in
-// internal/speccheck/summary so that the whole-program walk below and the
-// block-summary mode in cache.go share one semantics.
+// engine runs the always-mispredict taint dataflow for one analysis call,
+// for AnalyzeAll and for each source that misses Cache.Analyze's tiers. The
+// abstract domain (per-register taint, witness chain, finite abstract store)
+// and the per-instruction transfer function live in
+// internal/speccheck/summary, next to the dependency closures that key the
+// cache on the code this walk can read.
 type engine struct {
 	g        *CFG
 	opts     Options
 	findings []Finding
 	seen     map[findKey]bool
-	states   int
-	// truncated is set when an exploration hit the MaxStates budget and
-	// gave up with work still pending: findings may be incomplete.
-	truncated bool
-
-	// cache and blocks are set in summary mode (Cache.Analyze): the
-	// content-addressed block-summary store and this call's offset->block
-	// memo.
-	cache  *Cache
-	blocks map[int]*blockNode
+	// states counts the abstract states the last explore walked.
+	states int
 }
 
 // node is one pending exploration step: the instruction at off is steps
@@ -57,7 +50,6 @@ func chainDepth(kind Kind) int {
 func (e *engine) explore(kind Kind, src int) bool {
 	required := chainDepth(kind)
 	e.states = 0
-	e.truncated = false
 	visited := make(map[string]int)
 
 	var stack []node
@@ -79,7 +71,6 @@ func (e *engine) explore(kind Kind, src int) bool {
 
 	for len(stack) > 0 {
 		if e.states >= e.opts.MaxStates {
-			e.truncated = true
 			return true
 		}
 		n := stack[len(stack)-1]

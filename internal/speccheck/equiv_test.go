@@ -20,8 +20,9 @@ var equivOptions = []speccheck.Options{
 	{Stride: 3, Window: 20, MaxStates: 100},
 }
 
-// TestSummaryEquivalenceShapes: the cache engine reproduces the whole-program
-// engine exactly on every hand-built gadget shape in the test suite.
+// TestSummaryEquivalenceShapes: the source-closure cache reproduces the
+// whole-program scan exactly on every hand-built gadget shape in the test
+// suite.
 func TestSummaryEquivalenceShapes(t *testing.T) {
 	shapes := map[string][]byte{
 		"listing2":    listing2STL(),
@@ -45,7 +46,8 @@ func TestSummaryEquivalenceShapes(t *testing.T) {
 
 // TestSummaryEquivalenceRandom: the property holds on seeded pseudo-random
 // programs, including warm replays and cross-seed cache reuse (the same cache
-// serves every program, so block summaries and source entries interleave).
+// serves every program, so source entries computed for one seed replay in
+// another).
 func TestSummaryEquivalenceRandom(t *testing.T) {
 	c := speccheck.NewCache()
 	for seed := int64(0); seed < 12; seed++ {
@@ -62,8 +64,9 @@ func TestSummaryEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// FuzzSummaryEquivalence feeds arbitrary bytes to both engines; any
-// divergence in findings or truncation is a bug in the summary composition.
+// FuzzSummaryEquivalence feeds arbitrary bytes to AnalyzeAll and to the
+// cache; any divergence in findings or truncation is a bug in the closure
+// keys or in the relocation of cached per-source results.
 func FuzzSummaryEquivalence(f *testing.F) {
 	f.Add(listing2STL(), uint8(0))
 	f.Add(branchySTL(), uint8(1))

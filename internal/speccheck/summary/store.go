@@ -10,15 +10,15 @@ import (
 )
 
 // DirStore is a persistent content-addressed byte store: keys are derived
-// from content hashes (Keyer.SourceKey, HashBlock), values are opaque
-// serialized summaries. The store may drop entries at any time (eviction,
-// corruption); callers must treat every Get miss as "recompute and Put
-// again". It keeps one file per entry under dir, named by the SHA-256 of the
-// key (keys are already hash-derived, but hashing again keeps file names
-// fixed-length and filesystem-safe). Values are written with a
+// from content hashes (Keyer.SourceKey and the cache's program key), values
+// are opaque serialized results. The store may drop entries at any time
+// (eviction, corruption); callers must treat every Get miss as "recompute
+// and Put again". It keeps one file per entry under dir, named by the
+// SHA-256 of the key (keys are already hash-derived, but hashing again keeps
+// file names fixed-length and filesystem-safe). Values are written with a
 // header echoing the full key, so a Get can detect both corruption and the
 // astronomically unlikely filename collision and report a miss instead of
-// returning a wrong summary; corrupt files are deleted on detection and
+// returning a wrong result; corrupt files are deleted on detection and
 // rewritten by the next Put. When the store grows past max entries, the
 // oldest files (by modification time) are pruned.
 type DirStore struct {

@@ -1,27 +1,21 @@
-// Package summary is the compositional core of the speccheck analyzer: the
-// taint + abstract-store dataflow domain, the per-instruction transfer
-// function, per-basic-block transfer summaries, per-source dependency
-// closures, and the content-addressed stores that cache both.
+// Package summary holds what the speccheck analyzer's walk runs on and what
+// its cache keys by: the taint + abstract-store dataflow domain, the
+// per-instruction transfer function Step, per-source dependency closures
+// with their content-addressed keys, and the on-disk store that keeps the
+// cache's results across processes.
 //
-// The design follows the summary-based speculative-leak detectors in the
-// literature (Fabian et al.'s compositional speculative semantics, and
-// modular weakest-precondition reasoning over speculative dataflow): instead
-// of re-walking a program instruction by instruction on every scan, each
-// straight-line block is summarized once per entry abstraction — the
-// relocatable sequence of taint effects, chain extensions and findings the
-// always-mispredict walk produces through it — and the whole-program result
-// is composed from summaries along control-flow edges. Everything in this
-// package is position-independent: a summary recorded for a block's bytes at
-// one offset replays exactly at any other offset (and in any other program)
-// whose bytes match, which is what lets a cache keyed by content hash share
-// work across re-scans, program edits, and corpus gadgets with common code.
+// A per-source result is a summary in the sense of the compositional
+// speculative-leak detectors in the literature (Fabian et al.'s
+// compositional speculative semantics): it depends only on the bytes the
+// source's always-mispredict walk can read, so it is keyed by the content
+// hash of that dependency closure, taken relative to the source. A result
+// computed at one offset therefore replays at any other offset, and in any
+// other program, whose closure bytes match, which is what lets the cache
+// share work across re-scans, program edits, and gadgets with common code.
 //
-// The package deliberately contains no exploration policy: the driver in
-// package speccheck owns source enumeration, the worklist, the visited set
-// and budget accounting, so that summary-mode analysis reproduces the
-// whole-program engine's findings byte for byte. Both engines call the one
-// Step function below; equivalence is by construction, not by parallel
-// maintenance.
+// The package contains no exploration policy: the one walk in package
+// speccheck owns source enumeration, the worklist, the visited set and
+// budget accounting, and calls Step for each instruction.
 package summary
 
 import (
@@ -99,12 +93,13 @@ func (s *State) CellAt(base isa.Reg, imm int32) uint8 {
 	return 0
 }
 
-// KeySuffix builds the position-independent tail of the visited-set key:
-// chain *length* (not the exact offsets — states differing only in witness
-// history merge), register taints, and the abstract store cells in canonical
-// (sorted) order. Key prepends the byte offset to it.
-func (s *State) KeySuffix() []byte {
-	buf := make([]byte, 0, 1+isa.NumRegs+len(s.Mem)*6)
+// Key builds the canonical visited-set key for the state at a byte offset:
+// the offset, the chain *length* (not the exact offsets — states differing
+// only in witness history merge), the register taints, and the abstract
+// store cells in canonical (sorted) order.
+func (s *State) Key(off int) string {
+	buf := make([]byte, 0, 5+isa.NumRegs+len(s.Mem)*6)
+	buf = append(buf, byte(off), byte(off>>8), byte(off>>16), byte(off>>24))
 	buf = append(buf, byte(len(s.Chain)))
 	buf = append(buf, s.Reg[:]...)
 	cells := append([]Cell(nil), s.Mem...)
@@ -115,36 +110,6 @@ func (s *State) KeySuffix() []byte {
 		return cells[i].Imm < cells[j].Imm
 	})
 	for _, c := range cells {
-		buf = append(buf, byte(c.Base), byte(c.Imm), byte(c.Imm>>8), byte(c.Imm>>16), byte(c.Imm>>24), c.Taint)
-	}
-	return buf
-}
-
-// Key builds the canonical visited-set key for the state at a byte offset.
-func (s *State) Key(off int) string {
-	return PatchKey(off, s.KeySuffix())
-}
-
-// PatchKey assembles a visited-set key from a byte offset and a precomputed
-// position-independent suffix: what a block summary stores per step so the
-// driver can reconstruct the exact key the instruction-level walk would use.
-func PatchKey(off int, suffix []byte) string {
-	buf := make([]byte, 0, 4+len(suffix))
-	buf = append(buf, byte(off), byte(off>>8), byte(off>>16), byte(off>>24))
-	buf = append(buf, suffix...)
-	return string(buf)
-}
-
-// EntryKey is the content-addressed entry abstraction a block summary is
-// keyed by: the source kind's required chain depth and the full entry state
-// up to chain history. Unlike the visited key, the abstract store keeps its
-// insertion order — eviction in PutCell is order-sensitive, so two entries
-// whose cells differ only in order must not share a summary.
-func EntryKey(s *State, required int) string {
-	buf := make([]byte, 0, 2+isa.NumRegs+len(s.Mem)*6)
-	buf = append(buf, byte(required), byte(len(s.Chain)))
-	buf = append(buf, s.Reg[:]...)
-	for _, c := range s.Mem {
 		buf = append(buf, byte(c.Base), byte(c.Imm), byte(c.Imm>>8), byte(c.Imm>>16), byte(c.Imm>>24), c.Taint)
 	}
 	return string(buf)

@@ -22,13 +22,11 @@ const (
 )
 
 // Step applies one instruction of the always-mispredict speculative
-// semantics to st. It is the single transfer function shared by the
-// instruction-level engine and the block-summary recorder: both modes
-// produce identical findings because both run exactly this code.
+// semantics to st: the transfer function of the analyzer's one walk.
 //
 // off is the instruction's byte offset, used only as the value appended to
 // the witness chain — the taint logic itself is position-independent, which
-// is what makes recorded summaries relocatable. required is the dependent
+// is what makes cached per-source results relocatable. required is the dependent
 // chain depth a transmitter needs (2 for STL, the Listing 2/3 chain; 1 for
 // CTL, the V1 shape).
 func Step(in isa.Inst, st *State, off, required int) Outcome {

@@ -39,9 +39,10 @@ echo "== perfbench module (vet + tests) =="
 # tests pin the benchmark's own arithmetic.
 (cd perfbench && go vet ./... && go test ./...)
 
-echo "== speccheck summary-equivalence fuzz smoke =="
+echo "== speccheck cache-equivalence fuzz smoke =="
 # Ten seconds of coverage-guided search for any divergence between the
-# incremental summary engine and the whole-program analyzer.
+# source-closure cache (Cache.Analyze), cold or warm, and the whole-program
+# AnalyzeAll.
 go test -run=FuzzSummaryEquivalence -fuzz=FuzzSummaryEquivalence \
     -fuzztime 10s ./internal/speccheck
 
@@ -148,11 +149,12 @@ go run ./cmd/experiments -quick -only spectre-stl -metrics -profile \
 go tool pprof -top -nodecount=5 "$prof_pb" > /dev/null
 test -s "$prof_flame"
 
-echo "== single-program CLI smoke (zrun -profile, speccheck, -transition-table, a failed report write) =="
+echo "== single-program CLI smoke (zrun -profile, speccheck [-cache], -transition-table, failed report writes) =="
 # The Listing 2 chain with its addresses mapped: over three runs it halts
 # cleanly and squashes once, on the first run's store bypass; its profile
 # exports open in go tool pprof. speccheck finds the same chain statically
-# and gates with exit 1. experiments exits non-zero when stdout is full.
+# and gates with exit 1, through its on-disk cache too, and exits 2 on
+# errors. experiments exits 2 when stdout is full.
 cli_tmp=$(mktemp -d)
 trap 'rm -f "$suite_json" "$fault_json" "$trace_json" "$prof_pb" "$prof_flame"; rm -rf "$cli_tmp"' EXIT
 go build -o "$cli_tmp/" ./cmd/zrun ./cmd/speccheck ./cmd/experiments
@@ -175,6 +177,37 @@ code=0
 if [ "$code" -ne 1 ] || ! grep -q 'stl: store@+0x0' "$cli_tmp/speccheck.out"; then
     echo "speccheck: want exit 1 and the stl chain from +0x0, got exit $code:" >&2
     cat "$cli_tmp/speccheck.out" >&2
+    exit 1
+fi
+# The second -cache run is answered from the entries the first one wrote,
+# and both print what the uncached scan printed.
+for run in 1 2; do
+    code=0
+    "$cli_tmp/speccheck" -asm "$cli_tmp/prog.s" -cache "$cli_tmp/scc" > "$cli_tmp/cache$run.out" || code=$?
+    if [ "$code" -ne 1 ] || ! cmp -s "$cli_tmp/speccheck.out" "$cli_tmp/cache$run.out"; then
+        echo "speccheck -cache run $run: want exit 1 and the uncached report, got exit $code:" >&2
+        cat "$cli_tmp/cache$run.out" >&2
+        exit 1
+    fi
+done
+if ! ls "$cli_tmp/scc/"*.sce > /dev/null 2>&1; then
+    echo "speccheck -cache: no .sce entry in the cache directory" >&2
+    exit 1
+fi
+# Errors exit 2, apart from the exit 1 of findings: a missing input, and a
+# report that cannot be written.
+code=0
+"$cli_tmp/speccheck" -bin "$cli_tmp/missing" 2> "$cli_tmp/sc.err" || code=$?
+if [ "$code" -ne 2 ] || ! grep -q '^speccheck: ' "$cli_tmp/sc.err"; then
+    echo "speccheck -bin <missing>: want exit 2 and the error, got exit $code:" >&2
+    cat "$cli_tmp/sc.err" >&2
+    exit 1
+fi
+code=0
+"$cli_tmp/speccheck" -asm "$cli_tmp/prog.s" > /dev/full 2> "$cli_tmp/sc.err" || code=$?
+if [ "$code" -ne 2 ] || ! grep -q '^speccheck: ' "$cli_tmp/sc.err"; then
+    echo "speccheck > /dev/full: want exit 2 and the write error, got exit $code:" >&2
+    cat "$cli_tmp/sc.err" >&2
     exit 1
 fi
 "$cli_tmp/experiments" -transition-table > "$cli_tmp/table1.txt"
