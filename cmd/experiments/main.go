@@ -53,9 +53,6 @@ func run() int {
 	transitionTable := flag.Bool("transition-table", false, "print TABLE I as implemented (generated from the state machine) and exit")
 	submit := flag.String("submit", "", "submit the run as a job to a zenspecd service at this base URL (e.g. http://127.0.0.1:8787) instead of running locally")
 	split := flag.Int("split", 0, "with -submit: cut each experiment's trial loop into this many range shards so multiple workers can drain one job (report bytes are identical at any split)")
-	priority := flag.Int("priority", 0, "job priority when submitting with -submit (higher runs first)")
-	deadline := flag.Duration("deadline", 0, "per-shard deadline when submitting with -submit (0 = none)")
-	retries := flag.Int("retries", 0, "per-shard retry budget after deadline overruns when submitting with -submit")
 	flag.Parse()
 
 	if *list {
@@ -161,7 +158,6 @@ func run() int {
 		return submitJob(*submit, service.JobSpec{
 			Seed: *seed, Quick: *quick, Only: ids, Faults: *faults,
 			Metrics: *metrics, Profile: *profile, Split: *split,
-			Priority: *priority, Deadline: *deadline, Retries: *retries,
 		}, *stable, *jsonOut)
 	}
 

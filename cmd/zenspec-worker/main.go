@@ -6,9 +6,10 @@
 // the merged report is byte-identical however the shards land.
 //
 // The worker is built to be left running: daemon outages and restarts are
-// ridden out with deterministic backoff, and a worker killed mid-shard
-// simply stops heartbeating, so the daemon re-leases its shard elsewhere
-// after the lease TTL with no effect on the job's final bytes.
+// ridden out with a backoff that grows from 100 ms to 5 s, and a worker
+// killed mid-shard simply stops heartbeating, so the daemon re-leases its
+// shard elsewhere after the lease TTL with no effect on the job's final
+// bytes.
 //
 // Lease events are logged to stderr with structured job/shard/lease/
 // attempt/trace fields; -log-format=json makes every line machine-parseable

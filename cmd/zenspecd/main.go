@@ -7,9 +7,11 @@
 // partial reports persist idempotently, so a daemon killed at any point
 // resumes every unfinished job at shard granularity on restart, and the
 // resumed (or arbitrarily sharded) job's merged StableJSON report is
-// byte-identical to an uninterrupted single-machine run's. SIGINT/SIGTERM
-// drain in-flight shards, checkpoint the journal, and exit; kill -9 loses at
-// most the shards in flight.
+// byte-identical to an uninterrupted single-machine run's. Leases go out in
+// submission order, and a shard runs again only when its lease lapses: a
+// worker silent for -lease is presumed dead and its shard handed to the next
+// one. SIGINT/SIGTERM drain in-flight shards, checkpoint the journal, and
+// exit; kill -9 loses at most the shards in flight.
 //
 // The daemon's whole lifecycle is observable: every job carries a trace ID
 // from submit to archive, /v1/jobs/{id}/trace serves the stitched Perfetto
@@ -46,8 +48,6 @@ func run() int {
 	workers := flag.Int("workers", -1, "in-process worker pool size; -1 means GOMAXPROCS, 0 means none (queue-only daemon for remote zenspec-worker fleets)")
 	parallel := flag.Int("parallel", 1, "per-shard trial-loop parallelism (reports are identical at any value)")
 	lease := flag.Duration("lease", 5*time.Second, "shard lease TTL; a worker silent this long is presumed dead and its shard re-queued")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "base deterministic retry backoff after a shard deadline overrun")
-	maxBackoff := flag.Duration("max-backoff", 5*time.Second, "retry backoff cap")
 	segBytes := flag.Int64("segment-bytes", 4<<20, "journal segment size; full segments seal and compact away at the next checkpoint")
 	keepJobs := flag.Int("keep-jobs", 256, "terminal jobs retained before the oldest are archived out of memory and journal; -1 keeps all")
 	drain := flag.Duration("drain", 10*time.Minute, "graceful-shutdown budget for in-flight shards before they are cancelled")
@@ -71,8 +71,6 @@ func run() int {
 		Workers:      w,
 		Parallelism:  *parallel,
 		Lease:        *lease,
-		Backoff:      *backoff,
-		MaxBackoff:   *maxBackoff,
 		SegmentBytes: *segBytes,
 		KeepJobs:     *keepJobs,
 		Obs:          svcobs.New(lg),

@@ -7,10 +7,10 @@ import (
 )
 
 // Backoff is a deterministic retry-delay schedule: capped exponential growth
-// with jitter derived from (Seed, Key, attempt) the same way the trial fault
+// with jitter derived from (Key, attempt) the same way the trial fault
 // streams are. Delay is a pure function of its coordinates — no state, no
-// wall clock, no shared RNG — so a retried shard waits the same sequence of
-// delays on every replay of a journal, and tests can assert exact schedules.
+// wall clock, no shared RNG — so tests can assert exact schedules. The
+// service's pull workers wait on it between failed calls to their daemon.
 //
 // The jitter follows the "equal jitter" discipline: attempt n waits at least
 // half of the capped exponential step Base<<n and at most the full step, the
@@ -24,12 +24,9 @@ type Backoff struct {
 	// Max caps the exponential step before jitter; non-positive means
 	// uncapped (until the shift saturates).
 	Max time.Duration
-	// Seed and Key select the jitter stream, mirroring Plan.Seed and the
-	// harness's experiment-ID keying: two workers retrying different shards
-	// never wait in lockstep, while replaying the same shard reproduces the
-	// same waits.
-	Seed int64
-	Key  string
+	// Key selects the jitter stream: two workers keyed by their names never
+	// wait in lockstep, while one worker's waits are the same on every run.
+	Key string
 }
 
 // Delay returns the wait before retry `attempt` (attempt 0 is the first
@@ -56,10 +53,8 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	// 53 uniform bits of the coordinate hash, exactly representable in a
 	// float64 — the same construction as Plan.TrialFaultAt.
 	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(b.Seed))
-	h.Write(buf[:])
 	h.Write([]byte(b.Key))
+	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
 	h.Write(buf[:])
 	u := float64(h.Sum64()>>11) / float64(1<<53)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBackoffDeterministic(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Seed: 7, Key: "job1/fig2"}
+	b := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Key: "job1/fig2"}
 	for attempt := 0; attempt < 12; attempt++ {
 		first := b.Delay(attempt)
 		if again := b.Delay(attempt); again != first {
@@ -16,7 +16,7 @@ func TestBackoffDeterministic(t *testing.T) {
 }
 
 func TestBackoffEqualJitterBounds(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Seed: 7, Key: "k"}
+	b := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Key: "k"}
 	for attempt := 0; attempt < 16; attempt++ {
 		step := b.Base << attempt
 		if step <= 0 || step > b.Max {
@@ -30,7 +30,7 @@ func TestBackoffEqualJitterBounds(t *testing.T) {
 }
 
 func TestBackoffGrowsThenCaps(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 1, Key: "k"}
+	b := Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond, Key: "k"}
 	// Minimum waits double until the cap: 0.5ms, 1ms, 2ms, 4ms, 4ms, 4ms...
 	prevMin := time.Duration(0)
 	for attempt := 0; attempt < 10; attempt++ {
@@ -47,7 +47,7 @@ func TestBackoffGrowsThenCaps(t *testing.T) {
 }
 
 func TestBackoffKeysDecorrelate(t *testing.T) {
-	a := Backoff{Base: 100 * time.Millisecond, Max: time.Minute, Seed: 7, Key: "shard-a"}
+	a := Backoff{Base: 100 * time.Millisecond, Max: time.Minute, Key: "shard-a"}
 	c := a
 	c.Key = "shard-c"
 	same := 0
@@ -73,7 +73,7 @@ func TestBackoffZeroAndNegative(t *testing.T) {
 }
 
 func TestBackoffNoOverflow(t *testing.T) {
-	b := Backoff{Base: time.Hour, Max: 0, Seed: 3, Key: "k"}
+	b := Backoff{Base: time.Hour, Max: 0, Key: "k"}
 	// With no cap the shift saturates instead of wrapping negative.
 	for attempt := 0; attempt < 80; attempt++ {
 		if d := b.Delay(attempt); d < 0 {

@@ -132,7 +132,7 @@ func (r *Registry) RunTrialRange(ctx Ctx, id string, lo, hi int) (PartialReport,
 
 // runRangeIsolated runs one range with panic isolation; unlike a whole
 // experiment (whose panic becomes a failed Report), a dying range is an
-// infrastructure error — the service retries or fails the shard.
+// infrastructure error — the service fails the shard.
 func runRangeIsolated(e Experiment, ctx Ctx, lo, hi int) (frag []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -16,7 +16,6 @@ import (
 // TrialStats fold is exercised too.
 func rangeTestRegistry(trials int) *Registry {
 	reg := NewRegistry()
-	pol := TrialPolicy{Retries: 2}
 	type frag struct {
 		Vals  []int64    `json:"vals"`
 		Stats TrialStats `json:"stats"`
@@ -26,8 +25,8 @@ func rangeTestRegistry(trials int) *Registry {
 		Range: &RangeSpec{
 			Trials: func(Ctx) int { return trials },
 			Run: func(ctx Ctx, lo, hi int) ([]byte, error) {
-				vals, stats := ResilientTrialRange(ctx, "range-sum", pol, lo, hi,
-					func(_ Ctx, trial, attempt int, seed int64) (int64, error) { return seed % 9973, nil })
+				vals, stats := ResilientTrialRange(ctx, "range-sum", 2, lo, hi,
+					func(trial, attempt int, seed int64) (int64, error) { return seed % 9973, nil })
 				return json.Marshal(frag{Vals: vals, Stats: stats})
 			},
 			Merge: func(ctx Ctx, frags []Fragment) Report {

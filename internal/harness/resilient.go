@@ -5,27 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"zenspec/internal/fault"
 	"zenspec/internal/obs"
 )
-
-// TrialPolicy controls how the resilient trial runner treats a misbehaving
-// trial: how many extra attempts it gets and how long a single attempt may
-// run before being abandoned.
-type TrialPolicy struct {
-	// Retries is the number of extra attempts after a failed one; 0 means a
-	// single attempt per trial.
-	Retries int
-	// Deadline bounds one attempt's wall-clock time; 0 disables the guard.
-	// A timed-out attempt counts as failed, and its machine is cancelled
-	// cooperatively: the deadline guard sets the attempt's stop flag, the
-	// simulation loop polls it (pipeline.Config.Stop) and abandons the run,
-	// so an overrun trial's goroutine terminates shortly after the deadline
-	// instead of simulating detached forever.
-	Deadline time.Duration
-}
 
 // Injected fault sentinels, also matched by the degraded-report tests.
 var (
@@ -33,8 +16,8 @@ var (
 	ErrInjectedError = errors.New("injected trial error")
 	// ErrInjectedPanic is the panic value a fault plan throws into a trial.
 	ErrInjectedPanic = errors.New("injected trial panic")
-	// ErrDeadline marks an attempt that overran its deadline (real or
-	// injected).
+	// ErrDeadline marks an attempt the fault plan declared overrun
+	// (fault.TrialOverrun).
 	ErrDeadline = errors.New("trial deadline overrun")
 )
 
@@ -46,7 +29,7 @@ type TrialStats struct {
 	Attempts  int `json:"attempts"`            // total attempts across all trials
 	Retried   int `json:"retried,omitempty"`   // trials that needed more than one attempt
 	Recovered int `json:"recovered,omitempty"` // panics recovered by trial isolation
-	Overruns  int `json:"overruns,omitempty"`  // deadline overruns (real or injected)
+	Overruns  int `json:"overruns,omitempty"`  // injected deadline overruns
 	Injected  int `json:"injected,omitempty"`  // attempts the fault plan sabotaged
 	Failed    int `json:"failed,omitempty"`    // trials that exhausted every attempt
 	// FirstError is the first failing trial's last error, for the report.
@@ -115,17 +98,15 @@ func AttemptSeed(seed int64, id string, trial, attempt int) int64 {
 }
 
 // ResilientTrialRange runs fn over the trials [lo, hi) like Trials, adding
-// per-trial panic isolation, an optional per-attempt deadline with
-// cooperative cancellation, bounded retries with attempt-indexed seeds, and
-// the ctx fault plan's injected trial faults. A trial that exhausts its
-// attempts contributes its zero value and is counted in the stats instead of
-// killing the suite.
+// per-trial panic isolation, up to retries extra attempts with
+// attempt-indexed seeds, and the ctx fault plan's injected trial faults. A
+// trial re-runs only when its attempt errors or panics. A trial that
+// exhausts its attempts contributes its zero value and is counted in the
+// stats instead of killing the suite.
 //
-// fn receives a per-attempt context whose Config carries the attempt's
-// cancellation hook (machines booted from actx.Config stop simulating when
-// the attempt overruns pol.Deadline) and the attempt's derived seed; fn must
-// boot machines from actx.Config and base all randomness on seed. Under that
-// contract the results and stats are identical at any worker count.
+// fn receives the trial, the attempt and the attempt's derived seed; it must
+// base all randomness on seed. Under that contract the results and stats are
+// identical at any worker count.
 //
 // Trial t of the range is trial t of the full loop — same attempt seeds,
 // same injected faults — so concatenating the value slices of a partition of
@@ -136,7 +117,7 @@ func AttemptSeed(seed int64, id string, trial, attempt int) int64 {
 // the range's own size; completion order is scheduling-dependent, so the hook
 // is observational only (live progress streaming, lease heartbeats) and must
 // be safe for concurrent calls.
-func ResilientTrialRange[T any](ctx Ctx, id string, pol TrialPolicy, lo, hi int, fn func(actx Ctx, trial, attempt int, seed int64) (T, error)) ([]T, TrialStats) {
+func ResilientTrialRange[T any](ctx Ctx, id string, retries, lo, hi int, fn func(trial, attempt int, seed int64) (T, error)) ([]T, TrialStats) {
 	plan := ctx.Config.Faults
 	// Trial-level injections have no machine (and so no bus) to report on;
 	// they go straight to the suite observer. Observers attached to parallel
@@ -167,7 +148,7 @@ func ResilientTrialRange[T any](ctx Ctx, id string, pol TrialPolicy, lo, hi int,
 				ctx.TrialProgress(int(completed.Add(1)), n)
 			}
 		}()
-		for attempt := 0; attempt <= pol.Retries; attempt++ {
+		for attempt := 0; attempt <= retries; attempt++ {
 			s.out.attempts++
 			var err error
 			switch plan.TrialFaultAt(id, trial, attempt) {
@@ -183,35 +164,13 @@ func ResilientTrialRange[T any](ctx Ctx, id string, pol TrialPolicy, lo, hi int,
 			case fault.TrialPanic:
 				s.out.injected++
 				emitTrialFault("trial-panic", trial, attempt)
-				_, err = runGuarded(pol.Deadline, nil, func() (T, error) { panic(ErrInjectedPanic) })
-				if errors.Is(err, errRecovered) {
-					s.out.recovered++
-				}
+				_, err = runRecovering(func() (T, error) { panic(ErrInjectedPanic) })
 			default:
 				seed := AttemptSeed(ctx.Config.Seed, id, trial, attempt)
-				// Each attempt owns a cancel flag; the deadline guard raises
-				// it and machines booted from actx.Config poll it. Polling a
-				// flag that never fires does not perturb the simulation, so
-				// a clean resilient run stays bit-identical to Trials.
-				actx := ctx
-				var cancel *atomic.Bool
-				if pol.Deadline > 0 {
-					cancel = new(atomic.Bool)
-					// Compose with any caller-installed Stop (e.g. the
-					// service's shard-level cancel) instead of replacing it.
-					if prev := actx.Config.Pipeline.Stop; prev != nil {
-						actx.Config.Pipeline.Stop = func() bool { return cancel.Load() || prev() }
-					} else {
-						actx.Config.Pipeline.Stop = cancel.Load
-					}
-				}
-				s.val, err = runGuarded(pol.Deadline, cancel, func() (T, error) { return fn(actx, trial, attempt, seed) })
-				if errors.Is(err, errRecovered) {
-					s.out.recovered++
-				}
-				if errors.Is(err, ErrDeadline) {
-					s.out.overruns++
-				}
+				s.val, err = runRecovering(func() (T, error) { return fn(trial, attempt, seed) })
+			}
+			if errors.Is(err, errRecovered) {
+				s.out.recovered++
 			}
 			s.out.err = err
 			if err == nil {
@@ -233,39 +192,6 @@ func ResilientTrialRange[T any](ctx Ctx, id string, pol TrialPolicy, lo, hi int,
 
 // errRecovered wraps a recovered panic so callers can count it.
 var errRecovered = errors.New("recovered panic")
-
-// runGuarded runs one attempt with panic isolation and, when deadline > 0, a
-// wall-clock guard. On overrun the attempt's result is discarded and cancel
-// (when non-nil) is raised, so a simulation polling it through
-// pipeline.Config.Stop panics with pipeline.ErrCancelled, the recover guard
-// absorbs it, and the goroutine exits shortly after the deadline instead of
-// leaking.
-func runGuarded[T any](deadline time.Duration, cancel *atomic.Bool, fn func() (T, error)) (T, error) {
-	if deadline <= 0 {
-		return runRecovering(fn)
-	}
-	type result struct {
-		val T
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := runRecovering(fn)
-		ch <- result{v, err}
-	}()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.val, r.err
-	case <-timer.C:
-		if cancel != nil {
-			cancel.Store(true)
-		}
-		var zero T
-		return zero, fmt.Errorf("%w after %v", ErrDeadline, deadline)
-	}
-}
 
 // runRecovering converts a panic in fn into an error wrapping errRecovered.
 func runRecovering[T any](fn func() (T, error)) (val T, err error) {

@@ -789,7 +789,7 @@ func build() *harness.Registry {
 		Vals  []int64            `json:"vals"`
 		Stats harness.TrialStats `json:"stats"`
 	}
-	faultHarnessPol := harness.TrialPolicy{Retries: 3}
+	const faultHarnessRetries = 3
 	reg.Register(harness.Experiment{
 		ID:    "fault-harness",
 		Title: "resilient trial loop under injected trial faults",
@@ -804,8 +804,8 @@ func build() *harness.Registry {
 			},
 			Run: func(ctx harness.Ctx, lo, hi int) ([]byte, error) {
 				ctx = faultCtx(ctx)
-				vals, stats := harness.ResilientTrialRange(ctx, "fault-harness", faultHarnessPol, lo, hi,
-					func(_ harness.Ctx, trial, attempt int, seed int64) (int64, error) { return seed, nil })
+				vals, stats := harness.ResilientTrialRange(ctx, "fault-harness", faultHarnessRetries, lo, hi,
+					func(trial, attempt int, seed int64) (int64, error) { return seed, nil })
 				return json.Marshal(faultHarnessFrag{Vals: vals, Stats: stats})
 			},
 			Merge: func(ctx harness.Ctx, frags []harness.Fragment) harness.Report {
@@ -831,7 +831,7 @@ func build() *harness.Registry {
 				// and returns its derived seed.
 				correct := 0
 				for trial, v := range vals {
-					for attempt := 0; attempt <= faultHarnessPol.Retries; attempt++ {
+					for attempt := 0; attempt <= faultHarnessRetries; attempt++ {
 						if plan.TrialFaultAt(id, trial, attempt) == fault.TrialNone {
 							if v == harness.AttemptSeed(ctx.Config.Seed, id, trial, attempt) {
 								correct++

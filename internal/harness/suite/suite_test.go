@@ -170,8 +170,8 @@ func TestSuiteDegradedReport(t *testing.T) {
 	reg.Register(harness.Experiment{
 		ID: "doomed", Title: "doomed", Paper: "always fails", Tags: []string{"t"},
 		Run: func(ctx harness.Ctx) harness.Report {
-			vals, stats := harness.ResilientTrialRange(ctx, "doomed", harness.TrialPolicy{Retries: 1}, 0, 4,
-				func(_ harness.Ctx, trial, attempt int, seed int64) (int, error) {
+			vals, stats := harness.ResilientTrialRange(ctx, "doomed", 1, 0, 4,
+				func(trial, attempt int, seed int64) (int, error) {
 					if trial == 2 {
 						return 0, errors.New("broken fixture")
 					}

@@ -94,10 +94,11 @@ type Config struct {
 	// simulation loop polls it once every stopCheckInterval instructions and,
 	// when it returns true, abandons the run by panicking with ErrCancelled.
 	// The panic unwinds through whatever host code drives the machine, so a
-	// trial that overran its harness deadline actually stops simulating
-	// instead of running detached forever. A nil Stop (the default) costs one
-	// predictable branch per instruction and never fires; polling a Stop that
-	// returns false leaves results bit-identical to a nil one.
+	// service shard whose lease was revoked, or whose worker is stopping,
+	// actually stops simulating instead of running on for nothing. A nil
+	// Stop (the default) costs one predictable branch per instruction and
+	// never fires; polling a Stop that returns false leaves results
+	// bit-identical to a nil one.
 	Stop func() bool
 }
 

@@ -46,10 +46,6 @@ type Config struct {
 	// Lease is the shard lease TTL; a lease not heartbeaten within it is
 	// revoked and its shard re-queued. 0 means 5s.
 	Lease time.Duration
-	// Backoff and MaxBackoff shape the deterministic retry delay after a
-	// deadline overrun; defaults 100ms and 5s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// SegmentBytes is the journal segment size limit — an append pushing the
 	// active segment past it seals the segment and starts a new one, and the
 	// daemon compacts once enough segments pile up. 0 means 4MiB.
@@ -81,7 +77,8 @@ type Lease struct {
 	// log records and attempt spans with it, so a remote attempt stitches
 	// into the daemon's trace. Empty when the job predates tracing.
 	Trace string `json:"trace,omitempty"`
-	// Attempt numbers this lease's shard attempt (1-based).
+	// Attempt counts the leases granted on the shard, this one included: 1
+	// for the first, 2 for a re-lease after a revocation, and so on.
 	Attempt int `json:"attempt,omitempty"`
 	// cancel is the daemon-side revocation flag, wired in-process only; remote
 	// workers learn of revocation from Heartbeat returning ErrLeaseNotFound.
@@ -155,12 +152,6 @@ func Open(cfg Config) (*Daemon, error) {
 	if cfg.Lease <= 0 {
 		cfg.Lease = 5 * time.Second
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 1
 	}
@@ -203,7 +194,6 @@ func Open(cfg Config) (*Daemon, error) {
 			Registry:    cfg.Registry,
 			Parallelism: cfg.Parallelism,
 			Poll:        time.Hour,
-			Heartbeat:   cfg.Lease / 3,
 			ExitOnDrain: true,
 		})
 		d.workers.Add(1)
@@ -227,7 +217,6 @@ func (d *Daemon) initObs() {
 	m.Describe("jobs_failed_total", "Jobs that finalized failed.")
 	m.Describe("jobs_archived_total", "Terminal jobs archived past the retention bound.")
 	m.Describe("shards_completed_total", "Shard attempts that completed with a report, by experiment.")
-	m.Describe("shards_retried_total", "Shard attempts requeued after a deadline overrun, by experiment.")
 	m.Describe("shards_failed_total", "Shards that resolved failed, by experiment.")
 	m.Describe("shards_abandoned_total", "Running shards requeued by a lease revocation, by experiment.")
 	m.Describe("leases_granted_total", "Shard leases handed out.")
@@ -540,60 +529,53 @@ func (d *Daemon) Lease(worker string, wait time.Duration) (*Lease, error) {
 		if remaining <= 0 {
 			return nil, nil
 		}
-		// cond has no timed wait: arm a wakeup for the deadline (or the next
-		// retry-backoff expiry, whichever the monitor notices first).
+		// cond has no timed wait: arm a wakeup for the deadline.
 		t := time.AfterFunc(remaining, d.cond.Broadcast)
 		d.cond.Wait()
 		t.Stop()
 	}
 }
 
-// leaseLocked leases the next pending shard of the best active job: highest
-// priority first, then submission order. Shards inside their retry-backoff
-// window are skipped.
+// leaseLocked leases the first pending shard of the earliest-submitted active
+// job: leases go out in submission order.
 func (d *Daemon) leaseLocked(now time.Time, worker string) *leaseInfo {
-	var best *job
-	var bestShard *shard
+	var j *job
+	var s *shard
 	for _, id := range d.tab.order {
-		j := d.tab.jobs[id]
-		if !j.active() {
-			continue
-		}
-		s := j.nextPending(now)
-		if s == nil {
-			continue
-		}
-		if best == nil || j.spec.Priority > best.spec.Priority {
-			best, bestShard = j, s
+		if j = d.tab.jobs[id]; j.active() {
+			if s = j.nextPending(); s != nil {
+				break
+			}
 		}
 	}
-	if best == nil {
+	if s == nil {
 		return nil
 	}
 	d.nextTok++
+	s.attempt++
 	li := &leaseInfo{
 		token:  fmt.Sprintf("t%x-%d", d.epoch, d.nextTok),
-		worker: worker, jobID: best.id, shard: bestShard.id,
+		worker: worker, jobID: j.id, shard: s.id,
 		expiry: now.Add(d.cfg.Lease), cancel: new(atomic.Bool),
-		trace: best.trace, exp: bestShard.def.Exp,
-		attempt: bestShard.attempt + 1, grantedAt: now,
+		trace: j.trace, exp: s.def.Exp,
+		attempt: s.attempt, grantedAt: now,
 	}
-	bestShard.state = ShardRunning
-	bestShard.lease = li.token
-	if best.state == JobQueued {
-		best.state = JobRunning
+	s.state = ShardRunning
+	s.lease = li.token
+	if j.state == JobQueued {
+		j.state = JobRunning
 	}
 	d.leases[li.token] = li
 	d.obs.Metrics().Inc("leases_granted_total", 1)
-	if !bestShard.enqueuedAt.IsZero() {
-		wait := now.Sub(bestShard.enqueuedAt)
+	if !s.enqueuedAt.IsZero() {
+		wait := now.Sub(s.enqueuedAt)
 		d.obs.Metrics().Observe("queue_wait_ms", float64(wait.Microseconds())/1000)
-		d.obs.Traces().Span(li.trace, svcobs.ActorDaemon, bestShard.id, "queue-wait",
-			bestShard.enqueuedAt, wait, nil)
+		d.obs.Traces().Span(li.trace, svcobs.ActorDaemon, s.id, "queue-wait",
+			s.enqueuedAt, wait, nil)
 	}
-	d.obs.Traces().Begin(li.trace, svcobs.ActorDaemon, bestShard.id, "lease",
+	d.obs.Traces().Begin(li.trace, svcobs.ActorDaemon, s.id, "lease",
 		map[string]any{"token": li.token, "worker": worker, "attempt": li.attempt})
-	d.log.Info("lease granted", "job", best.id, "shard", bestShard.id,
+	d.log.Info("lease granted", "job", j.id, "shard", s.id,
 		"lease", li.token, "worker", worker, "attempt", li.attempt, "trace", li.trace)
 	return li
 }
@@ -625,12 +607,12 @@ func (d *Daemon) Heartbeat(token string, trialsDone, trialsTotal int) error {
 }
 
 // Complete applies a finished shard attempt under its lease token: journal +
-// state transition for a durable outcome, deterministic retry scheduling for
-// a deadline overrun, ErrLeaseNotFound for tokens the daemon no longer holds
-// (revoked, or minted by a crashed predecessor). The partial's shard
-// coordinates are overridden from the lease's own definition, so a confused
-// worker cannot mislabel a fragment. The completion's worker spans are
-// stitched into the job's trace under its own correlation ID.
+// state transition for a durable outcome, ErrLeaseNotFound for tokens the
+// daemon no longer holds (revoked, or minted by a crashed predecessor). The
+// partial's shard coordinates are overridden from the lease's own
+// definition, so a confused worker cannot mislabel a fragment. The
+// completion's worker spans are stitched into the job's trace under its own
+// correlation ID.
 func (d *Daemon) Complete(token string, comp Completion) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -658,7 +640,7 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 		}
 		d.obs.Traces().Add(comp.Spans...)
 	}
-	p, errText, overrun := comp.Partial, comp.Error, comp.Overrun
+	p, errText := comp.Partial, comp.Error
 	lg := d.log.With("job", j.id, "shard", s.id, "lease", token,
 		"worker", li.worker, "attempt", li.attempt, "trace", j.trace)
 	endLease := func(outcome string) {
@@ -666,35 +648,6 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 			map[string]any{"outcome": outcome})
 	}
 	switch {
-	case overrun && s.attempt < j.spec.Retries:
-		// Deadline overrun with retry budget left: back off deterministically
-		// — the delay is a pure function of (seed, job/shard, attempt), so a
-		// replayed schedule is reproducible. Checked before errText because a
-		// cancelled ranged run surfaces its cancellation as an error too.
-		b := fault.Backoff{
-			Base: d.cfg.Backoff, Max: d.cfg.MaxBackoff,
-			Seed: j.spec.Seed, Key: j.id + "/" + s.id,
-		}
-		delay := b.Delay(s.attempt)
-		s.attempt++
-		s.state = ShardPending
-		s.lease = ""
-		s.notBefore = time.Now().Add(delay)
-		s.enqueuedAt = time.Now()
-		endLease("retry")
-		d.obs.Metrics().IncL("shards_retried_total", obs.PromLabel("exp", s.def.Exp), 1)
-		d.obs.Traces().Span(j.trace, svcobs.ActorDaemon, s.id, "backoff",
-			time.Now(), delay, map[string]any{"attempt": s.attempt, "delay_ms": delay.Milliseconds()})
-		lg.Warn("shard overran deadline, retrying", "delay_ms", delay.Milliseconds(),
-			"retries_left", j.spec.Retries-s.attempt)
-	case overrun:
-		endLease("failed")
-		d.obs.Metrics().IncL("shards_failed_total", obs.PromLabel("exp", s.def.Exp), 1)
-		lg.Error("shard failed", "error", "deadline overrun, retry budget exhausted")
-		d.resolveLocked(j, s, record{
-			Type: recShardFailed, Job: j.id, Shard: s.id,
-			Error: fmt.Sprintf("%v after %d attempts", harness.ErrDeadline, s.attempt+1),
-		})
 	case errText != "":
 		// Permanent infrastructure failure (e.g. the experiment was
 		// deregistered between submit and replay): the shard fails with the
@@ -811,8 +764,7 @@ func (d *Daemon) compactLocked() {
 
 // monitorLoop revokes expired leases: the dead worker's shard goes back to
 // pending (its zombie simulation, if any, is cooperatively cancelled) and
-// the pool is woken. It also wakes waiters whose retry-backoff windows may
-// have elapsed.
+// the pool is woken.
 func (d *Daemon) monitorLoop() {
 	defer d.monitor.Done()
 	tick := d.cfg.Lease / 4
@@ -850,22 +802,12 @@ func (d *Daemon) monitorLoop() {
 				}
 				woke = true
 			}
-			if woke || d.anyBackoffReady(now) {
+			if woke {
 				d.cond.Broadcast()
 			}
 			d.mu.Unlock()
 		}
 	}
-}
-
-func (d *Daemon) anyBackoffReady(now time.Time) bool {
-	for _, id := range d.tab.order {
-		j := d.tab.jobs[id]
-		if j.active() && j.nextPending(now) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Ready reports whether the daemon is accepting submissions (the /v1/readyz

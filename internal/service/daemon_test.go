@@ -65,16 +65,17 @@ func fakeRegistry(ids ...string) *harness.Registry {
 	return reg
 }
 
-// spinRegistry registers one experiment that simulates forever until the
-// cooperative cancel flag stops it — plus optionally a gate: once gate is
-// nonzero the experiment returns immediately (to test retry-then-succeed).
-func spinRegistry(id string, gate *atomic.Int64) *harness.Registry {
+// spinRegistry registers one experiment whose first run simulates forever
+// until the cooperative cancel flag stops it; every later run returns at
+// once, so a re-leased shard completes.
+func spinRegistry(id string) *harness.Registry {
+	var gate atomic.Int64
 	reg := harness.NewRegistry()
 	reg.Register(harness.Experiment{
 		ID: id, Title: "spinner", Paper: "test fixture", Tags: []string{"fake"},
 		Run: func(ctx harness.Ctx) harness.Report {
 			var r harness.Report
-			if gate != nil && gate.Add(1) > 1 {
+			if gate.Add(1) > 1 {
 				r.Add("ok", 1, 1, 1)
 				return r
 			}
@@ -212,7 +213,8 @@ func TestReplayDeregisteredExperiment(t *testing.T) {
 
 // TestLeaseExpiryRequeues: a lease that stops heartbeating (its worker died)
 // is revoked by the monitor, its zombie run is cancelled, its shard is
-// re-queued, and a completion arriving on the stale token is discarded.
+// re-queued, and a completion arriving on the stale token is discarded. The
+// re-lease is the shard's second attempt.
 func TestLeaseExpiryRequeues(t *testing.T) {
 	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0, Lease: 30 * time.Millisecond})
 	if err != nil {
@@ -227,6 +229,9 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	li, err := d.Lease("zombie", 0)
 	if err != nil || li == nil {
 		t.Fatalf("no lease available: %v", err)
+	}
+	if li.Attempt != 1 {
+		t.Fatalf("first lease is attempt %d, want 1", li.Attempt)
 	}
 	waitStatus(t, d, id, func(st JobStatus) bool { return st.Shards[0].State == ShardPending }, "lease revocation")
 	if !li.cancel.Load() {
@@ -267,6 +272,9 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if li2.Token == li.Token {
 		t.Fatal("re-lease reused the revoked token")
 	}
+	if li2.Attempt != 2 {
+		t.Fatalf("re-lease is attempt %d, want 2", li2.Attempt)
+	}
 	if err := d.Complete(li2.Token, Completion{Partial: p}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,87 +282,36 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("job after real completion: %+v", st)
 	}
+	if st.Shards[0].Attempt != 2 {
+		t.Fatalf("done shard reports attempt %d, want 2", st.Shards[0].Attempt)
+	}
 }
 
-// TestPriorityOrdersLeases: shards of a higher-priority job are leased ahead
-// of an earlier-submitted lower-priority one.
-func TestPriorityOrdersLeases(t *testing.T) {
-	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a"), Workers: 0})
+// TestLeasesGoInSubmissionOrder: every shard of an earlier job is leased
+// before any shard of a later one, and a job's shards go in shard order.
+func TestLeasesGoInSubmissionOrder(t *testing.T) {
+	d, err := Open(Config{Dir: t.TempDir(), Registry: fakeRegistry("a", "b"), Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Shutdown(context.Background())
-	low, err := d.Submit(JobSpec{Seed: 1, Priority: 0})
+	first, err := d.Submit(JobSpec{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := d.Submit(JobSpec{Seed: 2, Priority: 5})
+	second, err := d.Submit(JobSpec{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Lease("w", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := d.Lease("w", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == nil || first.Job != high {
-		t.Fatalf("first lease went to %+v, want high-priority %s", first, high)
-	}
-	if second == nil || second.Job != low {
-		t.Fatalf("second lease went to %+v, want %s", second, low)
-	}
-}
-
-// TestDeadlineRetryThenSuccess: the first attempt overruns its per-shard
-// deadline and is cooperatively cancelled; the deterministic backoff elapses
-// and the retry succeeds.
-func TestDeadlineRetryThenSuccess(t *testing.T) {
-	var gate atomic.Int64
-	d, err := Open(Config{
-		Dir: t.TempDir(), Registry: spinRegistry("spin", &gate),
-		Workers: 1, Lease: time.Second, Backoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown(context.Background())
-	id, err := d.Submit(JobSpec{Seed: 3, Deadline: 50 * time.Millisecond, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitStatus(t, d, id, JobStatus.Terminal, "retried job")
-	if st.State != JobDone {
-		t.Fatalf("job %+v", st)
-	}
-	if st.Shards[0].Attempt == 0 {
-		t.Fatalf("no retry recorded: %+v", st.Shards[0])
-	}
-}
-
-// TestDeadlineRetriesExhausted: a shard that overruns every attempt fails
-// permanently with the deadline error, and the job fails with it.
-func TestDeadlineRetriesExhausted(t *testing.T) {
-	d, err := Open(Config{
-		Dir: t.TempDir(), Registry: spinRegistry("spin", nil),
-		Workers: 1, Lease: time.Second, Backoff: 5 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown(context.Background())
-	id, err := d.Submit(JobSpec{Seed: 3, Deadline: 40 * time.Millisecond, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitStatus(t, d, id, JobStatus.Terminal, "exhausted job")
-	if st.State != JobFailed || !strings.Contains(st.Error, "deadline") {
-		t.Fatalf("job %+v", st)
-	}
-	if !strings.Contains(st.Shards[0].Error, "2 attempts") {
-		t.Fatalf("shard error %q does not count attempts", st.Shards[0].Error)
+	want := []string{first + "/a", first + "/b", second + "/a", second + "/b"}
+	for i, w := range want {
+		l, err := d.Lease("w", 0)
+		if err != nil || l == nil {
+			t.Fatalf("lease %d: %+v, %v", i, l, err)
+		}
+		if got := l.Job + "/" + l.Shard.ID(); got != w {
+			t.Fatalf("lease %d went to %s, want %s", i, got, w)
+		}
 	}
 }
 

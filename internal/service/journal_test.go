@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
+	"zenspec/internal/fault"
 	"zenspec/internal/harness"
 )
 
@@ -227,6 +230,74 @@ func TestJournalRefusesPreV1(t *testing.T) {
 				t.Errorf("directory holds %d entries after refusal, want %d plus the lock", len(entries), len(tc.files))
 			}
 		})
+	}
+}
+
+// TestReplayIgnoresRemovedSpecFields: a state directory whose submit record
+// carries the spec fields older daemons scheduled by (priority, deadline,
+// retries) opens as this journal version, and its job drains to the bytes of
+// a direct run. The worker draining it is an older one too: its completion
+// bodies still carry "overrun".
+func TestReplayIgnoresRemovedSpecFields(t *testing.T) {
+	dir := t.TempDir()
+	payload := []byte(`{"type":"submit","job":"job-1","trace":"job-1.1",` +
+		`"spec":{"seed":7,"priority":5,"deadline":50000000,"retries":2},` +
+		`"defs":[{"exp":"a"},{"exp":"b"}]}`)
+	seg := append(header(uint32(len(payload)), crc32.ChecksumIEEE(payload)), payload...)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := fakeRegistry("a", "b")
+	d, err := Open(Config{Dir: dir, Registry: reg, Workers: 0, Lease: time.Second})
+	if err != nil {
+		t.Fatalf("Open = %v, want the old submit record replayed", err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	c := &Client{Base: "http://" + addr.String()}
+	for {
+		l, err := c.Lease("old-worker", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l == nil {
+			break
+		}
+		p, err := reg.RunTrialRange(shardRunCtx(l.Spec, fault.Plan{}, 1), l.Shard.Exp, l.Shard.Lo, l.Shard.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := map[string]any{"partial": p, "overrun": false}
+		if _, err := c.request("POST", "/v1/leases/"+l.Token+"/complete", body); err != nil {
+			t.Fatalf("complete with an overrun field: %v", err)
+		}
+	}
+	st, err := d.Status("job-1")
+	if err != nil || st.State != JobDone {
+		t.Fatalf("replayed job = %+v, %v", st, err)
+	}
+	rep, err := d.Report("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rep.StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := reg.Run(shardRunCtx(JobSpec{Seed: 7}, fault.Plan{}, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replayed job's report differs from a direct run:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // the daemon's Prometheus scrape and the host's own profiler.
 //
 //	GET  /v1/meta                         API version, build, experiment list
-//	POST /v1/jobs                         submit a JobSpec, returns {"id": "job-N"}
+//	POST /v1/jobs                         submit a JobSpec, returns {"id": "job-N"};
+//	                                      a field JobSpec lacks is a 400 bad_request
 //	GET  /v1/jobs                         list all jobs
 //	GET  /v1/jobs/{id}                    one job's status
 //	GET  /v1/jobs/{id}/watch              NDJSON stream of status snapshots until terminal
@@ -30,14 +31,16 @@ import (
 //	POST /v1/leases                       claim a shard lease ({"worker", "wait_ms"};
 //	                                      204 when nothing is pending)
 //	POST /v1/leases/{token}/heartbeat     keep a lease alive ({"done", "total"})
-//	POST /v1/leases/{token}/complete      hand back a shard ({"partial", "error", "overrun"})
+//	POST /v1/leases/{token}/complete      hand back a shard ({"partial", "error", "spans"})
 //	GET  /v1/healthz                      liveness (200 while the process serves)
 //	GET  /v1/readyz                       readiness (503 once draining)
 //	GET  /metrics                         the zenspec_service_* registry, Prometheus text
 //	GET  /debug/pprof/                    the Go runtime's profiler, for the daemon process
 //
 // Errors come back as {"error": "...", "code": "..."} JSON bodies; Client
-// maps the code to the package's typed sentinels.
+// maps the code to the package's typed sentinels. Lease, heartbeat and
+// complete bodies ignore fields they do not know, so a worker built against
+// an older daemon keeps draining shards.
 type Server struct {
 	d   *Daemon
 	srv *http.Server
@@ -152,9 +155,13 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.d.Meta())
 }
 
+// handleSubmit decodes the spec strictly: a client asking for something the
+// daemon does not do gets a 400 instead of a job without it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "bad spec: "+err.Error())
 		return
 	}

@@ -186,6 +186,18 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Fatalf("fault plan %q submit error = %v", plan, err)
 		}
 	}
+	// A spec naming a field JobSpec does not have is refused whole, never
+	// queued without it: "priority" no longer orders anything.
+	resp, err = http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"seed":1,"priority":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae apiError
+	json.NewDecoder(resp.Body).Decode(&ae)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || ae.Code != "bad_request" || !strings.Contains(ae.Error, "priority") {
+		t.Fatalf("submit with an unknown field = %d %+v, want 400 bad_request", resp.StatusCode, ae)
+	}
 
 	// The meta endpoint names the protocol and the registered experiments.
 	meta, err := c.Meta()

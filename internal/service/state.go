@@ -20,7 +20,7 @@ import (
 )
 
 // JobSpec is what a client submits: the same knobs cmd/experiments takes on
-// its command line, plus service-side scheduling parameters.
+// its command line, plus the shard split.
 type JobSpec struct {
 	// Seed is the experiment seed; with Quick and Only it fully determines
 	// every shard's Report.
@@ -43,16 +43,6 @@ type JobSpec struct {
 	// experiments without a range decomposition always stay whole. The merged
 	// report is byte-identical at any Split.
 	Split int `json:"split,omitempty"`
-	// Priority orders the queue: higher-priority jobs' shards are leased
-	// first; ties go to submission order.
-	Priority int `json:"priority,omitempty"`
-	// Deadline bounds one shard attempt's wall clock (nanoseconds in JSON).
-	// An overrunning attempt is cooperatively cancelled and retried with
-	// deterministic backoff, up to Retries times; exhausting the budget fails
-	// the shard. Zero means unbounded.
-	Deadline time.Duration `json:"deadline,omitempty"`
-	// Retries is the per-shard retry budget for deadline overruns.
-	Retries int `json:"retries,omitempty"`
 }
 
 // Job states.
@@ -96,23 +86,22 @@ func (r ShardRef) ID() string {
 // attempt bookkeeping is volatile by design: a crash loses leases, and replay
 // simply re-queues every unresolved shard.
 type shard struct {
-	def     ShardRef
-	id      string // def.ID(), precomputed
-	state   string
-	attempt int // deadline-overrun retries consumed
-	lease   string
-	// notBefore delays re-leasing after a retry: the deterministic backoff
-	// window.
-	notBefore   time.Time
+	def   ShardRef
+	id    string // def.ID(), precomputed
+	state string
+	// attempt counts the leases granted on the shard since it was queued in
+	// this daemon's memory: the first lease is attempt 1, and each re-lease
+	// after a revocation is one more.
+	attempt     int
+	lease       string
 	trialsDone  int
 	trialsTotal int
 	err         string
 	// wallMS is the completed shard's host wall clock, lifted from its
-	// journaled PartialReport — the raw material of the per-experiment timing
-	// distributions a split-factor scheduler consumes. Host-dependent, so it
-	// never feeds the merged report.
+	// journaled PartialReport. Host-dependent, so it never feeds the merged
+	// report.
 	wallMS float64
-	// enqueuedAt is when the shard last became pending (submission, retry,
+	// enqueuedAt is when the shard last became pending (submission,
 	// revocation — or journal replay, where the reopen moment is the truthful
 	// start of its wait); it feeds the queue-wait observability only.
 	enqueuedAt time.Time
@@ -120,8 +109,7 @@ type shard struct {
 
 // job is one submitted suite with its shard table.
 type job struct {
-	id  string
-	seq int // submission order, the priority tiebreak
+	id string
 	// trace is the job's observability correlation ID (journaled with the
 	// submit record; empty for a job journaled by a daemon run with
 	// observability off).
@@ -145,9 +133,9 @@ type job struct {
 
 func (j *job) active() bool { return j.state == JobQueued || j.state == JobRunning }
 
-func (j *job) nextPending(now time.Time) *shard {
+func (j *job) nextPending() *shard {
 	for _, id := range j.order {
-		if s := j.shards[id]; s.state == ShardPending && !now.Before(s.notBefore) {
+		if s := j.shards[id]; s.state == ShardPending {
 			return s
 		}
 	}
@@ -203,9 +191,10 @@ func (j *job) finalize() {
 
 // ShardStatus is the public per-shard view.
 type ShardStatus struct {
-	ID      string `json:"id"`
-	State   string `json:"state"`
-	Attempt int    `json:"attempt,omitempty"`
+	ID    string `json:"id"`
+	State string `json:"state"`
+	// Attempt is the number of leases granted on the shard (see Lease.Attempt).
+	Attempt int `json:"attempt,omitempty"`
 	// TrialsDone/TrialsTotal stream the running shard's trial-loop progress
 	// (zero for experiments that do not report it).
 	TrialsDone  int    `json:"trials_done,omitempty"`
@@ -215,17 +204,6 @@ type ShardStatus struct {
 	// fragment). Host-dependent: present in status views only, never in the
 	// merged report's StableJSON.
 	WallMS float64 `json:"wall_ms,omitempty"`
-}
-
-// ExpTiming summarizes one experiment's completed-shard wall-clock
-// distribution within a job — the observed-timing surface a split-factor
-// scheduler reads back to size the next submission's Split.
-type ExpTiming struct {
-	Shards  int     `json:"shards"`
-	TotalMS float64 `json:"total_ms"`
-	MinMS   float64 `json:"min_ms"`
-	MaxMS   float64 `json:"max_ms"`
-	MeanMS  float64 `json:"mean_ms"`
 }
 
 // JobStatus is the public job view served by GET /v1/jobs/{id}.
@@ -240,11 +218,7 @@ type JobStatus struct {
 	Failed int           `json:"failed,omitempty"`
 	Total  int           `json:"total"`
 	Shards []ShardStatus `json:"shards"`
-	// Timings is the per-experiment wall-clock distribution over completed
-	// shards, persisted via the journaled shard fragments (it survives
-	// restarts) and keyed by experiment ID.
-	Timings map[string]ExpTiming `json:"timings,omitempty"`
-	Error   string               `json:"error,omitempty"`
+	Error  string        `json:"error,omitempty"`
 }
 
 func (j *job) status() JobStatus {
@@ -260,22 +234,6 @@ func (j *job) status() JobStatus {
 			TrialsDone: s.trialsDone, TrialsTotal: s.trialsTotal, Error: s.err,
 			WallMS: s.wallMS,
 		})
-		if s.state == ShardDone {
-			if st.Timings == nil {
-				st.Timings = map[string]ExpTiming{}
-			}
-			t := st.Timings[s.def.Exp]
-			if t.Shards == 0 || s.wallMS < t.MinMS {
-				t.MinMS = s.wallMS
-			}
-			if s.wallMS > t.MaxMS {
-				t.MaxMS = s.wallMS
-			}
-			t.Shards++
-			t.TotalMS += s.wallMS
-			t.MeanMS = t.TotalMS / float64(t.Shards)
-			st.Timings[s.def.Exp] = t
-		}
 	}
 	return st
 }
@@ -312,7 +270,7 @@ func (t *jobTable) apply(rec record) {
 		}
 		t.seq++
 		j := &job{
-			id: rec.Job, seq: t.seq, trace: rec.Trace, spec: *rec.Spec, state: JobQueued,
+			id: rec.Job, trace: rec.Trace, spec: *rec.Spec, state: JobQueued,
 			shards:   map[string]*shard{},
 			partials: map[string]*harness.PartialReport{},
 			merged:   map[string]harness.Report{},

@@ -22,7 +22,6 @@ import (
 type Completion struct {
 	Partial *harness.PartialReport `json:"partial,omitempty"`
 	Error   string                 `json:"error,omitempty"`
-	Overrun bool                   `json:"overrun,omitempty"`
 	Spans   []svcobs.Span          `json:"spans,omitempty"`
 }
 
@@ -55,21 +54,22 @@ type WorkerConfig struct {
 	Parallelism int
 	// Poll is how long each Lease call blocks waiting for work; 0 means 2s.
 	Poll time.Duration
-	// Heartbeat is the keepalive interval; 0 derives TTL/3 from each lease.
-	Heartbeat time.Duration
 	// ExitOnDrain makes Run return nil when the source reports ErrDraining
 	// (the in-process pool's shutdown path). Remote workers leave it false and
 	// ride out daemon restarts instead.
 	ExitOnDrain bool
-	// Backoff and MaxBackoff shape the retry delay after a transport outage;
-	// defaults 100ms and 5s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Logger receives one structured record per lease event (claimed, done,
 	// failed, abandoned) with consistent job/shard/lease/worker/attempt/trace
 	// fields. Nil means silent.
 	Logger *slog.Logger
 }
+
+// A worker waits between failed calls to its lease source with a backoff
+// that starts at retryBase and doubles up to retryMax.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 5 * time.Second
+)
 
 // Worker pulls leases from a source and runs the shards on its own registry:
 // the execution half of the service, with the scheduling half left entirely
@@ -94,12 +94,6 @@ func NewWorker(src LeaseSource, cfg WorkerConfig) *Worker {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 2 * time.Second
 	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 5 * time.Second
-	}
 	return &Worker{src: src, cfg: cfg}
 }
 
@@ -110,7 +104,7 @@ func NewWorker(src LeaseSource, cfg WorkerConfig) *Worker {
 // reconnects by itself.
 func (w *Worker) Run(ctx context.Context) error {
 	outages := 0
-	bo := fault.Backoff{Base: w.cfg.Backoff, Max: w.cfg.MaxBackoff, Key: "worker/" + w.cfg.Name}
+	bo := fault.Backoff{Base: retryBase, Max: retryMax, Key: "worker/" + w.cfg.Name}
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -136,9 +130,9 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // execute runs one leased shard: cancel flag threaded into the machines,
-// lease heartbeats carrying trial progress, per-shard deadline enforcement,
-// and the completion handshake. The attempt's wall-clock span rides back to
-// the daemon inside the Completion, stitched into the job's trace there.
+// lease heartbeats carrying trial progress, and the completion handshake.
+// The attempt's wall-clock span rides back to the daemon inside the
+// Completion, stitched into the job's trace there.
 func (w *Worker) execute(ctx context.Context, l *Lease) {
 	lg := w.cfg.Logger.With(
 		"worker", w.cfg.Name, "job", l.Job, "shard", l.Shard.ID(),
@@ -176,10 +170,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 		total64.Store(int64(total))
 	}
 
-	hb := w.cfg.Heartbeat
-	if hb <= 0 {
-		hb = l.TTL / 3
-	}
+	hb := l.TTL / 3
 	if hb <= 0 {
 		hb = time.Second
 	}
@@ -207,15 +198,6 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 		}
 	}()
 
-	var overrun atomic.Bool
-	if l.Spec.Deadline > 0 {
-		timer := time.AfterFunc(l.Spec.Deadline, func() {
-			overrun.Store(true)
-			cancel.Store(true)
-		})
-		defer timer.Stop()
-	}
-
 	runStart := time.Now()
 	p, runErr := w.cfg.Registry.RunTrialRange(rctx, l.Shard.Exp, l.Shard.Lo, l.Shard.Hi)
 	close(hbStop)
@@ -224,18 +206,17 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 		lg.Warn("lease abandoned", "reason", "worker stopping")
 		return // abandoned: the lease expires and the daemon re-leases
 	}
-	comp := Completion{Partial: &p, Overrun: overrun.Load()}
+	comp := Completion{Partial: &p}
 	outcome := "done"
 	if runErr != nil {
 		comp.Partial, comp.Error = nil, runErr.Error()
 		outcome = "failed"
-		lg.Error("shard failed", "error", comp.Error, "overrun", comp.Overrun,
-			"wall_ms", time.Since(runStart).Milliseconds())
+		lg.Error("shard failed", "error", comp.Error, "wall_ms", time.Since(runStart).Milliseconds())
 	} else {
 		lg.Info("shard done", "wall_ms", time.Since(runStart).Milliseconds())
 	}
 	comp.Spans = append(comp.Spans, span("run "+l.Shard.ID(), runStart, map[string]any{
-		"worker": w.cfg.Name, "attempt": l.Attempt, "outcome": outcome, "overrun": comp.Overrun,
+		"worker": w.cfg.Name, "attempt": l.Attempt, "outcome": outcome,
 	}))
 	w.complete(ctx, l, comp)
 }
@@ -244,7 +225,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 // dropped connection does not discard a finished shard. ErrLeaseNotFound and
 // ErrDraining are terminal: the result has no home anymore.
 func (w *Worker) complete(ctx context.Context, l *Lease, c Completion) {
-	bo := fault.Backoff{Base: w.cfg.Backoff, Max: w.cfg.MaxBackoff, Key: "complete/" + w.cfg.Name}
+	bo := fault.Backoff{Base: retryBase, Max: retryMax, Key: "complete/" + w.cfg.Name}
 	for attempt := 0; attempt < 5; attempt++ {
 		err := w.src.Complete(l.Token, c)
 		if err == nil || errors.Is(err, ErrLeaseNotFound) || errors.Is(err, ErrDraining) {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,8 +133,7 @@ func TestWorkersDrainSplitJob(t *testing.T) {
 // leases over /v1 through the Client; one is killed mid-shard, the daemon
 // revokes its silent lease, and a second worker finishes the job.
 func TestRemoteWorkerSurvivesAbandon(t *testing.T) {
-	var gate atomic.Int64
-	reg := spinRegistry("spin", &gate)
+	reg := spinRegistry("spin")
 	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 0, Lease: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +154,7 @@ func TestRemoteWorkerSurvivesAbandon(t *testing.T) {
 	// Worker 1 leases the spinning shard, then dies mid-run.
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	w1 := NewWorker(&Client{Base: base}, WorkerConfig{
-		Name: "doomed", Registry: reg, Poll: 20 * time.Millisecond, Heartbeat: 30 * time.Millisecond,
+		Name: "doomed", Registry: reg, Poll: 20 * time.Millisecond,
 	})
 	done1 := make(chan error, 1)
 	go func() { done1 <- w1.Run(ctx1) }()
@@ -166,11 +164,11 @@ func TestRemoteWorkerSurvivesAbandon(t *testing.T) {
 		t.Fatalf("killed worker returned %v", err)
 	}
 	// Worker 2 picks the shard back up once the abandoned lease expires; the
-	// gate makes the retried attempt return immediately.
+	// re-leased run returns immediately.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	w2 := NewWorker(&Client{Base: base}, WorkerConfig{
-		Name: "survivor", Registry: reg, Poll: 20 * time.Millisecond, Heartbeat: 30 * time.Millisecond,
+		Name: "survivor", Registry: reg, Poll: 20 * time.Millisecond,
 	})
 	go w2.Run(ctx2)
 	st, err := c.Wait(context.Background(), id, 10*time.Millisecond)

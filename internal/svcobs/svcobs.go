@@ -14,8 +14,8 @@
 //     plus every worker that touched the job), exported as Chrome
 //     trace-event JSON through internal/obs's encoder — the same Perfetto
 //     format the simulator's Recorder writes for simulated cycles — so one
-//     trace shows queue wait, lease latency, shard execution, retry backoff
-//     and journal fsyncs side by side.
+//     trace shows queue wait, lease latency, shard execution and journal
+//     fsyncs side by side.
 //   - Metrics: a Registry of counters, histograms and scrape-time gauges,
 //     exposed in Prometheus text through internal/obs's writer under the
 //     zenspec_service_* namespace on the daemon's /metrics.

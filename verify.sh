@@ -403,14 +403,16 @@ assert not missing, f"trace missing run spans for shards: {missing}"
 print(f"trace OK: {len(evs)} events, actors {sorted(actors)}")
 PYEOF
 # -log-format=json means every worker log line is an independently
-# parseable JSON object.
+# parseable JSON object. The survivor re-leased the killed worker's shard,
+# and that grant is the shard's second attempt.
 python3 - "$svc_tmp/wrk-b.log" <<'PYEOF'
 import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 assert lines, "survivor worker logged nothing"
-for l in lines:
-    json.loads(l)
-print(f"worker JSON logs OK: {len(lines)} lines")
+recs = [json.loads(l) for l in lines]
+assert any(r.get("msg") == "lease claimed" and r.get("attempt") == 2 for r in recs), \
+    "survivor logged no re-leased shard claimed as attempt 2"
+print(f"worker JSON logs OK: {len(lines)} lines, re-lease claimed as attempt 2")
 PYEOF
 kill "$wrk_b_pid" 2>/dev/null || true
 wait "$wrk_b_pid" 2>/dev/null || true

@@ -522,9 +522,10 @@ type WorkerOptions struct {
 // "http://127.0.0.1:8787"), pulls shard leases over the /v1 job API, and runs
 // them on the full experiment registry until ctx is cancelled — the core of
 // cmd/zenspec-worker, exported so programs can embed a worker. Daemon
-// outages and restarts are ridden out with backoff; a worker killed
-// mid-shard just stops heartbeating, and the daemon re-leases the shard to
-// someone else with no effect on the job's final bytes.
+// outages and restarts are ridden out with a backoff that grows from 100 ms
+// to 5 s; a worker killed mid-shard just stops heartbeating, and the daemon
+// re-leases the shard to someone else with no effect on the job's final
+// bytes.
 func ServeWorker(ctx context.Context, url string, opts WorkerOptions) error {
 	w := service.NewWorker(&service.Client{Base: url}, service.WorkerConfig{
 		Name:        opts.Name,
