@@ -1,7 +1,8 @@
 // Command zenspec-worker is a remote pull worker for zenspecd: point it at a
-// daemon URL and it leases shards — whole experiments or trial ranges of a
-// split job — over the /v1 job API, runs them against the full experiment
-// registry, heartbeats while running, and pushes the partial reports back.
+// daemon URL and it leases shards — trial ranges of an experiment, all its
+// trials unless the job is split — over the /v1 job API, runs them against
+// the full experiment registry, heartbeats while running, and pushes the
+// partial reports back.
 // Any number of workers can drain the same daemon; determinism guarantees
 // the merged report is byte-identical however the shards land.
 //

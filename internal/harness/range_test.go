@@ -117,31 +117,47 @@ func TestRangeSplitByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRangeWholeConvention: lo == hi == 0 means the whole experiment; the
-// partial carries the finished report and passes through the merge intact.
+// TestRangeWholeConvention: lo == hi == 0 addresses all the trials. The
+// partial it runs covers [0, Trials), and it merges, as it is or with the
+// zero bounds a journaled all-trials shard carries, to RunShard's report. A
+// plain Run experiment is one trial whose fragment is its report.
 func TestRangeWholeConvention(t *testing.T) {
 	reg := rangeTestRegistry(8)
+	reg.Register(Experiment{
+		ID: "plain", Title: "plain", Paper: "synthetic",
+		Run: func(Ctx) Report {
+			var r Report
+			r.Add("x", 1, 1, 1)
+			return r
+		},
+	})
 	ctx := Ctx{Config: kernel.Config{Seed: 3, Parallelism: 1}}
-	p, err := reg.RunTrialRange(ctx, "range-sum", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Whole() || p.Report.ID != "range-sum" {
-		t.Fatalf("whole-experiment partial malformed: %+v", p)
-	}
-	merged, err := reg.MergeTrialRanges(ctx, "range-sum", []PartialReport{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := reg.RunShard(ctx, "range-sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged.WallMS, want.WallMS = 0, 0
-	a, _ := json.Marshal(merged)
-	b, _ := json.Marshal(want)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("whole partial diverged:\n%s\nvs\n%s", a, b)
+	for id, trials := range map[string]int{"range-sum": 8, "plain": 1} {
+		p, err := reg.RunTrialRange(ctx, id, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Exp != id || p.Lo != 0 || p.Hi != trials || p.Frag == nil || p.Error != "" {
+			t.Fatalf("all-trials partial of %s malformed: %+v", id, p)
+		}
+		want, err := reg.RunShard(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WallMS = 0
+		b, _ := json.Marshal(want)
+		zero := p
+		zero.Hi = 0
+		for _, part := range []PartialReport{p, zero} {
+			merged, err := reg.MergeTrialRanges(ctx, id, []PartialReport{part})
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged.WallMS = 0
+			if a, _ := json.Marshal(merged); !bytes.Equal(a, b) {
+				t.Fatalf("all-trials partial of %s diverged:\n%s\nvs\n%s", id, a, b)
+			}
+		}
 	}
 }
 
@@ -159,8 +175,8 @@ func TestRangeErrors(t *testing.T) {
 	if _, err := reg.Trials(ctx, "ghost"); !errors.Is(err, ErrUnknownExperiment) {
 		t.Errorf("Trials(ghost) = %v, want ErrUnknownExperiment", err)
 	}
-	if n, err := reg.Trials(ctx, "plain"); err != nil || n != 0 {
-		t.Errorf("Trials(plain) = %d, %v, want 0, nil", n, err)
+	if n, err := reg.Trials(ctx, "plain"); err != nil || n != 1 {
+		t.Errorf("Trials(plain) = %d, %v, want 1, nil", n, err)
 	}
 	if n, err := reg.Trials(ctx, "range-sum"); err != nil || n != 8 {
 		t.Errorf("Trials(range-sum) = %d, %v, want 8, nil", n, err)
@@ -169,16 +185,15 @@ func TestRangeErrors(t *testing.T) {
 		t.Errorf("RunTrialRange(ghost) = %v, want ErrUnknownExperiment", err)
 	}
 	if _, err := reg.RunTrialRange(ctx, "plain", 0, 4); err == nil {
-		t.Error("ranged run of a non-rangeable experiment must fail")
+		t.Error("a range past a plain experiment's one trial must fail")
 	}
 	for _, bad := range [][2]int{{-1, 4}, {4, 4}, {6, 4}, {0, 9}} {
 		if _, err := reg.RunTrialRange(ctx, "range-sum", bad[0], bad[1]); err == nil {
 			t.Errorf("range %v accepted", bad)
 		}
 	}
-	// A whole-experiment partial still runs a non-rangeable experiment.
-	if p, err := reg.RunTrialRange(ctx, "plain", 0, 0); err != nil || !p.Whole() {
-		t.Errorf("whole-shard run of plain = %+v, %v", p, err)
+	if p, err := reg.RunTrialRange(ctx, "plain", 0, 0); err != nil || p.Lo != 0 || p.Hi != 1 {
+		t.Errorf("all-trials run of plain = %+v, %v", p, err)
 	}
 
 	p1, err := reg.RunTrialRange(ctx, "range-sum", 0, 4)
@@ -197,5 +212,13 @@ func TestRangeErrors(t *testing.T) {
 	}
 	if _, err := reg.MergeTrialRanges(ctx, "range-sum", nil); err == nil {
 		t.Error("merge of no partials must fail")
+	}
+	all, err := reg.RunTrialRange(ctx, "range-sum", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all.Hi = 0
+	if _, err := reg.MergeTrialRanges(ctx, "range-sum", []PartialReport{all, p2}); err == nil {
+		t.Error("merge of an all-trials partial and a range must fail")
 	}
 }

@@ -3,9 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"zenspec/internal/kernel"
 	"zenspec/internal/obs"
@@ -62,17 +60,18 @@ type Ctx struct {
 func (c Ctx) Workers() int { return Workers(c.Config.Parallelism) }
 
 // Experiment is one row of DESIGN.md's per-experiment index: a stable ID,
-// the paper's headline expectation, and a Run function producing a Report
-// whose metrics carry pass bands.
+// the paper's headline expectation, and a body producing a Report whose
+// metrics carry pass bands.
 type Experiment struct {
 	ID    string
 	Title string
 	Paper string
 	Tags  []string
-	Run   func(ctx Ctx) Report
-	// Range, when non-nil, decomposes the experiment into independent trials
-	// so the service can split it across shards; Run must then be nil — the
-	// unsharded path runs the whole [0, Trials) range through the same
+	// Run is the body of an experiment that runs as one piece. Register
+	// lowers it into a one-trial Range, and nothing after Register reads it.
+	Run func(ctx Ctx) Report
+	// Range decomposes the experiment into independent trials so the
+	// service can split it across shards. Every run goes through its
 	// Run+Merge pair, which is what makes any split byte-identical.
 	Range *RangeSpec
 }
@@ -114,6 +113,9 @@ func (r *Registry) Register(e Experiment) {
 	}
 	if _, dup := r.byID[e.ID]; dup {
 		panic("harness: duplicate experiment ID " + e.ID)
+	}
+	if e.Run != nil {
+		e.Range, e.Run = lowerRun(e.Run), nil
 	}
 	r.byID[e.ID] = len(r.exps)
 	r.exps = append(r.exps, e)
@@ -186,86 +188,58 @@ func (r *Registry) Run(ctx Ctx, ids []string) (SuiteReport, error) {
 	if ctx.Arenas == nil {
 		ctx.Arenas = NewArenaPool()
 	}
-	suite := SuiteReport{
-		Seed:        ctx.Config.Seed,
-		Quick:       ctx.Quick,
-		Parallelism: Workers(ctx.Config.Parallelism),
-	}
-	if ctx.Config.Faults.Active() {
-		plan := ctx.Config.Faults
-		suite.Faults = &plan
-	}
 	// The hooks run here, never on an experiment's goroutine: runOne gets a
 	// ctx without Completed, and its result is delivered from this loop.
 	completed := ctx.Completed
 	ctx.Completed = nil
-	inFlight := min(maxInFlight, suite.Parallelism)
+	inFlight := min(maxInFlight, Workers(ctx.Config.Parallelism))
 	type finished struct {
-		i   int
+		id  string
 		rep Report
 	}
 	// Buffered to the in-flight count, so a finished experiment never waits
 	// for a hook.
 	results := make(chan finished, inFlight)
-	if len(exps) > 0 { // an empty selection stays nil, as in Assemble
-		suite.Experiments = make([]Report, len(exps))
-	}
-	done := 0
+	reports := make(map[string]Report, len(exps))
 	collect := func() {
 		f := <-results
-		suite.Experiments[f.i] = f.rep
-		done++
+		reports[f.id] = f.rep
 		if completed != nil {
 			completed(f.rep)
 		}
 	}
 	for i, e := range exps {
-		for i-done >= inFlight {
+		for i-len(reports) >= inFlight {
 			collect()
 		}
 		if ctx.Progress != nil {
-			ctx.Progress(done, len(exps), e.ID)
+			ctx.Progress(len(reports), len(exps), e.ID)
 		}
-		go func() { results <- finished{i, runOne(e, ctx)} }()
+		go func() { results <- finished{e.ID, r.runOne(ctx, e)} }()
 	}
-	for done < len(exps) {
+	for len(reports) < len(exps) {
 		collect()
 	}
 	if ctx.Progress != nil {
 		ctx.Progress(len(exps), len(exps), "")
 	}
-	return suite, nil
+	return r.Assemble(ctx, ids, reports)
 }
 
-// runOne executes a single experiment exactly as one Run iteration
-// would: fresh metrics/profile registries, panic isolation, verdict and wall
-// clock. Both the sequential suite runner and the service's shard workers
-// funnel through it, which is what makes a shard-merged suite byte-identical
-// to an uninterrupted run.
-func runOne(e Experiment, ctx Ctx) Report {
-	// Collect earlier experiments' garbage outside the timed region, so
-	// their heap debt is not charged to this one's wall clock (results are
-	// unaffected either way — WallMS is excluded from the stable report).
-	// When Run keeps a neighbour in flight, the collection lands in the
-	// neighbour's wall clock instead.
-	runtime.GC()
-	start := time.Now()
-	ectx, mc, pp := attachObservers(ctx)
-	rep := runIsolated(e, ectx)
-	rep.ID = e.ID
-	rep.Title = e.Title
-	rep.Paper = e.Paper
-	if rep.Status == "" {
-		rep.Status = StatusClean
+// runOne executes a single experiment exactly as one Run iteration would:
+// all its trials as one range, merged. Both the suite runner and RunShard
+// funnel through it, and the service's shards run and merge the same way,
+// which is what makes a shard-merged suite byte-identical to an
+// uninterrupted run.
+func (r *Registry) runOne(ctx Ctx, e Experiment) Report {
+	p, err := r.RunTrialRange(ctx, e.ID, 0, 0)
+	var rep Report
+	if err == nil {
+		rep, err = r.MergeTrialRanges(ctx, e.ID, []PartialReport{p})
 	}
-	if mc != nil {
-		rep.Micro = mc.Snapshot()
+	if err != nil {
+		rep = Report{ID: e.ID, Title: e.Title, Paper: e.Paper, Status: StatusFailed, Error: err.Error()}
 	}
-	if pp != nil {
-		rep.Profile = pp.Snapshot()
-	}
-	rep.Pass = rep.computePass()
-	rep.WallMS = float64(time.Since(start).Microseconds()) / 1000
 	if ctx.Completed != nil {
 		ctx.Completed(rep)
 	}
@@ -301,21 +275,17 @@ func attachObservers(ctx Ctx) (Ctx, *obs.Metrics, *prof.Profile) {
 	return ctx, mc, pp
 }
 
-// RunShard executes exactly one experiment and returns its finished report —
-// the unit of work the zenspecd service journals, retries and merges. The
-// report depends only on (ctx, id), never on which other experiments ran
-// before or alongside it, so independently produced shard reports assemble
-// into the same suite an uninterrupted Run would have written. An unknown id
-// returns ErrUnknownExperiment (wrapped).
+// RunShard executes exactly one experiment, all its trials, and returns its
+// finished report. The report depends only on (ctx, id), never on which other
+// experiments ran before or alongside it, so independently produced reports
+// assemble into the same suite an uninterrupted Run would have written. An
+// unknown id returns ErrUnknownExperiment (wrapped).
 func (r *Registry) RunShard(ctx Ctx, id string) (Report, error) {
 	e, ok := r.Get(id)
 	if !ok {
 		return Report{}, fmt.Errorf("%w %q", ErrUnknownExperiment, id)
 	}
-	if ctx.Arenas == nil {
-		ctx.Arenas = NewArenaPool()
-	}
-	return runOne(e, ctx), nil
+	return r.runOne(ctx, e), nil
 }
 
 // Assemble builds the SuiteReport an uninterrupted Run over the same
@@ -348,31 +318,4 @@ func (r *Registry) Assemble(ctx Ctx, ids []string, reports map[string]Report) (S
 		suite.Experiments = append(suite.Experiments, rep)
 	}
 	return suite, nil
-}
-
-// runIsolated runs one experiment with panic isolation: a dying experiment
-// yields a failed report instead of killing the whole suite. A rangeable
-// experiment runs its whole [0, Trials) range through the same Run+Merge the
-// sharded path uses, so both paths share one body.
-func runIsolated(e Experiment, ctx Ctx) (rep Report) {
-	defer func() {
-		if p := recover(); p != nil {
-			rep = Report{
-				Status: StatusFailed,
-				Error:  fmt.Sprintf("experiment panicked: %v", p),
-			}
-		}
-	}()
-	if e.Range != nil {
-		n := e.Range.Trials(ctx)
-		frag, err := e.Range.Run(ctx, 0, n)
-		if err != nil {
-			return Report{
-				Status: StatusFailed,
-				Error:  fmt.Sprintf("experiment range failed: %v", err),
-			}
-		}
-		return e.Range.Merge(ctx, []Fragment{{Lo: 0, Hi: n, Data: frag}})
-	}
-	return e.Run(ctx)
 }

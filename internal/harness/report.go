@@ -70,16 +70,7 @@ func (r *Report) RecordTrials(s TrialStats) {
 	if r.Trouble == nil {
 		r.Trouble = &TrialStats{}
 	}
-	r.Trouble.Trials += s.Trials
-	r.Trouble.Attempts += s.Attempts
-	r.Trouble.Retried += s.Retried
-	r.Trouble.Recovered += s.Recovered
-	r.Trouble.Overruns += s.Overruns
-	r.Trouble.Injected += s.Injected
-	r.Trouble.Failed += s.Failed
-	if r.Trouble.FirstError == "" {
-		r.Trouble.FirstError = s.FirstError
-	}
+	r.Trouble.Merge(s)
 	if r.Trouble.Degraded() && r.Status != StatusFailed {
 		r.Status = StatusDegraded
 	}

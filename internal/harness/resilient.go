@@ -59,33 +59,6 @@ func (s *TrialStats) Merge(o TrialStats) {
 	}
 }
 
-func (s *TrialStats) merge(o trialOutcome) {
-	s.Trials++
-	s.Attempts += o.attempts
-	if o.attempts > 1 {
-		s.Retried++
-	}
-	s.Recovered += o.recovered
-	s.Overruns += o.overruns
-	s.Injected += o.injected
-	if o.err != nil {
-		s.Failed++
-		if s.FirstError == "" {
-			s.FirstError = o.err.Error()
-		}
-	}
-}
-
-// trialOutcome is one trial's provenance, aggregated in trial order after
-// the parallel loop so the stats are identical at any worker count.
-type trialOutcome struct {
-	attempts  int
-	recovered int
-	overruns  int
-	injected  int
-	err       error // nil once an attempt succeeded
-}
-
 // AttemptSeed derives the RNG seed of one retry attempt. Attempt 0 is
 // exactly TrialSeed — a clean run is bit-identical to the pre-retry harness —
 // and each retry rederives a fresh, decorrelated seed, so a trial that failed
@@ -131,9 +104,11 @@ func ResilientTrialRange[T any](ctx Ctx, id string, retries, lo, hi int, fn func
 			})
 		}
 	}
+	// Each trial's slot holds its own one-trial stats, folded in trial order
+	// after the parallel loop so the stats are identical at any worker count.
 	type slot struct {
-		val T
-		out trialOutcome
+		val   T
+		stats TrialStats
 	}
 	n := hi - lo
 	if n < 0 {
@@ -142,27 +117,27 @@ func ResilientTrialRange[T any](ctx Ctx, id string, retries, lo, hi int, fn func
 	var completed atomic.Int64
 	slots := Trials(ctx.Workers(), n, func(i int) slot {
 		trial := lo + i
-		var s slot
+		s := slot{stats: TrialStats{Trials: 1}}
 		defer func() {
 			if ctx.TrialProgress != nil {
 				ctx.TrialProgress(int(completed.Add(1)), n)
 			}
 		}()
+		var err error
 		for attempt := 0; attempt <= retries; attempt++ {
-			s.out.attempts++
-			var err error
+			s.stats.Attempts++
 			switch plan.TrialFaultAt(id, trial, attempt) {
 			case fault.TrialError:
-				s.out.injected++
+				s.stats.Injected++
 				emitTrialFault("trial-error", trial, attempt)
 				err = ErrInjectedError
 			case fault.TrialOverrun:
-				s.out.injected++
-				s.out.overruns++
+				s.stats.Injected++
+				s.stats.Overruns++
 				emitTrialFault("trial-overrun", trial, attempt)
 				err = ErrDeadline
 			case fault.TrialPanic:
-				s.out.injected++
+				s.stats.Injected++
 				emitTrialFault("trial-panic", trial, attempt)
 				_, err = runRecovering(func() (T, error) { panic(ErrInjectedPanic) })
 			default:
@@ -170,22 +145,28 @@ func ResilientTrialRange[T any](ctx Ctx, id string, retries, lo, hi int, fn func
 				s.val, err = runRecovering(func() (T, error) { return fn(trial, attempt, seed) })
 			}
 			if errors.Is(err, errRecovered) {
-				s.out.recovered++
+				s.stats.Recovered++
 			}
-			s.out.err = err
 			if err == nil {
-				return s
+				break
 			}
 		}
-		var zero T
-		s.val = zero // a failed trial must not leak a partial attempt's value
+		if s.stats.Attempts > 1 {
+			s.stats.Retried = 1
+		}
+		if err != nil {
+			var zero T
+			s.val = zero // a failed trial must not leak a partial attempt's value
+			s.stats.Failed = 1
+			s.stats.FirstError = err.Error()
+		}
 		return s
 	})
 	out := make([]T, n)
 	var stats TrialStats
 	for i, s := range slots {
 		out[i] = s.val
-		stats.merge(s.out)
+		stats.Merge(s.stats)
 	}
 	return out, stats
 }

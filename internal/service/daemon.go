@@ -361,9 +361,9 @@ func shardRunCtx(spec JobSpec, plan fault.Plan, parallelism int) harness.Ctx {
 }
 
 // Submit validates the spec against the live registry, cuts it into shards
-// (trial ranges when the spec asks for a split and the experiment is
-// rangeable), journals the job, and queues it. The returned ID is stable
-// across restarts.
+// (one per experiment, or trial ranges when the spec asks for a split and
+// the experiment has two trials or more), journals the job, and queues it.
+// The returned ID is stable across restarts.
 func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	exps, err := d.reg.Select(spec.Only, "")
 	if err != nil {
@@ -656,15 +656,15 @@ func (d *Daemon) Complete(token string, comp Completion) error {
 		d.obs.Metrics().IncL("shards_failed_total", obs.PromLabel("exp", s.def.Exp), 1)
 		lg.Error("shard failed", "error", errText)
 		d.resolveLocked(j, s, record{Type: recShardFailed, Job: j.id, Shard: s.id, Error: errText})
-	case p == nil:
+	case p == nil || (p.Frag == nil && p.Error == ""):
 		endLease("failed")
 		d.obs.Metrics().IncL("shards_failed_total", obs.PromLabel("exp", s.def.Exp), 1)
-		lg.Error("shard failed", "error", "shard completed without a report")
-		d.resolveLocked(j, s, record{Type: recShardFailed, Job: j.id, Shard: s.id, Error: "shard completed without a report"})
+		lg.Error("shard failed", "error", "shard completed without a fragment")
+		d.resolveLocked(j, s, record{Type: recShardFailed, Job: j.id, Shard: s.id, Error: "shard completed without a fragment"})
 	default:
-		// A completed shard — including one whose Report says the experiment
-		// failed its bands or panicked: direct suite runs include those
-		// reports too, and byte-identity demands we keep them.
+		// A completed shard — including one whose range panicked or whose
+		// experiment failed its bands: direct suite runs report those too,
+		// and byte-identity demands we keep them.
 		pp := *p
 		pp.Exp, pp.Lo, pp.Hi = s.def.Exp, s.def.Lo, s.def.Hi
 		endLease("done")

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -247,9 +248,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	}
 	// The stale completion must be refused: the token is gone and the shard
 	// stays pending.
-	var rep harness.Report
-	rep.Add("stale", 1, 1, 1)
-	p := &harness.PartialReport{Report: &rep}
+	p := &harness.PartialReport{Frag: json.RawMessage(`{"metrics":[{"name":"stale","value":1,"min":1,"max":1,"pass":true}]}`)}
 	if err := d.Complete(li.Token, Completion{Partial: p}); !errors.Is(err, ErrLeaseNotFound) {
 		t.Fatalf("stale completion = %v, want ErrLeaseNotFound", err)
 	}

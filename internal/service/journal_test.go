@@ -20,10 +20,10 @@ import (
 
 func testRecords() []record {
 	spec := &JobSpec{Seed: 42, Quick: true}
-	rep := &harness.Report{ID: "a", Title: "A", Pass: true, Status: harness.StatusClean}
+	frag := json.RawMessage(`{"id":"a","title":"A","metrics":null,"pass":true,"status":"clean","wall_ms":0}`)
 	return []record{
 		{Type: recSubmit, Job: "job-1", Spec: spec, Defs: []ShardRef{{Exp: "a"}, {Exp: "b", Lo: 0, Hi: 4}}},
-		{Type: recShardDone, Job: "job-1", Shard: "a", Partial: &harness.PartialReport{Exp: "a", Report: rep}},
+		{Type: recShardDone, Job: "job-1", Shard: "a", Partial: &harness.PartialReport{Exp: "a", Frag: frag}},
 		{Type: recShardFailed, Job: "job-1", Shard: "b[0:4]", Error: "boom"},
 	}
 }
@@ -301,6 +301,85 @@ func TestReplayIgnoresRemovedSpecFields(t *testing.T) {
 	}
 }
 
+// TestReplayRerunsReportPartials: a state directory written while a shard's
+// partial carried its finished report (no fragment, no error) still opens.
+// Such a shard_done is not applied, even under its job's job_done record, so
+// the shard reruns, and each job drains to the bytes of a direct run.
+func TestReplayRerunsReportPartials(t *testing.T) {
+	dir := t.TempDir()
+	report := `{"exp":"a","report":{"id":"a","title":"fake a","paper":"test fixture",` +
+		`"metrics":[{"name":"seed","value":7,"min":0,"max":1000000000,"pass":true}],` +
+		`"pass":true,"detail":"a@7","status":"clean","wall_ms":0.1},"wall_ms":0.1}`
+	var seg []byte
+	for _, payload := range []string{
+		`{"type":"submit","job":"job-1","trace":"job-1.1","spec":{"seed":7},"defs":[{"exp":"a"},{"exp":"b"}]}`,
+		`{"type":"shard_done","job":"job-1","shard":"a","partial":` + report + `}`,
+		`{"type":"submit","job":"job-2","trace":"job-2.1","spec":{"seed":7,"only":["a"]},"defs":[{"exp":"a"}]}`,
+		`{"type":"shard_done","job":"job-2","shard":"a","partial":` + report + `}`,
+		`{"type":"job_done","job":"job-2"}`,
+	} {
+		seg = append(append(seg, header(uint32(len(payload)), crc32.ChecksumIEEE([]byte(payload)))...), payload...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := fakeRegistry("a", "b")
+	d, err := Open(Config{Dir: dir, Registry: reg, Workers: 0, Lease: time.Second})
+	if err != nil {
+		t.Fatalf("Open = %v, want the report-shaped partials replayed as pending shards", err)
+	}
+	defer d.Shutdown(context.Background())
+	var ran []string
+	for {
+		l, err := d.Lease("w", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l == nil {
+			break
+		}
+		ran = append(ran, l.Job+"/"+l.Shard.ID())
+		p, err := reg.RunTrialRange(shardRunCtx(l.Spec, fault.Plan{}, 1), l.Shard.Exp, l.Shard.Lo, l.Shard.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Complete(l.Token, Completion{Partial: &p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{"job-1/a", "job-1/b", "job-2/a"}; !reflect.DeepEqual(ran, want) {
+		t.Fatalf("reran shards %v, want %v", ran, want)
+	}
+	for _, job := range []struct {
+		id   string
+		only []string
+	}{{"job-1", nil}, {"job-2", []string{"a"}}} {
+		st, err := d.Status(job.id)
+		if err != nil || st.State != JobDone {
+			t.Fatalf("%s = %+v, %v", job.id, st, err)
+		}
+		rep, err := d.Report(job.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rep.StableJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := reg.Run(shardRunCtx(JobSpec{Seed: 7}, fault.Plan{}, 1), job.only)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := direct.StableJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s's report differs from a direct run:\n%s\nvs\n%s", job.id, got, want)
+		}
+	}
+}
+
 // TestJournalHugeLengthTail: a header whose length field claims far more
 // bytes than the segment holds is a torn tail, healed without allocating the
 // claimed size.
@@ -536,8 +615,8 @@ func TestApplyDuplicateShardDone(t *testing.T) {
 	tab := newJobTable()
 	spec := &JobSpec{Seed: 1}
 	tab.apply(record{Type: recSubmit, Job: "job-1", Spec: spec, Defs: []ShardRef{{Exp: "a"}, {Exp: "b"}}})
-	first := &harness.PartialReport{Exp: "a", Report: &harness.Report{ID: "a", Detail: "first", Status: harness.StatusClean}}
-	second := &harness.PartialReport{Exp: "a", Report: &harness.Report{ID: "a", Detail: "second", Status: harness.StatusClean}}
+	first := &harness.PartialReport{Exp: "a", Frag: json.RawMessage(`"first"`)}
+	second := &harness.PartialReport{Exp: "a", Frag: json.RawMessage(`"second"`)}
 	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "a", Partial: first})
 	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "a", Partial: second})
 	j := tab.jobs["job-1"]
@@ -545,8 +624,8 @@ func TestApplyDuplicateShardDone(t *testing.T) {
 	if done != 1 || failed != 0 || total != 2 {
 		t.Fatalf("duplicate shard_done double-counted: done=%d failed=%d total=%d", done, failed, total)
 	}
-	if j.partials["a"].Report.Detail != "first" {
-		t.Fatalf("duplicate shard_done overwrote the first fragment: %q", j.partials["a"].Report.Detail)
+	if got := string(j.partials["a"].Frag); got != `"first"` {
+		t.Fatalf("duplicate shard_done overwrote the first fragment: %s", got)
 	}
 	if j.state != JobRunning {
 		t.Fatalf("job state %q, want running", j.state)
@@ -572,7 +651,7 @@ func TestApplyJobArchive(t *testing.T) {
 		t.Fatal("live job was archived")
 	}
 	tab.apply(record{Type: recShardDone, Job: "job-1", Shard: "a",
-		Partial: &harness.PartialReport{Exp: "a", Report: &harness.Report{ID: "a"}}})
+		Partial: &harness.PartialReport{Exp: "a", Frag: json.RawMessage(`{"id":"a"}`)}})
 	tab.apply(record{Type: recJobArchive, Job: "job-1"})
 	if tab.jobs["job-1"] != nil || len(tab.order) != 0 {
 		t.Fatalf("terminal job not archived: %+v order %v", tab.jobs["job-1"], tab.order)

@@ -1,14 +1,15 @@
 // Package service is the zenspecd robustness layer: a durable, crash-safe
 // job queue over the experiment harness. Suite jobs are journaled to a
-// write-ahead log at submission, split into shards — one experiment, or one
-// trial range [lo, hi) of a rangeable experiment — and executed by lease-pull
-// workers (the daemon's in-process pool and remote zenspec-worker processes
-// are the same consumer). Per-shard PartialReport fragments are persisted
-// idempotently as they complete. A daemon killed at any point replays the
-// journal on the next Open and resumes exactly the shards that had not
-// completed; because every trial is deterministic in (seed, experiment,
-// trial), the resumed job's merged StableJSON is byte-identical to an
-// uninterrupted run's at any shard split and any worker count.
+// write-ahead log at submission, split into shards — one trial range
+// [lo, hi) of an experiment, all its trials unless the job asks for a split —
+// and executed by lease-pull workers (the daemon's in-process pool and
+// remote zenspec-worker processes are the same consumer). Per-shard
+// PartialReport fragments are persisted idempotently as they complete. A
+// daemon killed at any point replays the journal on the next Open and
+// resumes exactly the shards that had not completed; because every trial is
+// deterministic in (seed, experiment, trial), the resumed job's merged
+// StableJSON is byte-identical to an uninterrupted run's at any shard split
+// and any worker count.
 package service
 
 import (
@@ -37,11 +38,11 @@ type JobSpec struct {
 	// exactly like the cmd/experiments flags.
 	Metrics bool `json:"metrics,omitempty"`
 	Profile bool `json:"profile,omitempty"`
-	// Split asks the daemon to cut each rangeable experiment into up to this
-	// many trial-range shards, so several workers (or machines) drain one
-	// experiment concurrently. 0 or 1 keeps whole-experiment shards;
-	// experiments without a range decomposition always stay whole. The merged
-	// report is byte-identical at any Split.
+	// Split asks the daemon to cut each experiment into up to this many
+	// trial-range shards, so several workers (or machines) drain one
+	// experiment concurrently. 0 or 1 gives one shard of all the trials per
+	// experiment, as does an experiment of one trial (every plain Run
+	// experiment). The merged report is byte-identical at any Split.
 	Split int `json:"split,omitempty"`
 }
 
@@ -61,22 +62,19 @@ const (
 	ShardFailed  = "failed"
 )
 
-// ShardRef names one unit of leased work: an experiment, or the trial range
-// [Lo, Hi) of one. Lo == Hi == 0 means the whole experiment (the harness's
-// whole-shard convention).
+// ShardRef names one unit of leased work: the trial range [Lo, Hi) of an
+// experiment. Lo == Hi == 0 addresses all its trials, as in
+// harness.RunTrialRange.
 type ShardRef struct {
 	Exp string `json:"exp"`
 	Lo  int    `json:"lo,omitempty"`
 	Hi  int    `json:"hi,omitempty"`
 }
 
-// Whole reports whether the ref names the whole experiment.
-func (r ShardRef) Whole() bool { return r.Lo == 0 && r.Hi == 0 }
-
-// ID renders the shard's stable identifier: the bare experiment ID for a
-// whole-experiment shard, "exp[lo:hi]" for a trial range.
+// ID renders the shard's stable identifier: the bare experiment ID for the
+// all-trials address, "exp[lo:hi]" for a trial range.
 func (r ShardRef) ID() string {
-	if r.Whole() {
+	if r.Lo == 0 && r.Hi == 0 {
 		return r.Exp
 	}
 	return fmt.Sprintf("%s[%d:%d]", r.Exp, r.Lo, r.Hi)
@@ -303,7 +301,9 @@ func (t *jobTable) apply(rec record) {
 	case recShardDone:
 		j := t.jobs[rec.Job]
 		p := rec.Partial
-		if j == nil || p == nil {
+		if j == nil || p == nil || (p.Frag == nil && p.Error == "") {
+			// A partial with neither fragment nor error is an older daemon's
+			// finished report: its shard reruns, to the same bytes.
 			return
 		}
 		s := j.shards[rec.Shard]
@@ -334,17 +334,10 @@ func (t *jobTable) apply(rec record) {
 			j.state = JobRunning
 		}
 		j.finalize()
-	case recJobDone:
-		if j := t.jobs[rec.Job]; j != nil && j.active() {
-			j.state = JobDone
-		}
-	case recJobFailed:
-		if j := t.jobs[rec.Job]; j != nil && j.active() {
-			j.state = JobFailed
-			if j.err == "" {
-				j.err = rec.Error
-			}
-		}
+	case recJobDone, recJobFailed:
+		// Redundant: the shard records finalize the job. A job whose shard
+		// did not replay (an older daemon's finished report) stays open
+		// until that shard reruns.
 	case recJobArchive:
 		j := t.jobs[rec.Job]
 		if j == nil || j.active() {

@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -71,6 +73,30 @@ const (
 	retryMax  = 5 * time.Second
 )
 
+// retryDelay is the wait before retry attempt (0 is the first) of the calls
+// named by key: the capped step retryBase<<attempt with equal jitter, at
+// least half the step and at most all of it, the fraction drawn from an FNV
+// hash of (key, attempt). It is a pure function, so one worker waits the same
+// on every run while two workers keyed by their names never wait in
+// lockstep.
+func retryDelay(key string, attempt int) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
+		d <<= 1
+	}
+	d = min(d, retryMax)
+	// 53 uniform bits of the hash, exactly representable in a float64: the
+	// same construction as fault.Plan's trial faults.
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(attempt))
+	h.Write(buf[:])
+	u := float64(h.Sum64()>>11) / float64(1<<53)
+	half := d / 2
+	return half + time.Duration(u*float64(d-half))
+}
+
 // Worker pulls leases from a source and runs the shards on its own registry:
 // the execution half of the service, with the scheduling half left entirely
 // to the daemon. A worker that dies mid-shard simply stops heartbeating —
@@ -104,7 +130,6 @@ func NewWorker(src LeaseSource, cfg WorkerConfig) *Worker {
 // reconnects by itself.
 func (w *Worker) Run(ctx context.Context) error {
 	outages := 0
-	bo := fault.Backoff{Base: retryBase, Max: retryMax, Key: "worker/" + w.cfg.Name}
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -121,7 +146,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		default:
 			// Draining (for a persistent worker) and transport failures alike:
 			// back off and try again.
-			if !sleepCtx(ctx, bo.Delay(outages)) {
+			if !sleepCtx(ctx, retryDelay("worker/"+w.cfg.Name, outages)) {
 				return ctx.Err()
 			}
 			outages++
@@ -225,13 +250,12 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 // dropped connection does not discard a finished shard. ErrLeaseNotFound and
 // ErrDraining are terminal: the result has no home anymore.
 func (w *Worker) complete(ctx context.Context, l *Lease, c Completion) {
-	bo := fault.Backoff{Base: retryBase, Max: retryMax, Key: "complete/" + w.cfg.Name}
 	for attempt := 0; attempt < 5; attempt++ {
 		err := w.src.Complete(l.Token, c)
 		if err == nil || errors.Is(err, ErrLeaseNotFound) || errors.Is(err, ErrDraining) {
 			return
 		}
-		if !sleepCtx(ctx, bo.Delay(attempt)) {
+		if !sleepCtx(ctx, retryDelay("complete/"+w.cfg.Name, attempt)) {
 			return
 		}
 	}
@@ -240,9 +264,6 @@ func (w *Worker) complete(ctx context.Context, l *Lease, c Completion) {
 // sleepCtx sleeps d unless ctx is cancelled first; it reports whether the
 // caller should continue.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -15,8 +15,8 @@ import (
 )
 
 // rangeRegistry registers one rangeable experiment (trial values derived from
-// TrialSeed, merge sums them) plus one plain whole-shard experiment, so a
-// split submission mixes trial-range and whole shards exactly like a real
+// TrialSeed, merge sums them) plus one plain one-trial experiment, so a split
+// submission mixes trial-range and all-trials shards exactly like a real
 // suite would.
 func rangeRegistry(trials int) *harness.Registry {
 	reg := fakeRegistry("plain")
@@ -73,7 +73,7 @@ func TestWorkersDrainSplitJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rsum splits 4 ways; plain has no range decomposition and stays whole.
+	// rsum splits 4 ways; plain is one trial and stays one shard.
 	if st.Total != 5 {
 		t.Fatalf("split job has %d shards, want 5: %+v", st.Total, st.Shards)
 	}
@@ -126,6 +126,102 @@ func TestWorkersDrainSplitJob(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("split-drained report differs from direct run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// failRegistry registers a healthy experiment beside the three ways one can
+// die: a range whose trial 2 panics, a range whose Merge panics, and a plain
+// Run that panics.
+func failRegistry() *harness.Registry {
+	reg := fakeRegistry("ok")
+	count := func(_ harness.Ctx, lo, hi int) ([]byte, error) { return json.Marshal(hi - lo) }
+	reg.Register(harness.Experiment{
+		ID: "boom", Title: "trial 2 panics", Paper: "test fixture",
+		Range: &harness.RangeSpec{
+			Trials: func(harness.Ctx) int { return 4 },
+			Run: func(ctx harness.Ctx, lo, hi int) ([]byte, error) {
+				if lo <= 2 && 2 < hi {
+					panic("trial 2")
+				}
+				return count(ctx, lo, hi)
+			},
+			Merge: func(harness.Ctx, []harness.Fragment) harness.Report { return harness.Report{} },
+		},
+	})
+	reg.Register(harness.Experiment{
+		ID: "badmerge", Title: "Merge panics", Paper: "test fixture",
+		Range: &harness.RangeSpec{
+			Trials: func(harness.Ctx) int { return 4 },
+			Run:    count,
+			Merge:  func(harness.Ctx, []harness.Fragment) harness.Report { panic("merge") },
+		},
+	})
+	reg.Register(harness.Experiment{
+		ID: "plainboom", Title: "Run panics", Paper: "test fixture",
+		Run: func(harness.Ctx) harness.Report { panic("plain") },
+	})
+	return reg
+}
+
+// TestFailuresCrossTheWire: experiments that panic in a range, in Merge or
+// in a plain Run fail their own reports and nothing else. Jobs at split 1
+// and split 2, drained by a remote worker over /v1, end done, and their
+// StableJSON is a direct run's.
+func TestFailuresCrossTheWire(t *testing.T) {
+	reg := failRegistry()
+	direct, err := reg.Run(shardRunCtx(JobSpec{Seed: 5}, fault.Plan{}, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantErr := map[string]string{
+		"ok": "", "boom": "experiment panicked: trial 2",
+		"badmerge": "experiment panicked: merge", "plainboom": "experiment panicked: plain",
+	}
+	for _, r := range direct.Experiments {
+		failed := r.Status == harness.StatusFailed && !r.Pass
+		if r.Error != wantErr[r.ID] || failed != (r.Error != "") {
+			t.Fatalf("direct run of %s: status %q, error %q; want error %q", r.ID, r.Status, r.Error, wantErr[r.ID])
+		}
+	}
+	want, err := direct.StableJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := Open(Config{Dir: t.TempDir(), Registry: reg, Workers: 0, Lease: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	c := &Client{Base: "http://" + addr.String()}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go NewWorker(&Client{Base: c.Base}, WorkerConfig{
+		Name: "w", Registry: reg, Poll: 20 * time.Millisecond,
+	}).Run(ctx)
+
+	for _, job := range []struct{ split, shards int }{{1, 4}, {2, 6}} {
+		split, shards := job.split, job.shards
+		id, err := c.Submit(JobSpec{Seed: 5, Split: split})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Wait(context.Background(), id, 10*time.Millisecond)
+		if err != nil || st.State != JobDone || st.Done != shards {
+			t.Fatalf("split %d: job = %+v, %v; want done with %d shards", split, st, err, shards)
+		}
+		got, err := c.StableReport(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("split %d: report differs from a direct run:\n%s\nvs\n%s", split, got, want)
+		}
 	}
 }
 
@@ -198,8 +294,10 @@ func TestArchivedJobGC(t *testing.T) {
 	if err != nil || liveLease == nil || liveLease.Job != liveID {
 		t.Fatalf("live lease = %+v, %v", liveLease, err)
 	}
-	var rep harness.Report
-	rep.Add("seed", 1, 0, 1e9)
+	frag, err := json.Marshal(harness.Report{Metrics: []harness.Metric{{Name: "seed", Value: 1, Max: 1e9, Pass: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ids []string
 	for i := 0; i < 5; i++ {
 		id, err := d.Submit(JobSpec{Seed: int64(i)})
@@ -211,7 +309,7 @@ func TestArchivedJobGC(t *testing.T) {
 		if err != nil || l == nil || l.Job != id {
 			t.Fatalf("lease for %s = %+v, %v", id, l, err)
 		}
-		if err := d.Complete(l.Token, Completion{Partial: &harness.PartialReport{Report: &rep}}); err != nil {
+		if err := d.Complete(l.Token, Completion{Partial: &harness.PartialReport{Frag: frag}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +354,7 @@ func TestArchivedJobGC(t *testing.T) {
 	if err != nil || l == nil || l.Job != liveID {
 		t.Fatalf("post-replay lease = %+v, %v", l, err)
 	}
-	if err := d2.Complete(l.Token, Completion{Partial: &harness.PartialReport{Report: &rep}}); err != nil {
+	if err := d2.Complete(l.Token, Completion{Partial: &harness.PartialReport{Frag: frag}}); err != nil {
 		t.Fatal(err)
 	}
 	// Now terminal — and, as the oldest terminal job of three against
@@ -267,5 +365,52 @@ func TestArchivedJobGC(t *testing.T) {
 	}
 	if jobs := d2.Jobs(); len(jobs) != 2 {
 		t.Fatalf("daemon retains %d jobs, want KeepJobs=2", len(jobs))
+	}
+}
+
+func TestRetryDelayDeterministic(t *testing.T) {
+	for attempt := 0; attempt < 12; attempt++ {
+		first := retryDelay("worker/a", attempt)
+		if again := retryDelay("worker/a", attempt); again != first {
+			t.Fatalf("attempt %d not deterministic: %v then %v", attempt, first, again)
+		}
+	}
+}
+
+func TestRetryDelayEqualJitterBounds(t *testing.T) {
+	for attempt := 0; attempt < 16; attempt++ {
+		step := min(retryBase<<attempt, retryMax)
+		if d := retryDelay("k", attempt); d < step/2 || d > step {
+			t.Fatalf("attempt %d delay %v outside [%v, %v]", attempt, d, step/2, step)
+		}
+	}
+}
+
+// TestRetryDelayGrowsThenCaps: the step doubles from retryBase, 100 ms, to
+// the retryMax cap of 5 s, which attempt 6 reaches; equal jitter keeps every
+// wait above the previous step's most.
+func TestRetryDelayGrowsThenCaps(t *testing.T) {
+	prev := time.Duration(0)
+	for attempt := 0; attempt < 10; attempt++ {
+		d := retryDelay("k", attempt)
+		if d > retryMax {
+			t.Fatalf("attempt %d delay %v exceeds cap %v", attempt, d, retryMax)
+		}
+		if attempt <= 5 && d <= prev {
+			t.Fatalf("attempt %d delay %v did not grow past %v", attempt, d, prev)
+		}
+		prev = d
+	}
+}
+
+func TestRetryDelayKeysDecorrelate(t *testing.T) {
+	same := 0
+	for attempt := 0; attempt < 16; attempt++ {
+		if retryDelay("worker/a", attempt) == retryDelay("worker/c", attempt) {
+			same++
+		}
+	}
+	if same == 16 {
+		t.Fatal("distinct keys wait in lockstep")
 	}
 }

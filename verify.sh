@@ -230,10 +230,12 @@ svc_tmp=$(mktemp -d)
 svc_pid=
 wrk_a_pid=
 wrk_b_pid=
+wrk_c_pid=
 cleanup_svc() {
     [ -n "$svc_pid" ] && kill "$svc_pid" 2>/dev/null || true
     [ -n "$wrk_a_pid" ] && kill -9 "$wrk_a_pid" 2>/dev/null || true
     [ -n "$wrk_b_pid" ] && kill "$wrk_b_pid" 2>/dev/null || true
+    [ -n "$wrk_c_pid" ] && kill "$wrk_c_pid" 2>/dev/null || true
     rm -rf "$svc_tmp" "$cli_tmp"
     rm -f "$suite_json" "$fault_json" "$trace_json" "$prof_pb" "$prof_flame"
 }
@@ -443,6 +445,27 @@ while time.time() < deadline:
     time.sleep(0.5)
 sys.exit(f"abandoned lease was never revoked (revocation counter still {before})")
 PYEOF
+
+echo "== distributed quick suite (split 3, non-race worker) =="
+# Every experiment runs as a trial range in the service too: the whole quick
+# suite cut at -split 3 (one-trial experiments stay one shard each) and
+# drained by a zenspec-worker built without the race detector must hash to
+# the pinned quick digest. The worker also drains the job the revocation
+# check above left behind.
+"$svc_tmp/zenspec-worker" -url "$svc_url" -name suite -poll 200ms \
+    > "$svc_tmp/wrk-c.log" 2>&1 &
+wrk_c_pid=$!
+split_sum=$("$svc_tmp/experiments" -submit "$svc_url" -seed 42 -quick -split 3 -stable |
+    sha256sum | cut -d' ' -f1)
+kill "$wrk_c_pid" 2>/dev/null || true
+wait "$wrk_c_pid" 2>/dev/null || true
+wrk_c_pid=
+if [ "$split_sum" != "$want_sum" ]; then
+    echo "experiments -submit -seed 42 -quick -split 3 -stable hashes to $split_sum;" >&2
+    echo "testdata/quick_stable_seed42.sha256 pins $want_sum" >&2
+    cat "$svc_tmp/wrk-c.log" >&2
+    exit 1
+fi
 kill -TERM "$svc_pid"
 wait "$svc_pid"
 svc_pid=
